@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .exante import (
-    ExAnteReport,
     check_gfs,
     check_ifs,
     check_strong_ifs,
@@ -176,8 +175,12 @@ def _sample_block(
     return block, list(counts)
 
 
-def _exante_entry(report: ExAnteReport, instance: PBInstance) -> dict:
-    return report.to_dict(instance)
+def _unless_over_limit(entry: Callable[[], object]) -> object:
+    """A report entry, or a skip note if its enumeration is over the limit."""
+    try:
+        return entry()
+    except ScaleError as exc:
+        return {"skipped": str(exc)}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -197,13 +200,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         p = fractional_random_dictator(instance)
         report["fractional"] = fractional_to_dict(instance, p)
         report["cost_equals_budget"] = p.cost(instance) == instance.budget
-        axioms["ifs"] = _exante_entry(check_ifs(instance, p), instance)
-        try:
-            axioms["gfs"] = _exante_entry(
-                check_gfs(instance, p, args.limit_exp), instance
-            )
-        except ScaleError as exc:
-            axioms["gfs"] = {"skipped": str(exc)}
+        axioms["ifs"] = check_ifs(instance, p).to_dict(instance)
+        axioms["gfs"] = _unless_over_limit(
+            lambda: check_gfs(instance, p, args.limit_exp).to_dict(instance)
+        )
         sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
         report["sampling"] = sampled
     elif args.rule == "gcr":
@@ -222,13 +222,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             for j, r in result.rho
         ]
         if binaryish:
-            axioms["ejr"] = check_ejr_binary(instance, result.outcome).to_dict(
-                instance
-            )
+            name, check = "ejr", check_ejr_binary
         else:
-            axioms["ejrx"] = check_ejrx_cost(
-                instance, result.outcome
-            ).to_dict(instance)
+            name, check = "ejrx", check_ejrx_cost
+        axioms[name] = _unless_over_limit(
+            lambda: check(instance, result.outcome).to_dict(instance)
+        )
     elif args.rule in ("bw-gcr", "bw-mes"):
         if args.rule == "bw-gcr":
             result = bw_gcr(instance, args.seed, args.limit_exp)
@@ -236,12 +235,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = bw_mes(instance, args.seed)
         p = result.fractional
         report["fractional"] = fractional_to_dict(instance, p)
-        axioms["strong-ufs"] = _exante_entry(
-            check_strong_ufs(instance, p), instance
-        )
+        axioms["strong-ufs"] = check_strong_ufs(instance, p).to_dict(instance)
         sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
         report["sampling"] = sampled
-        ex_post = "fjr" if args.rule == "bw-gcr" else "ejr"
+        if args.rule == "bw-gcr":
+            ex_post, check = "fjr", check_fjr_binary
+        elif binaryish:
+            ex_post, check = "ejr", check_ejr_binary
+        else:
+            ex_post, check = "ejrx", check_ejrx_cost
         per_outcome = []
         for w in distinct:
             entry = {
@@ -249,13 +251,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     instance.project_ids[j] for j in w.projects
                 ),
                 "bb1": is_bb1(instance, w),
+                ex_post: _unless_over_limit(lambda: check(instance, w).holds),
             }
-            if args.rule == "bw-gcr":
-                entry[ex_post] = check_fjr_binary(instance, w).holds
-            elif binaryish:
-                entry[ex_post] = check_ejr_binary(instance, w).holds
-            else:
-                entry["ejrx"] = check_ejrx_cost(instance, w).holds
             per_outcome.append(entry)
         per_outcome.sort(key=lambda e: e["projects"])
         axioms["sampled_outcomes"] = per_outcome
@@ -366,8 +363,13 @@ def _parse_constraints(
         raise ValidationError("constraints file must hold a list")
     rows = []
     for entry in document:
+        if not isinstance(entry, dict):
+            raise ValidationError("constraint must be an object")
+        coefficients = entry.get("coefficients", {})
+        if not isinstance(coefficients, dict):
+            raise ValidationError("constraint coefficients must be an object")
         coeffs = [Fraction(0)] * instance.m
-        for pid, raw in entry.get("coefficients", {}).items():
+        for pid, raw in coefficients.items():
             coeffs[instance.project_index(pid)] = parse_rational(
                 str(raw), f"coefficient of {pid}"
             )
@@ -460,6 +462,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pb-bobw",
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["frd", "gcr", "mes", "bw-gcr", "bw-mes"],
     )
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples", type=int, default=1)
+    run.add_argument("--samples", type=_count, default=1)
     run.add_argument("--out")
     run.add_argument("--limit-exp", type=int, default=None)
     run.set_defaults(handler=cmd_run)

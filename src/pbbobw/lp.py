@@ -2,14 +2,25 @@
 
 Decides whether {x >= 0 : A x (rel) b} is non-empty, returning a feasible
 point when one exists. Pivoting uses Bland's rule, so termination is
-guaranteed; all arithmetic is over Fractions, so verdicts carry no
-tolerance.
+guaranteed; verdicts carry no tolerance.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968). Each row is
+scaled to integers by the LCM s_r of its denominators, and its slack or
+artificial stays the unit column, which rescales only that one variable.
+All rows, and the phase-one objective kept as one more row, share a
+denominator D: the true tableau is T / D, where D > 0 is the last pivot,
+and a pivot on p = T[l][e] sets T[r][j] = (p*T[r][j] - T[r][e]*T[l][j]) // D
+exactly. Rescaling rows and variables by positive factors leaves every
+reduced-cost sign and every ratio-test comparison as they are over
+Fractions, so Bland's rule takes the same pivots and returns the same
+vertex as the plain rational simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Literal, Optional, Sequence
 
 Relation = Literal["<=", "=", ">="]
@@ -28,108 +39,93 @@ def solve_feasibility(
     """Return x >= 0 satisfying all constraints, or None if infeasible."""
     rows: list[list[Fraction]] = []
     relations: list[Relation] = []
-    rhs: list[Fraction] = []
     for con in constraints:
         if len(con.coefficients) != num_vars:
             raise ValueError("constraint has wrong arity")
         coeffs = [Fraction(c) for c in con.coefficients]
-        bound = Fraction(con.bound)
+        coeffs.append(Fraction(con.bound))
         rel = con.relation
-        if bound < 0:
+        if coeffs[-1] < 0:
             coeffs = [-c for c in coeffs]
-            bound = -bound
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
         rows.append(coeffs)
         relations.append(rel)
-        rhs.append(bound)
 
     num_rows = len(rows)
     num_slack = sum(1 for r in relations if r != "=")
     # Columns: structural vars, slack/surplus vars, artificial vars, rhs.
-    slack_base = num_vars
     art_base = num_vars + num_slack
     total = art_base + num_rows
-    tableau = [[Fraction(0)] * (total + 1) for _ in range(num_rows)]
+    scales = [lcm(*(c.denominator for c in row)) for row in rows]
+    # Row r's artificial is s_r times the unscaled one, so its phase-one
+    # cost 1 becomes L / s_r once the objective is scaled by L.
+    big_l = lcm(*(s for s, rel in zip(scales, relations) if rel != "<="))
+    tableau: list[list[int]] = []
     basis = [0] * num_rows
-    cost = [Fraction(0)] * total
+    objective = [0] * (total + 1)
 
-    slack_index = 0
-    for r in range(num_rows):
-        for j in range(num_vars):
-            tableau[r][j] = rows[r][j]
-        tableau[r][total] = rhs[r]
-        if relations[r] == "<=":
-            tableau[r][slack_base + slack_index] = Fraction(1)
-            basis[r] = slack_base + slack_index
-            slack_index += 1
-        elif relations[r] == ">=":
-            tableau[r][slack_base + slack_index] = Fraction(-1)
-            slack_index += 1
-            tableau[r][art_base + r] = Fraction(1)
-            basis[r] = art_base + r
-            cost[art_base + r] = Fraction(1)
+    slack = num_vars
+    for r, (row, rel, s) in enumerate(zip(rows, relations, scales)):
+        ints = [c.numerator * (s // c.denominator) for c in row]
+        ints[num_vars:num_vars] = [0] * (total - num_vars)
+        if rel == "<=":
+            ints[slack] = 1
+            basis[r] = slack
         else:
-            tableau[r][art_base + r] = Fraction(1)
+            if rel == ">=":
+                ints[slack] = -1
+            ints[art_base + r] = 1
             basis[r] = art_base + r
-            cost[art_base + r] = Fraction(1)
+            # Price out the basic artificial: its reduced cost becomes 0.
+            weight = big_l // s
+            objective[art_base + r] = weight
+            objective = [o - weight * v for o, v in zip(objective, ints)]
+        slack += rel != "="
+        tableau.append(ints)
+    tableau.append(objective)
 
+    denominator = 1
     while True:
-        # Reduced costs under the phase-one objective (sum of artificials).
-        duals = [cost[basis[r]] for r in range(num_rows)]
-        entering = -1
-        for j in range(total):
-            if j == basis_member(basis, j):
-                continue
-            reduced = cost[j] - sum(
-                duals[r] * tableau[r][j] for r in range(num_rows)
-            )
-            if reduced < 0:
-                entering = j
-                break
+        # Bland: the lowest-index column with a negative reduced cost.
+        entering = next((j for j in range(total) if objective[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best_ratio: Optional[Fraction] = None
         for r in range(num_rows):
             a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][total] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = r
+                continue
+            best = tableau[leaving]
+            # Sign of rhs_r / a - rhs_best / a_best, both entries being > 0.
+            order = tableau[r][total] * best[entering] - best[total] * a
+            if order < 0 or (order == 0 and basis[r] < basis[leaving]):
+                leaving = r
         if leaving < 0:
             # Phase-one objective is bounded below by 0; unbounded descent
             # cannot happen, but guard against malformed input.
             raise ArithmeticError("phase-one simplex unbounded")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for r in range(num_rows):
-            if r == leaving:
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        for r, row in enumerate(tableau):
+            factor = row[entering]
+            if r == leaving or (factor == 0 and pivot == denominator):
                 continue
-            factor = tableau[r][entering]
-            if factor != 0:
-                row_l = tableau[leaving]
-                tableau[r] = [
-                    v - factor * w for v, w in zip(tableau[r], row_l)
-                ]
+            tableau[r] = [
+                (pivot * v - factor * w) // denominator
+                for v, w in zip(row, pivot_row)
+            ]
+        objective = tableau[num_rows]
+        denominator = pivot
         basis[leaving] = entering
 
-    objective = sum(
-        cost[basis[r]] * tableau[r][total] for r in range(num_rows)
-    )
-    if objective != 0:
+    # The phase-one optimum is 0 iff every basic artificial is at 0.
+    if any(b >= art_base and tableau[r][total] for r, b in enumerate(basis)):
         return None
     solution = [Fraction(0)] * num_vars
-    for r in range(num_rows):
-        if basis[r] < num_vars:
-            solution[basis[r]] = tableau[r][total]
+    for r, b in enumerate(basis):
+        if b < num_vars:
+            solution[b] = Fraction(tableau[r][total], denominator)
     return solution
-
-
-def basis_member(basis: list[int], j: int) -> int:
-    """Return j if j is basic (skip pricing it), else -1."""
-    return j if j in basis else -1

@@ -238,6 +238,18 @@ def implements(instance: PBInstance, lottery: Lottery, p: FractionalOutcome) -> 
 # JSON instance format
 
 
+def _entries(data: Mapping, field: str) -> Sequence[Mapping]:
+    """The non-empty list of objects under `field`."""
+    entries = data.get(field)
+    if isinstance(entries, (str, bytes)) or not isinstance(entries, Sequence):
+        raise ValidationError(f"{field}: missing or not a list")
+    if not entries:
+        raise ValidationError(f"{field}: empty")
+    if not all(isinstance(entry, Mapping) for entry in entries):
+        raise ValidationError(f"{field}[]: not an object")
+    return entries
+
+
 def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
     """Parse and validate the JSON instance format.
 
@@ -258,11 +270,8 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
     except KeyError:
         raise ValidationError("missing field: budget") from None
 
-    projects = data.get("projects")
-    if not isinstance(projects, Sequence) or not projects:
-        raise ValidationError("projects: missing or empty")
     entries = []
-    for entry in projects:
+    for entry in _entries(data, "projects"):
         pid = entry.get("id")
         if not isinstance(pid, str):
             raise ValidationError("projects[].id: missing or not a string")
@@ -274,16 +283,18 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
     cost = tuple(c for _, c in entries)
     index_of = {pid: j for j, (pid, _) in enumerate(entries)}
 
-    voters = data.get("voters")
-    if not isinstance(voters, Sequence) or not voters:
-        raise ValidationError("voters: missing or empty")
     voter_entries = []
-    for entry in voters:
+    for entry in _entries(data, "voters"):
         vid = entry.get("id")
         if not isinstance(vid, str):
             raise ValidationError("voters[].id: missing or not a string")
         row = [Fraction(0)] * len(project_ids)
-        for pid, text in (entry.get("utilities") or {}).items():
+        utilities = entry.get("utilities")
+        if utilities is None:
+            utilities = {}
+        elif not isinstance(utilities, Mapping):
+            raise ValidationError(f"utilities[{vid}]: not an object")
+        for pid, text in utilities.items():
             if pid not in index_of:
                 raise ValidationError(
                     f"utilities[{vid}]: unknown project id {pid!r}"

@@ -1,7 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbbobw import gen_gfs_jr_family, serialize_instance
 from pbbobw.cli import main
@@ -276,5 +281,183 @@ def test_oracle_joint_builtin_ifs(capsys, tmp_path):
     assert json.loads(text)["feasible"] is False
 
 
+@pytest.mark.parametrize("constraints", [["a"], [{"coefficients": ["a"]}]])
+def test_oracle_malformed_constraints_exit_2(capsys, tmp_path, constraints):
+    inst = tmp_path / "bfx.json"
+    run_cli(capsys, "gen", "--family", "bfx", "--out", str(inst))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(constraints))
+    code, out, err = run_cli(
+        capsys,
+        "oracle",
+        "--instance",
+        str(inst),
+        "--mode",
+        "joint",
+        "--constraints",
+        str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "must be an object" in err
+
+
 def test_missing_required_flag_exits_2(capsys):
     assert main(["run", "--rule", "frd"]) == 2
+
+
+def test_run_negative_samples_exits_2(capsys, instance_file):
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--instance",
+        instance_file,
+        "--rule",
+        "bw-mes",
+        "--samples",
+        "-5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+def _wide_binary_file(tmp_path, m):
+    ids = [f"p{j:02d}" for j in range(m)]
+    doc = {
+        "budget": "3",
+        "projects": [{"id": pid, "cost": "1"} for pid in ids],
+        "voters": [
+            {"id": "v1", "utilities": {pid: "1" for pid in ids[0::2]}},
+            {"id": "v2", "utilities": {pid: "1" for pid in ids[1::3]}},
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_mes_above_the_limit_skips_the_ex_post_checks(capsys, tmp_path):
+    path = _wide_binary_file(tmp_path, 21)
+    code, out, _ = run_cli(capsys, "run", "--instance", path, "--rule", "mes")
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["outcome"]) == 3
+    assert report["axioms"]["ejr"] == {
+        "skipped": "EJR enumeration over 2^21 project sets"
+    }
+    code, out, _ = run_cli(
+        capsys, "run", "--instance", path, "--rule", "bw-mes", "--samples", "3"
+    )
+    assert code == 0
+    for entry in json.loads(out)["axioms"]["sampled_outcomes"]:
+        assert entry["bb1"] is True
+        assert entry["ejr"] == {
+            "skipped": "EJR enumeration over 2^21 project sets"
+        }
+    for rule in ("gcr", "bw-gcr"):
+        code, _, err = run_cli(
+            capsys, "run", "--instance", path, "--rule", rule
+        )
+        assert code == 2
+        assert "GCR search over 2^21" in err
+
+
+# Arbitrary JSON, and documents shaped like instances with arbitrary parts.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_ids = st.sampled_from(["a", "b", "c", "d"])
+_rationals = st.sampled_from(["0", "1", "2", "1/2", "3/4", "-1", "1/0", "x"])
+_projects = st.lists(
+    st.fixed_dictionaries({"id": _ids, "cost": _rationals}) | _json,
+    max_size=4,
+)
+_voters = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(["v1", "v2", "v3"]),
+            "utilities": st.dictionaries(_ids, _rationals, max_size=4) | _json,
+        }
+    )
+    | _json,
+    max_size=3,
+)
+_small = st.sampled_from(["0", "1/2", "1", "2"])
+_plausible = st.fixed_dictionaries(
+    {
+        "budget": _small,
+        "projects": st.lists(
+            st.fixed_dictionaries({"id": _ids, "cost": _small}),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda e: e["id"],
+        ),
+        "voters": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": st.sampled_from(["v1", "v2", "v3"]),
+                    "utilities": st.dictionaries(_ids, _small, max_size=4),
+                }
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda e: e["id"],
+        ),
+    }
+)
+_instances = (
+    _json
+    | _plausible
+    | st.fixed_dictionaries(
+        {
+            "budget": _rationals | _json,
+            "projects": _projects | _json,
+            "voters": _voters | _json,
+        }
+    )
+)
+
+
+def _exit_code(argv, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            (Path(tmp) / name).write_text(json.dumps(doc))
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _instances,
+    st.sampled_from(["frd", "gcr", "mes", "bw-gcr", "bw-mes"]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_run_never_raises_on_arbitrary_instances(doc, rule, samples):
+    argv = ["run", "--instance", "i.json", "--rule", rule,
+            "--samples", str(samples)]
+    assert _exit_code(argv, {"i.json": doc}) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _instances,
+    st.lists(_ids, max_size=4) | st.dictionaries(_ids, _rationals) | _json,
+    st.sampled_from(
+        [
+            "jr,ejr,fjr,bb1",
+            "bfx,jr-general,ejrx",
+            "ifs,gfs,feasible",
+            "sufs,ufs",
+            "nonsense",
+        ]
+    ),
+)
+def test_verify_never_raises_on_arbitrary_instances(doc, target, axioms):
+    argv = ["verify", "--instance", "i.json", "--target", "t.json",
+            "--axioms", axioms]
+    code = _exit_code(argv, {"i.json": doc, "t.json": target})
+    assert code in (0, 1, 2)

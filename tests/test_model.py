@@ -110,6 +110,31 @@ def test_parse_rejects_unknown_utility_key():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("projects", ["a"]),
+        ("projects", "abc"),
+        ("voters", [["v1"]]),
+        ("voters", "v1"),
+        ("projects", {"id": "a", "cost": "1"}),
+    ],
+)
+def test_parse_rejects_entries_that_are_not_objects(field, value):
+    doc = _doc()
+    doc[field] = value
+    with pytest.raises(ValidationError, match=field):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize("utilities", [["a"], "a", 1])
+def test_parse_rejects_utilities_that_are_not_an_object(utilities):
+    doc = _doc()
+    doc["voters"][0]["utilities"] = utilities
+    with pytest.raises(ValidationError, match="not an object"):
+        parse_instance(doc)
+
+
 def test_classify_settings():
     assert classify(two_voter_example()) == Setting.BINARY
     rng = random.Random(3)
