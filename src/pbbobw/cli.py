@@ -145,11 +145,9 @@ def _digest(instance: PBInstance) -> str:
 def _sample_block(
     instance: PBInstance, p: FractionalOutcome, seed: int, samples: int
 ) -> tuple[dict, list[IntegralOutcome]]:
-    sampler = RoundingSampler(instance, p)
-    counts: dict[IntegralOutcome, int] = {}
-    for k in range(samples):
-        w = sampler.sample(derive_seed(seed, k))
-        counts[w] = counts.get(w, 0) + 1
+    counts = RoundingSampler(instance, p).sample_counts(
+        derive_seed(seed, k) for k in range(samples)
+    )
     block: dict = {
         "samples": samples,
         "outcomes": [

@@ -2,14 +2,22 @@
 
 The randomized pairwise update is carried out in integer "spend space":
 after a one-time rescaling, each project's current spend w_c = q_c * cost(c)
-is an integer in [0, C_c], where C_c is the rescaled cost. The pairwise
-update moves an integer amount of spend from one project to the other, so
-every intermediate state is exact. Branch decisions compare a 64-bit
-uniform draw against the exact rational branch probability by integer
-cross-multiplication (per-decision bias at most 2**-64).
+is an integer in [0, C_c], where C_c is the rescaled cost. `_step` is the
+one transition: it moves an integer amount of spend between the first two
+fractional projects, or rounds the last fractional one alone, so every
+intermediate state is exact. Each branch decision takes the next draw of a
+splitmix64 stream and compares it against the exact rational branch
+probability by integer cross-multiplication (per-decision bias at most
+2**-64).
 
-Zero-cost projects never affect the spend conservation, so fractional
-shares on them are resolved upfront by independent single-index rounds.
+Zero-cost projects never affect the spend conservation, so each fractional
+zero-cost project is rounded on its own first, in index order, one draw
+each; the spend-space steps take the draws that follow.
+
+`dependent_round` follows one seed's path and records it. `RoundingSampler`
+replays the same draws over a tree of spend states whose nodes are made
+the first time a sample reaches them, so it returns the same outcome seed
+for seed and grows with the samples drawn, not with 2^m.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     FractionalOutcome,
@@ -28,37 +36,23 @@ from .model import (
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def splitmix64(state: int) -> int:
     """One output of the splitmix64 scrambler (used for seed derivation)."""
-    z = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = (state + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Deterministic 64-bit stream; one draw consumed per branch decision."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class Seed:
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < _TWO64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+def _draws(seed: int) -> Iterator[int]:
+    """The splitmix64 stream from `seed`; one draw per branch decision."""
+    state = seed & _MASK64
+    while True:
+        yield splitmix64(state)
+        state = (state + _GAMMA) & _MASK64
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -102,11 +96,43 @@ class RoundingTrace:
         }
 
 
+def _step(costs: Sequence[int], spends: tuple[int, ...]):
+    """The one rounding transition from an integer spend state.
+
+    None once every spend is 0 or its full cost. Otherwise
+    ``(indices, num, den, up, down)``: the state moves to the spend tuple
+    `up` with probability num/den and to `down` otherwise. The first two
+    fractional projects trade spend until one of them is integral, each
+    keeping its expected spend; a last fractional project alone is rounded
+    to its full cost or to zero.
+    """
+    frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
+    if not frac:
+        return None
+    up, down = list(spends), list(spends)
+    if len(frac) >= 2:
+        i, j = frac[0], frac[1]
+        delta_up = min(costs[i] - spends[i], spends[j])
+        delta_down = min(spends[i], costs[j] - spends[j])
+        up[i] += delta_up
+        up[j] -= delta_up
+        down[i] -= delta_down
+        down[j] += delta_down
+        # P[up] = delta_down / (delta_up + delta_down)
+        den = delta_up + delta_down
+        return (i, j), delta_down, den, tuple(up), tuple(down)
+    ell = frac[0]
+    up[ell], down[ell] = costs[ell], 0
+    return (ell,), spends[ell], costs[ell], tuple(up), tuple(down)
+
+
 class _Process:
     """Shared exact state machine behind the direct and bulk samplers.
 
-    State is (chosen zero-cost set, integer spends); transitions consume one
-    64-bit draw each and compare ``u * den < num * 2**64``.
+    State is (chosen zero-cost set, integer spends). A run rounds the
+    fractional zero-cost projects, then takes `_step` until the spends are
+    integral; each decision consumes one 64-bit draw u and compares
+    ``u * den < num * 2**64``.
     """
 
     def __init__(self, instance: PBInstance, p: FractionalOutcome, target: Fraction):
@@ -158,20 +184,17 @@ class _Process:
         return tuple(out)
 
     def run(
-        self, rng: SplitMix64, rounds: Optional[list] = None
+        self, seed: int, rounds: Optional[list] = None
     ) -> IntegralOutcome:
-        spends = list(self.spends0)
+        draws = _draws(seed)
         costs = self.costs
+        spends = self.spends0
         zero_state: dict[int, Fraction] = {}
-        zero_chosen = set()
         t = 0
         for j in self.zero_frac:
             share = self.p.shares[j]
-            u = rng.next64()
-            to_one = u * share.denominator < share.numerator * _TWO64
-            zero_state[j] = Fraction(1 if to_one else 0)
-            if to_one:
-                zero_chosen.add(j)
+            to_one = next(draws) * share.denominator < share.numerator * _TWO64
+            zero_state[j] = Fraction(int(to_one))
             if rounds is not None:
                 rounds.append(
                     RoundingRound(
@@ -184,54 +207,26 @@ class _Process:
                     )
                 )
             t += 1
-        while True:
-            frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
-            if not frac:
-                return self.outcome(spends, frozenset(zero_chosen))
-            if len(frac) >= 2:
-                i, j = frac[0], frac[1]
-                delta_up = min(costs[i] - spends[i], spends[j])
-                delta_down = min(spends[i], costs[j] - spends[j])
-                assert delta_up > 0 and delta_down > 0
-                u = rng.next64()
-                # P[up] = delta_down / (delta_up + delta_down)
-                up = u * (delta_up + delta_down) < delta_down * _TWO64
-                if up:
-                    spends[i] += delta_up
-                    spends[j] -= delta_up
-                else:
-                    spends[i] -= delta_down
-                    spends[j] += delta_down
-                if rounds is not None:
-                    rounds.append(
-                        RoundingRound(
-                            t=t,
-                            indices=(i, j),
-                            alpha=Fraction(delta_up, costs[i]),
-                            beta=Fraction(delta_down, costs[i]),
-                            branch="up" if up else "down",
-                            q=self.q_snapshot(spends, zero_state),
-                        )
+        while (step := _step(costs, spends)) is not None:
+            indices, num, den, up, down = step
+            go_up = next(draws) * den < num * _TWO64
+            if rounds is not None:
+                i = indices[0]
+                rounds.append(
+                    RoundingRound(
+                        t=t,
+                        indices=indices,
+                        alpha=Fraction(up[i] - spends[i], costs[i]),
+                        beta=Fraction(spends[i] - down[i], costs[i]),
+                        branch="up" if go_up else "down",
+                        q=self.q_snapshot(up if go_up else down, zero_state),
                     )
-            else:
-                ell = frac[0]
-                u = rng.next64()
-                to_one = u * costs[ell] < spends[ell] * _TWO64
-                alpha = Fraction(costs[ell] - spends[ell], costs[ell])
-                beta = Fraction(spends[ell], costs[ell])
-                spends[ell] = costs[ell] if to_one else 0
-                if rounds is not None:
-                    rounds.append(
-                        RoundingRound(
-                            t=t,
-                            indices=(ell,),
-                            alpha=alpha,
-                            beta=beta,
-                            branch="up" if to_one else "down",
-                            q=self.q_snapshot(spends, zero_state),
-                        )
-                    )
+                )
+            spends = up if go_up else down
             t += 1
+        return self.outcome(
+            spends, frozenset(j for j, q in zero_state.items() if q)
+        )
 
 
 def dependent_round(
@@ -244,7 +239,7 @@ def dependent_round(
     """
     proc = _Process(instance, p, instance.budget)
     rounds: list[RoundingRound] = []
-    outcome = proc.run(SplitMix64(seed), rounds)
+    outcome = proc.run(seed, rounds)
     return outcome, RoundingTrace(rounds=tuple(rounds), outcome=outcome, seed=seed)
 
 
@@ -254,7 +249,7 @@ def round_with_hard_cap(
     """Round a fractional outcome spending B' = B - max cost; cost(W) <= B always."""
     reduced = instance.budget - max(instance.cost)
     proc = _Process(instance, p, reduced)
-    return proc.run(SplitMix64(seed))
+    return proc.run(seed)
 
 
 def is_bb1(instance: PBInstance, outcome: IntegralOutcome) -> bool:
@@ -282,11 +277,16 @@ def is_bfx(instance: PBInstance, outcome: IntegralOutcome) -> bool:
 
 
 class RoundingSampler:
-    """Bulk sampler over the rounding process's finite decision tree.
+    """Bulk sampler replaying `dependent_round`'s draws over a lazy tree.
 
-    Building the tree once lets each seed be replayed with the same draw
-    sequence and the same exact threshold comparisons as `dependent_round`,
-    at a fraction of the cost; sampled outcomes agree seed for seed.
+    A sample first rounds each fractional zero-cost project on its own, in
+    index order, one draw each, as `dependent_round` does. It then walks a
+    decision tree over spend states: a node is ``[num * 2**64, den, up,
+    down]`` from `_step`, and a child stays a bare spend tuple until a
+    sample first reaches it, when it becomes a node or a leaf outcome. So
+    the tree holds at most samples x depth nodes rather than all 2^m, and
+    each seed meets the same draws and the same exact comparisons as in
+    `dependent_round`: sampled outcomes agree seed for seed.
     """
 
     def __init__(
@@ -295,95 +295,70 @@ class RoundingSampler:
         p: FractionalOutcome,
         target: Optional[Fraction] = None,
     ) -> None:
-        proc = _Process(
+        self._proc = _Process(
             instance, p, instance.budget if target is None else target
         )
-        self._proc = proc
-        self._root = self._build(proc.spends0, 0, frozenset())
-        leaves = set()
-        self._collect_leaves(self._root, leaves)
-        self.support = sorted(leaves, key=lambda o: sorted(o.projects))
+        self._zero = [
+            (j, p.shares[j].numerator * _TWO64, p.shares[j].denominator)
+            for j in self._proc.zero_frac
+        ]
+        self._root = self._node(self._proc.spends0)
 
-    def _build(self, spends: tuple[int, ...], zero_pos: int, zero_chosen: frozenset):
-        proc = self._proc
-        if zero_pos < len(proc.zero_frac):
-            j = proc.zero_frac[zero_pos]
-            share = proc.p.shares[j]
-            return (
-                share.numerator * _TWO64,
-                share.denominator,
-                self._build(spends, zero_pos + 1, zero_chosen | {j}),
-                self._build(spends, zero_pos + 1, zero_chosen),
-            )
-        costs = proc.costs
-        frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
-        if not frac:
-            return proc.outcome(spends, zero_chosen)
-        if len(frac) >= 2:
-            i, j = frac[0], frac[1]
-            delta_up = min(costs[i] - spends[i], spends[j])
-            delta_down = min(spends[i], costs[j] - spends[j])
-            up_state = list(spends)
-            up_state[i] += delta_up
-            up_state[j] -= delta_up
-            down_state = list(spends)
-            down_state[i] -= delta_down
-            down_state[j] += delta_down
-            num, den = delta_down, delta_up + delta_down
-        else:
-            ell = frac[0]
-            up_state = list(spends)
-            up_state[ell] = costs[ell]
-            down_state = list(spends)
-            down_state[ell] = 0
-            num, den = spends[ell], costs[ell]
-        return (
-            num * _TWO64,
-            den,
-            self._build(tuple(up_state), zero_pos, zero_chosen),
-            self._build(tuple(down_state), zero_pos, zero_chosen),
-        )
+    def _node(self, spends: tuple[int, ...]):
+        step = _step(self._proc.costs, spends)
+        if step is None:
+            return self._proc.outcome(spends, frozenset())
+        _, num, den, up, down = step
+        return [num * _TWO64, den, up, down]
 
-    def _collect_leaves(self, node, acc: set) -> None:
-        if isinstance(node, IntegralOutcome):
-            acc.add(node)
-            return
-        self._collect_leaves(node[2], acc)
-        self._collect_leaves(node[3], acc)
+    def _child(self, node: list, k: int):
+        """Child k (2 up, 3 down) of `node`, made on its first visit."""
+        child = node[k]
+        if type(child) is tuple:
+            child = node[k] = self._node(child)
+        return child
 
     def probabilities(self) -> dict[IntegralOutcome, Fraction]:
         """Exact outcome distribution implied by the branch probabilities.
 
-        Branch probabilities here are the exact rational ones; the 2**-64
-        dyadic draw bias is below any statistical tolerance used in tests.
+        Expands the whole tree. Branch probabilities here are the exact
+        rational ones; the 2**-64 dyadic draw bias is below any statistical
+        tolerance used in tests.
         """
         probs: dict[IntegralOutcome, Fraction] = {}
 
         def walk(node, weight: Fraction) -> None:
-            if isinstance(node, IntegralOutcome):
+            if type(node) is not list:
                 probs[node] = probs.get(node, Fraction(0)) + weight
                 return
-            num, den = node[0] // _TWO64, node[1]
-            q = Fraction(num, den)
-            if q > 0:
-                walk(node[2], weight * q)
-            if q < 1:
-                walk(node[3], weight * (1 - q))
+            q = Fraction(node[0] // _TWO64, node[1])
+            walk(self._child(node, 2), weight * q)
+            walk(self._child(node, 3), weight * (1 - q))
 
         walk(self._root, Fraction(1))
+        for j in self._proc.zero_frac:
+            share = self._proc.p.shares[j]
+            split: dict[IntegralOutcome, Fraction] = {}
+            for w, weight in probs.items():
+                up = IntegralOutcome(w.projects | {j})
+                split[up] = split.get(up, Fraction(0)) + weight * share
+                split[w] = split.get(w, Fraction(0)) + weight * (1 - share)
+            probs = split
         return probs
 
     def sample(self, seed: int) -> IntegralOutcome:
         state = seed & _MASK64
+        chosen = []
+        for j, num, den in self._zero:
+            if splitmix64(state) * den < num:
+                chosen.append(j)
+            state = (state + _GAMMA) & _MASK64
         node = self._root
-        while not isinstance(node, IntegralOutcome):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            u = z ^ (z >> 31)
-            node = node[2] if u * node[1] < node[0] else node[3]
-        return node
+        while type(node) is list:
+            k = 2 if splitmix64(state) * node[1] < node[0] else 3
+            state = (state + _GAMMA) & _MASK64
+            node = self._child(node, k)
+        return IntegralOutcome(node.projects.union(chosen)) if chosen else node
 
     def sample_counts(self, seeds) -> dict[IntegralOutcome, int]:
         """Sample every seed and tally counts per distinct outcome."""

@@ -58,9 +58,11 @@ def test_exact_marginals_and_bb1_support():
     """The decision tree's exact distribution has marginals equal to p and
     only BB1 outcomes in its support."""
     rng = random.Random(101)
-    for _ in range(40):
+    for case in range(40):
         inst = random_instance(rng)
         p = random_feasible_p(rng, inst)
+        if case % 4 == 3:
+            inst, p = with_zero_cost_projects(rng, inst, p)
         sampler = RoundingSampler(inst, p)
         probs = sampler.probabilities()
         assert sum(probs.values()) == 1
@@ -73,16 +75,60 @@ def test_exact_marginals_and_bb1_support():
             assert is_bb1(inst, w)
 
 
+def with_zero_cost_projects(rng, inst, p):
+    """Insert one to three zero-cost projects with fractional shares."""
+    cost, shares = list(inst.cost), list(p.shares)
+    rows = [list(row) for row in inst.utilities]
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(cost))
+        cost.insert(at, Fraction(0))
+        shares.insert(at, Fraction(rng.randint(1, 6), 7))
+        for row in rows:
+            row.insert(at, Fraction(rng.randint(0, 2)))
+    instance = PBInstance(
+        budget=inst.budget,
+        cost=tuple(cost),
+        utilities=tuple(tuple(row) for row in rows),
+        project_ids=tuple(f"p{j + 1}" for j in range(len(cost))),
+        voter_ids=inst.voter_ids,
+    )
+    return instance, FractionalOutcome(shares)
+
+
 def test_sampler_agrees_with_dependent_round():
     rng = random.Random(55)
-    for _ in range(10):
+    for case in range(20):
         inst = random_instance(rng)
         p = random_feasible_p(rng, inst)
+        if case % 2:
+            inst, p = with_zero_cost_projects(rng, inst, p)
         sampler = RoundingSampler(inst, p)
         for k in range(200):
             seed = derive_seed(1234, k)
             w, _ = dependent_round(inst, p, seed)
             assert sampler.sample(seed) == w
+
+
+def test_sampler_with_forty_fractional_projects():
+    """A full tree would have about 2^40 nodes; the sampler makes only the
+    nodes its samples reach."""
+    rng = random.Random(40)
+    m = 40
+    cost = tuple(Fraction(rng.randint(1, 9)) for _ in range(m))
+    shares = [Fraction(rng.randint(1, 9), 10) for _ in range(m)]
+    inst = PBInstance(
+        budget=sum(s * c for s, c in zip(shares, cost)),
+        cost=cost,
+        utilities=((Fraction(1),) * m,),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome(shares)
+    sampler = RoundingSampler(inst, p)
+    for k in range(200):
+        seed = derive_seed(40, k)
+        w, _ = dependent_round(inst, p, seed)
+        assert sampler.sample(seed) == w
 
 
 def test_trace_conserves_expected_spend():
