@@ -207,9 +207,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.rule == "gcr":
         trace = gcr(instance, args.limit_exp)
         report["trace"] = trace.to_dict(instance)
-        axioms["fjr"] = check_fjr_binary(instance, trace.outcome).to_dict(
-            instance
-        )
+        axioms["fjr"] = check_fjr_binary(
+            instance, trace.outcome, args.limit_exp
+        ).to_dict(instance)
     elif args.rule == "mes":
         result = mes(instance)
         report["outcome"] = sorted(
@@ -224,7 +224,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             name, check = "ejrx", check_ejrx_cost
         axioms[name] = _unless_over_limit(
-            lambda: check(instance, result.outcome).to_dict(instance)
+            lambda: check(instance, result.outcome, args.limit_exp).to_dict(
+                instance
+            )
         )
     elif args.rule in ("bw-gcr", "bw-mes"):
         if args.rule == "bw-gcr":
@@ -249,7 +251,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                     instance.project_ids[j] for j in w.projects
                 ),
                 "bb1": is_bb1(instance, w),
-                ex_post: _unless_over_limit(lambda: check(instance, w).holds),
+                ex_post: _unless_over_limit(
+                    lambda: check(instance, w, args.limit_exp).holds
+                ),
             }
             per_outcome.append(entry)
         per_outcome.sort(key=lambda e: e["projects"])
@@ -340,7 +344,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 holds = is_bfx(instance, w)
                 report["axioms"][a] = {"axiom": a, "holds": holds}
             else:
-                result = _INTEGRAL_AXIOMS[a](instance, w)
+                # The JR checkers enumerate nothing and take no limit.
+                limit = () if a in ("jr", "jr-general") else (args.limit_exp,)
+                result = _INTEGRAL_AXIOMS[a](instance, w, *limit)
                 holds = result.holds
                 report["axioms"][a] = result.to_dict(instance)
             all_hold = all_hold and holds

@@ -362,6 +362,30 @@ def test_run_mes_above_the_limit_skips_the_ex_post_checks(capsys, tmp_path):
         assert "GCR search over 2^21" in err
 
 
+def test_limit_exp_caps_the_ex_post_checks(capsys, tmp_path):
+    path = _wide_binary_file(tmp_path, 5)
+    code, out, _ = run_cli(
+        capsys, "run", "--instance", path, "--rule", "mes", "--limit-exp", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["axioms"]["ejr"] == {
+        "skipped": "EJR enumeration over 2^5 project sets"
+    }
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["p00", "p01", "p02"]))
+    code, _, err = run_cli(
+        capsys, "verify", "--instance", path, "--target", str(target),
+        "--axioms", "ejr", "--limit-exp", "3",
+    )
+    assert code == 2
+    assert "EJR enumeration over 2^5" in err
+    code, _, _ = run_cli(
+        capsys, "verify", "--instance", path, "--target", str(target),
+        "--axioms", "jr,ejr,fjr", "--limit-exp", "5",
+    )
+    assert code in (0, 1)
+
+
 # Arbitrary JSON, and documents shaped like instances with arbitrary parts.
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4),
