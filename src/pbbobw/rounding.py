@@ -56,8 +56,13 @@ def _draws(seed: int) -> Iterator[int]:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Independent per-sample seed stream: splitmix64(seed + index)."""
-    return splitmix64((seed + index) & _MASK64)
+    """Per-sample seed: splitmix64(splitmix64(seed) + index).
+
+    Scrambling `seed` before adding `index` keeps the streams of nearby
+    seeds apart; with splitmix64(seed + index), seed s + 1 would draw the
+    samples of seed s shifted by one.
+    """
+    return splitmix64((splitmix64(seed) + index) & _MASK64)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,14 @@ def test_derive_seed_distinct_and_stable():
     assert seeds[:3] == [derive_seed(42, k) for k in range(3)]
 
 
+def test_derive_seed_streams_of_nearby_seeds_do_not_overlap():
+    seeds = {derive_seed(s, k) for s in range(50) for k in range(50)}
+    assert len(seeds) == 2500
+    for s in range(50):
+        for k in range(50):
+            assert derive_seed(s + 1, k) != derive_seed(s, k + 1)
+
+
 def test_rounding_is_deterministic():
     inst = two_voter_example()
     p = FractionalOutcome([1, "1/2", "1/2"])
