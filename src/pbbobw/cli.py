@@ -18,21 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .exante import (
-    check_gfs,
-    check_ifs,
-    check_strong_ifs,
-    check_strong_ufs,
-    check_ufs,
-)
-from .expost import (
-    SettingError,
-    check_ejr_binary,
-    check_ejrx_cost,
-    check_fjr_binary,
-    check_jr_binary,
-    check_jr_general,
-)
+from .exante import check_gfs, check_ifs, check_strong_ufs
+from .expost import SettingError
 from .limits import ScaleError
 from .lp import LinearConstraint
 from .model import (
@@ -47,6 +34,11 @@ from .model import (
     rational_str,
     serialize_instance,
 )
+# The benchmark's tracer replaces entries of the axiom tables by these
+# names (``_FRACTIONAL_AXIOMS[...]``, ``_INTEGRAL_AXIOMS[...]``), so the
+# registry is bound here under them.
+from .oracle import FRACTIONAL_AXIOMS as _FRACTIONAL_AXIOMS
+from .oracle import INTEGRAL_AXIOMS as _INTEGRAL_AXIOMS
 from .oracle import (
     gen_bfx_family,
     gen_gfs_jr_family,
@@ -56,7 +48,7 @@ from .oracle import (
     lottery_feasible,
     predicate,
 )
-from .rounding import RoundingSampler, derive_seed, is_bb1, is_bfx
+from .rounding import RoundingSampler, derive_seed, is_bb1
 from .rules import (
     InvariantViolation,
     bw_gcr,
@@ -190,8 +182,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "instance_digest": _digest(instance),
         "seed": args.seed,
     }
-    setting = classify(instance)
-    binaryish = setting in (Setting.BINARY, Setting.COMMITTEE)
+    if args.rule in ("gcr", "bw-gcr"):
+        ex_post = "fjr"
+    elif classify(instance) in (Setting.BINARY, Setting.COMMITTEE):
+        ex_post = "ejr"
+    else:
+        ex_post = "ejrx"
+    check = _INTEGRAL_AXIOMS[ex_post]
     axioms: dict = {}
 
     if args.rule == "frd":
@@ -207,27 +204,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.rule == "gcr":
         trace = gcr(instance, args.limit_exp)
         report["trace"] = trace.to_dict(instance)
-        axioms["fjr"] = check_fjr_binary(
-            instance, trace.outcome, args.limit_exp
-        ).to_dict(instance)
+        outcome = trace.outcome
     elif args.rule == "mes":
         result = mes(instance)
+        outcome = result.outcome
         report["outcome"] = sorted(
-            instance.project_ids[j] for j in result.outcome.projects
+            instance.project_ids[j] for j in outcome.projects
         )
         report["selection"] = [
             {"project": instance.project_ids[j], "rho": rational_str(r)}
             for j, r in result.rho
         ]
-        if binaryish:
-            name, check = "ejr", check_ejr_binary
-        else:
-            name, check = "ejrx", check_ejrx_cost
-        axioms[name] = _unless_over_limit(
-            lambda: check(instance, result.outcome, args.limit_exp).to_dict(
-                instance
-            )
-        )
     elif args.rule in ("bw-gcr", "bw-mes"):
         if args.rule == "bw-gcr":
             result = bw_gcr(instance, args.seed, args.limit_exp)
@@ -238,12 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         axioms["strong-ufs"] = check_strong_ufs(instance, p).to_dict(instance)
         sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
         report["sampling"] = sampled
-        if args.rule == "bw-gcr":
-            ex_post, check = "fjr", check_fjr_binary
-        elif binaryish:
-            ex_post, check = "ejr", check_ejr_binary
-        else:
-            ex_post, check = "ejrx", check_ejrx_cost
         per_outcome = []
         for w in distinct:
             entry = {
@@ -260,6 +241,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         axioms["sampled_outcomes"] = per_outcome
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown rule {args.rule!r}")
+    if args.rule in ("gcr", "mes"):
+        axioms[ex_post] = _unless_over_limit(
+            lambda: check(instance, outcome, args.limit_exp).to_dict(instance)
+        )
 
     report["axioms"] = axioms
     report["elapsed_seconds"] = time.monotonic() - started
@@ -271,87 +256,31 @@ def cmd_run(args: argparse.Namespace) -> int:
 # verify
 
 
-_FRACTIONAL_AXIOMS = {
-    "ifs": check_ifs,
-    "strong-ifs": check_strong_ifs,
-    "sifs": check_strong_ifs,
-    "ufs": check_ufs,
-    "strong-ufs": check_strong_ufs,
-    "sufs": check_strong_ufs,
-}
-
-_INTEGRAL_AXIOMS: dict[str, Callable] = {
-    "jr": check_jr_binary,
-    "jr-general": check_jr_general,
-    "ejr": check_ejr_binary,
-    "fjr": check_fjr_binary,
-    "ejrx": check_ejrx_cost,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     document = _load_json(args.target)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
     if not axioms:
         raise UsageError("no axioms requested")
-
-    is_fractional = any(a in _FRACTIONAL_AXIOMS or a in ("gfs", "feasible")
-                        for a in axioms)
-    is_integral = any(
-        a in _INTEGRAL_AXIOMS or a in ("bb1", "bfx") for a in axioms
-    )
     for a in axioms:
-        if (
-            a not in _FRACTIONAL_AXIOMS
-            and a not in _INTEGRAL_AXIOMS
-            and a not in ("gfs", "feasible", "bb1", "bfx")
-        ):
+        if a not in _FRACTIONAL_AXIOMS and a not in _INTEGRAL_AXIOMS:
             raise UsageError(f"unknown axiom {a!r}")
-    if is_fractional and is_integral:
+    fractional = axioms[0] in _FRACTIONAL_AXIOMS
+    table = _FRACTIONAL_AXIOMS if fractional else _INTEGRAL_AXIOMS
+    if any(a not in table for a in axioms):
         raise UsageError(
             "cannot mix fractional and integral axioms in one target"
         )
-
+    parse = parse_fractional if fractional else parse_integral
+    target = parse(instance, document)
+    results = {a: table[a](instance, target, args.limit_exp) for a in axioms}
+    all_hold = all(result.holds for result in results.values())
     report: dict = {
         "command": "verify",
         "instance_digest": _digest(instance),
-        "axioms": {},
+        "axioms": {a: r.to_dict(instance) for a, r in results.items()},
+        "holds": all_hold,
     }
-    all_hold = True
-    if is_fractional:
-        p = parse_fractional(instance, document)
-        for a in axioms:
-            if a == "feasible":
-                holds = p.is_feasible(instance)
-                report["axioms"][a] = {"axiom": a, "holds": holds}
-            elif a == "gfs":
-                result = check_gfs(instance, p, args.limit_exp)
-                holds = result.holds
-                report["axioms"][a] = result.to_dict(instance)
-            else:
-                result = _FRACTIONAL_AXIOMS[a](instance, p)
-                holds = result.holds
-                report["axioms"][a] = result.to_dict(instance)
-            all_hold = all_hold and holds
-    else:
-        w = parse_integral(instance, document)
-        for a in axioms:
-            if a == "bb1":
-                holds = is_bb1(instance, w)
-                report["axioms"][a] = {"axiom": a, "holds": holds}
-            elif a == "bfx":
-                holds = is_bfx(instance, w)
-                report["axioms"][a] = {"axiom": a, "holds": holds}
-            else:
-                # The JR checkers enumerate nothing and take no limit.
-                limit = () if a in ("jr", "jr-general") else (args.limit_exp,)
-                result = _INTEGRAL_AXIOMS[a](instance, w, *limit)
-                holds = result.holds
-                report["axioms"][a] = result.to_dict(instance)
-            all_hold = all_hold and holds
-
-    report["holds"] = all_hold
     _emit(report, args.out)
     return EXIT_OK if all_hold else EXIT_FAIL
 

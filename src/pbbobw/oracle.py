@@ -1,18 +1,24 @@
-"""Brute-force oracles: outcome enumeration and lottery implementability.
+"""The axiom registry and the brute-force oracles built on it.
 
-These are reference procedures, exponential in the number of projects (and,
-for group fairness rows, in the number of voters). They decide exactly —
-via rational LP feasibility — whether a fractional outcome can be written
-as a convex combination of integral outcomes from a given class, or
-whether that class supports any lottery meeting a set of linear
-constraints on the marginals.
+``FRACTIONAL_AXIOMS`` and ``INTEGRAL_AXIOMS`` map each axiom name (and
+alias) to one checker ``check(instance, target, limit)`` whose result has
+``.holds`` and ``.to_dict(instance)``; ``verify``, ``run`` and the
+oracle's outcome classes all read them. ``limit`` bounds every 2^m or 2^n
+enumeration a checker runs (see ``limits``).
+
+The oracles are reference procedures, exponential in the number of
+projects (and, for group fairness rows, in the number of voters). They
+decide exactly — via rational LP feasibility — whether a fractional
+outcome can be written as a convex combination of integral outcomes from
+a given class, or whether that class supports any lottery meeting a set
+of linear constraints on the marginals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .expost import (
     check_ejr_binary,
@@ -21,7 +27,14 @@ from .expost import (
     check_jr_binary,
     check_jr_general,
 )
-from .exante import optimal_fractional_utility
+from .exante import (
+    check_gfs,
+    check_ifs,
+    check_strong_ifs,
+    check_strong_ufs,
+    check_ufs,
+    optimal_fractional_utility,
+)
 from .limits import ScaleError, exponential_limit, project_limit
 from .lp import LinearConstraint, solve_feasibility
 from .model import (
@@ -33,8 +46,59 @@ from .model import (
     ValidationError,
     classify,
     implements,
+    rational_str,
 )
 from .rounding import is_bb1, is_bfx
+
+
+# ---------------------------------------------------------------------------
+# Axiom registry
+
+Check = Callable[[PBInstance, Any, Optional[int]], Any]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The result of an axiom that has no witness to report."""
+
+    axiom: str
+    holds: bool
+
+    def to_dict(self, instance: PBInstance) -> dict:
+        return {"axiom": self.axiom, "holds": self.holds}
+
+
+def _no_limit(check: Callable[[PBInstance, Any], Any]) -> Check:
+    """Give a checker that enumerates nothing the registry's signature."""
+
+    def entry(instance: PBInstance, target, limit: Optional[int]):
+        return check(instance, target)
+
+    return entry
+
+
+FRACTIONAL_AXIOMS: dict[str, Check] = {
+    "ifs": _no_limit(check_ifs),
+    "strong-ifs": _no_limit(check_strong_ifs),
+    "sifs": _no_limit(check_strong_ifs),
+    "ufs": _no_limit(check_ufs),
+    "strong-ufs": _no_limit(check_strong_ufs),
+    "sufs": _no_limit(check_strong_ufs),
+    "gfs": check_gfs,
+    "feasible": _no_limit(
+        lambda instance, p: Verdict("feasible", p.is_feasible(instance))
+    ),
+}
+
+INTEGRAL_AXIOMS: dict[str, Check] = {
+    "jr": _no_limit(check_jr_binary),
+    "jr-general": _no_limit(check_jr_general),
+    "ejr": check_ejr_binary,
+    "fjr": check_fjr_binary,
+    "ejrx": check_ejrx_cost,
+    "bb1": _no_limit(lambda instance, w: Verdict("bb1", is_bb1(instance, w))),
+    "bfx": _no_limit(lambda instance, w: Verdict("bfx", is_bfx(instance, w))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -43,84 +107,65 @@ from .rounding import is_bb1, is_bfx
 
 @dataclass(frozen=True)
 class OutcomePredicate:
-    """A named class of integral outcomes.
+    """A named class of integral outcomes: those that satisfy every
+    ``INTEGRAL_AXIOMS`` entry named in ``axioms``.
 
-    ``budget_capped`` marks predicates that only admit within-budget
+    ``budget_capped`` marks classes that only admit within-budget
     outcomes, which lets the enumerator prune by running cost.
     """
 
     name: str
     budget_capped: bool
-    tests: tuple[Callable[[PBInstance, IntegralOutcome], bool], ...] = ()
+    axioms: tuple[str, ...] = ()
 
-    def evaluate(self, instance: PBInstance, outcome: IntegralOutcome) -> bool:
+    def evaluate(
+        self,
+        instance: PBInstance,
+        outcome: IntegralOutcome,
+        limit: Optional[int] = None,
+    ) -> bool:
         if self.budget_capped and outcome.cost(instance) > instance.budget:
             return False
-        return all(test(instance, outcome) for test in self.tests)
+        return all(
+            INTEGRAL_AXIOMS[a](instance, outcome, limit).holds
+            for a in self.axioms
+        )
 
     def conjoin(self, other: "OutcomePredicate") -> "OutcomePredicate":
         return OutcomePredicate(
             name=f"{self.name}&{other.name}",
             budget_capped=self.budget_capped or other.budget_capped,
-            tests=self.tests + other.tests,
+            axioms=self.axioms + other.axioms,
         )
 
 
-def _jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    return check_jr_binary(instance, outcome).holds
-
-
-def _jr_general(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    return check_jr_general(instance, outcome).holds
-
-
-def _ejr_binary(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    return check_ejr_binary(instance, outcome).holds
-
-
-def _fjr_binary(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    return check_fjr_binary(instance, outcome).holds
-
-
-def _ejrx_cost(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    return check_ejrx_cost(instance, outcome).holds
-
-
-_PREDICATES: dict[str, OutcomePredicate] = {
-    "all": OutcomePredicate("all", budget_capped=False),
-    "within-budget": OutcomePredicate("within-budget", budget_capped=True),
-    "bb1": OutcomePredicate("bb1", budget_capped=False, tests=(is_bb1,)),
-    "bfx": OutcomePredicate("bfx", budget_capped=False, tests=(is_bfx,)),
-    # Proportionality classes are read as "fair uses of the budget": the
-    # within-budget cap is part of the class, not an extra filter.
-    "jr-binary": OutcomePredicate(
-        "jr-binary", budget_capped=True, tests=(_jr_binary,)
-    ),
-    "jr-general": OutcomePredicate(
-        "jr-general", budget_capped=True, tests=(_jr_general,)
-    ),
-    "ejr-binary": OutcomePredicate(
-        "ejr-binary", budget_capped=True, tests=(_ejr_binary,)
-    ),
-    "fjr-binary": OutcomePredicate(
-        "fjr-binary", budget_capped=True, tests=(_fjr_binary,)
-    ),
-    "ejrx-cost": OutcomePredicate(
-        "ejrx-cost", budget_capped=True, tests=(_ejrx_cost,)
-    ),
+# Class name -> (budget_capped, integral axioms). Proportionality classes
+# are read as "fair uses of the budget": the within-budget cap is part of
+# the class, not an extra filter.
+OUTCOME_CLASSES: dict[str, tuple[bool, tuple[str, ...]]] = {
+    "all": (False, ()),
+    "within-budget": (True, ()),
+    "bb1": (False, ("bb1",)),
+    "bfx": (False, ("bfx",)),
+    "jr-binary": (True, ("jr",)),
+    "jr-general": (True, ("jr-general",)),
+    "ejr-binary": (True, ("ejr",)),
+    "fjr-binary": (True, ("fjr",)),
+    "ejrx-cost": (True, ("ejrx",)),
 }
 
 
 def predicate(name: str) -> OutcomePredicate:
-    """Look up a predicate; comma-joined names form a conjunction."""
+    """Look up a class in ``OUTCOME_CLASSES``; comma-joined names form a
+    conjunction."""
     parts = [p.strip() for p in name.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty predicate name")
     result: Optional[OutcomePredicate] = None
     for part in parts:
-        if part not in _PREDICATES:
+        if part not in OUTCOME_CLASSES:
             raise ValidationError(f"unknown predicate {part!r}")
-        nxt = _PREDICATES[part]
+        nxt = OutcomePredicate(part, *OUTCOME_CLASSES[part])
         result = nxt if result is None else result.conjoin(nxt)
     assert result is not None
     return result
@@ -135,7 +180,8 @@ def enumerate_outcomes(
 
     Lexicographic on the sorted index tuple: () < (0,) < (0,1) < (1,).
     When the predicate is budget-capped the search prunes branches whose
-    running cost already exceeds the budget.
+    running cost already exceeds the budget. ``limit`` caps m and is
+    passed on to the checks of ``pred``'s axioms.
     """
     m = instance.m
     cap = project_limit(limit)
@@ -143,33 +189,23 @@ def enumerate_outcomes(
         raise ScaleError(
             f"{m} projects exceeds enumeration limit {cap}"
         )
+    ceiling = instance.budget if pred.budget_capped else None
     results: list[IntegralOutcome] = []
-    if pred.budget_capped:
-        chosen: list[int] = []
+    chosen: list[int] = []
 
-        def visit(cost_so_far: Fraction, start: int) -> None:
-            outcome = IntegralOutcome(frozenset(chosen))
-            if pred.evaluate(instance, outcome):
-                results.append(outcome)
-            for j in range(start, m):
-                nxt = cost_so_far + instance.cost[j]
-                if nxt > instance.budget:
-                    continue
-                chosen.append(j)
-                visit(nxt, j + 1)
-                chosen.pop()
+    def visit(cost_so_far: Fraction, start: int) -> None:
+        outcome = IntegralOutcome(frozenset(chosen))
+        if pred.evaluate(instance, outcome, limit):
+            results.append(outcome)
+        for j in range(start, m):
+            nxt = cost_so_far + instance.cost[j]
+            if ceiling is not None and nxt > ceiling:
+                continue
+            chosen.append(j)
+            visit(nxt, j + 1)
+            chosen.pop()
 
-        visit(Fraction(0), 0)
-    else:
-        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        while stack:
-            prefix, start = stack.pop()
-            outcome = IntegralOutcome(frozenset(prefix))
-            if pred.evaluate(instance, outcome):
-                results.append(outcome)
-            # Push in reverse so the DFS emits lexicographic order.
-            for j in range(m - 1, start - 1, -1):
-                stack.append((prefix + (j,), j + 1))
+    visit(Fraction(0), 0)
     return results
 
 
@@ -185,8 +221,6 @@ class FeasibilityVerdict:
     note: str = ""
 
     def to_dict(self, instance: PBInstance) -> dict:
-        from .model import rational_str
-
         out: dict = {"feasible": self.feasible, "note": self.note}
         if self.fractional is not None:
             out["fractional"] = {
@@ -286,7 +320,7 @@ def lottery_feasible(
     )
     lottery = Lottery(entries)
     for _, w in lottery.support:
-        assert pred.evaluate(instance, w)
+        assert pred.evaluate(instance, w, limit)
     marginals = fractional
     if marginals is None:
         shares = tuple(

@@ -21,7 +21,7 @@ from .model import (
     Setting,
     classify,
 )
-from .rounding import dependent_round, RoundingTrace
+from .rounding import dependent_round
 
 
 class InvariantViolation(RuntimeError):
@@ -287,7 +287,6 @@ class BWGCRResult:
     outcome: IntegralOutcome
     trace: GCRTrace
     budgets: tuple[Fraction, ...]
-    rounding: RoundingTrace
 
 
 def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGCRResult:
@@ -363,7 +362,7 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
         raise InvariantViolation("fill step could not reach the budget")
 
     p = FractionalOutcome(shares)
-    outcome, rounding = dependent_round(instance, p, seed)
+    outcome, _ = dependent_round(instance, p, seed)
     if not core <= outcome.projects:
         raise InvariantViolation("sampled outcome lost a core project")
     return BWGCRResult(
@@ -371,7 +370,6 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
         outcome=outcome,
         trace=trace,
         budgets=tuple(budgets),
-        rounding=rounding,
     )
 
 
@@ -385,7 +383,6 @@ class BWMESResult:
     outcome: IntegralOutcome
     mes: MESResult
     payments: PaymentMatrix  # full spend, including the post-MES phase
-    rounding: RoundingTrace
 
 
 def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
@@ -451,7 +448,7 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
         y=tuple(tuple(row) for row in y), b=tuple(budgets)
     )
     payments.validate(instance)
-    outcome, rounding = dependent_round(instance, p, seed)
+    outcome, _ = dependent_round(instance, p, seed)
     if not core <= outcome.projects:
         raise InvariantViolation("sampled outcome lost a core project")
     return BWMESResult(
@@ -459,5 +456,4 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
         outcome=outcome,
         mes=result,
         payments=payments,
-        rounding=rounding,
     )

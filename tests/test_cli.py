@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbbobw import gen_gfs_jr_family, serialize_instance
+import pbbobw.cli
+from pbbobw import (
+    FractionalOutcome,
+    IntegralOutcome,
+    PBInstance,
+    gen_gfs_jr_family,
+    serialize_instance,
+)
 from pbbobw.cli import main
 
 from conftest import two_voter_example
@@ -384,6 +391,88 @@ def test_limit_exp_caps_the_ex_post_checks(capsys, tmp_path):
         "--axioms", "jr,ejr,fjr", "--limit-exp", "5",
     )
     assert code in (0, 1)
+
+
+
+def test_oracle_limit_exp_reaches_the_predicate_checks(
+    capsys, monkeypatch, instance_file
+):
+    monkeypatch.setenv("PB_BOBW_LIMIT", "2")
+    code, _, err = run_cli(
+        capsys, "oracle", "--instance", instance_file, "--mode", "joint",
+        "--predicate", "fjr-binary", "--limit-exp", "3",
+    )
+    assert code in (0, 1), err
+
+
+@pytest.mark.parametrize("axioms", ["ifs,jr", "jr,ifs"])
+def test_verify_cannot_mix_fractional_and_integral(
+    capsys, instance_file, tmp_path, axioms
+):
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["a"]))
+    code, _, err = run_cli(
+        capsys, "verify", "--instance", instance_file, "--target",
+        str(target), "--axioms", axioms,
+    )
+    assert code == 2
+    assert "cannot mix" in err
+
+
+def test_verify_without_axioms_exits_2(capsys, instance_file, tmp_path):
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["a"]))
+    code, _, err = run_cli(
+        capsys, "verify", "--instance", instance_file, "--target",
+        str(target), "--axioms", " , ",
+    )
+    assert code == 2
+    assert "no axioms" in err
+
+
+@pytest.mark.parametrize(
+    "alias, name", [("sifs", "strong-ifs"), ("sufs", "strong-ufs")]
+)
+def test_verify_aliases_report_like_their_axiom(
+    capsys, instance_file, tmp_path, alias, name
+):
+    target = tmp_path / "p.json"
+    target.write_text(json.dumps({"a": "1", "b": "1/2", "c": "1/2"}))
+    reports = {}
+    for axiom in (alias, name):
+        code, out, _ = run_cli(
+            capsys, "verify", "--instance", instance_file, "--target",
+            str(target), "--axioms", axiom,
+        )
+        assert code in (0, 1)
+        reports[axiom] = json.loads(out)["axioms"][axiom]
+    assert reports[alias] == reports[name]
+
+
+def test_axiom_tables_keep_the_shape_the_tracer_wraps():
+    # bench/tracing.py replaces these entries in place and calls them as
+    # check(instance, target, limit); its hooks read .holds.
+    one = Fraction(1)
+    inst = PBInstance(
+        budget=Fraction(2),
+        cost=(one, one, one),
+        utilities=((one, one, Fraction(0)), (one, Fraction(0), one)),
+        project_ids=("a", "b", "c"),
+        voter_ids=("v1", "v2"),
+    )
+    targets = (
+        (pbbobw.cli._FRACTIONAL_AXIOMS,
+         FractionalOutcome((one, Fraction(1, 2), Fraction(1, 2)))),
+        (pbbobw.cli._INTEGRAL_AXIOMS, IntegralOutcome({0, 1})),
+    )
+    for table, target in targets:
+        assert table
+        for name, check in table.items():
+            assert callable(check), name
+            result = check(inst, target, None)
+            assert isinstance(result.holds, bool), name
+            assert isinstance(result.to_dict(inst), dict), name
+    assert callable(pbbobw.cli.check_gfs)
 
 
 # Arbitrary JSON, and documents shaped like instances with arbitrary parts.

@@ -8,9 +8,15 @@ from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
     LinearConstraint,
+    PBInstance,
     ScaleError,
+    SettingError,
     ValidationError,
+    check_ejr_binary,
+    check_ejrx_cost,
+    check_fjr_binary,
     check_jr_binary,
+    check_jr_general,
     enumerate_outcomes,
     fractional_random_dictator,
     gen_bfx_family,
@@ -19,11 +25,14 @@ from pbbobw import (
     gfs_rows,
     ifs_rows,
     implements,
+    is_bb1,
     is_bfx,
     lottery_feasible,
     predicate,
     solve_feasibility,
 )
+
+from pbbobw.oracle import OUTCOME_CLASSES
 
 from conftest import random_feasible_p, random_instance, two_voter_example
 
@@ -145,6 +154,89 @@ def test_conjunction_predicate():
     for w in enumerate_outcomes(inst, both):
         assert w.cost(inst) <= inst.budget
         assert check_jr_binary(inst, w).holds
+
+
+# Each class as a budget cap and a membership test written against the
+# checkers directly, independent of the registry.
+_REFERENCE_CLASSES = {
+    "all": (False, lambda inst, w: True),
+    "within-budget": (True, lambda inst, w: True),
+    "bb1": (False, is_bb1),
+    "bfx": (False, is_bfx),
+    "jr-binary": (True, lambda inst, w: check_jr_binary(inst, w).holds),
+    "jr-general": (True, lambda inst, w: check_jr_general(inst, w).holds),
+    "ejr-binary": (True, lambda inst, w: check_ejr_binary(inst, w).holds),
+    "fjr-binary": (True, lambda inst, w: check_fjr_binary(inst, w).holds),
+    "ejrx-cost": (True, lambda inst, w: check_ejrx_cost(inst, w).holds),
+}
+
+
+def _brute_force(inst, names):
+    """Every subset in lexicographic order, filtered by the reference."""
+    subsets = sorted(
+        subset
+        for r in range(inst.m + 1)
+        for subset in itertools.combinations(range(inst.m), r)
+    )
+    kept = []
+    for subset in subsets:
+        w = IntegralOutcome(subset)
+        capped = any(_REFERENCE_CLASSES[n][0] for n in names)
+        if capped and w.cost(inst) > inst.budget:
+            continue
+        if all(_REFERENCE_CLASSES[n][1](inst, w) for n in names):
+            kept.append(w)
+    return kept
+
+
+def test_enumerate_every_class_matches_brute_force():
+    assert set(_REFERENCE_CLASSES) == set(OUTCOME_CLASSES)
+    rng = random.Random(61)
+    queries = [name for name in OUTCOME_CLASSES] + [
+        "within-budget,jr-binary",
+        "bb1,ejrx-cost",
+    ]
+    # two_voter_example has outcomes that cost exactly the budget; on
+    # ejr_not_fjr the ejr-binary and fjr-binary classes differ.
+    one, zero = Fraction(1), Fraction(0)
+    ejr_not_fjr = PBInstance(
+        budget=Fraction(5),
+        cost=tuple(Fraction(c) for c in (2, 2, 1, 2, 3)),
+        utilities=((one, one, zero, one, zero), (zero, one, one, zero, one)),
+        project_ids=("a", "b", "c", "d", "e"),
+        voter_ids=("v1", "v2"),
+    )
+    assert enumerate_outcomes(
+        ejr_not_fjr, predicate("ejr-binary")
+    ) != enumerate_outcomes(ejr_not_fjr, predicate("fjr-binary"))
+    instances = [two_voter_example(), ejr_not_fjr] + [
+        random_instance(rng, n_max=4, m_max=6, utilities=kind)
+        for kind in ("binary", "cost")
+        for _ in range(12)
+    ]
+    checked = 0
+    for inst in instances:
+        for query in queries:
+            names = query.split(",")
+            try:
+                expected = _brute_force(inst, names)
+            except SettingError:
+                with pytest.raises(SettingError):
+                    enumerate_outcomes(inst, predicate(query))
+                continue
+            assert enumerate_outcomes(inst, predicate(query)) == expected
+            checked += 1
+    assert checked > 150
+
+
+def test_enumerate_passes_its_limit_to_the_class_checks(monkeypatch):
+    monkeypatch.setenv("PB_BOBW_LIMIT", "2")
+    inst = two_voter_example()
+    outcomes = enumerate_outcomes(inst, predicate("fjr-binary"), limit=3)
+    assert outcomes == [
+        w for w in enumerate_outcomes(inst, predicate("within-budget"), 3)
+        if check_fjr_binary(inst, w, 3).holds
+    ]
 
 
 # ---------------------------------------------------------------------------
