@@ -3,16 +3,20 @@
 Violations are detected by deprived-voter counting: a cohesive,
 all-deprived group exists for a project set T iff the number of deprived
 voters d satisfies d * B >= n * cost(T) (any subgroup of that size is
-itself cohesive). This keeps the search exponential only in the number of
-projects. All comparisons are exact; budget never appears as a divisor.
+itself cohesive). As d <= n, only sets with cost(T) <= B can be violated,
+so the EJR, FJR and EJR-x searches visit only the within-budget project
+sets, through ``PBInstance.subsets``. That is exact pruning, not a
+polynomial algorithm: the searches stay exponential in the number of
+projects, and EJR verification is coNP-complete (Aziz, Elkind, Huang,
+Lackner, Sánchez-Fernández, Skowron, AAAI 2018). All comparisons are
+exact; budget never appears as a divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .limits import ScaleError, project_limit
 from .model import (
@@ -76,6 +80,38 @@ def _cohesive_count(instance: PBInstance, count: int, cost: Fraction) -> bool:
     return count > 0 and count * instance.budget >= instance.n * cost
 
 
+_Candidate = tuple[Optional[int], list[int]]
+
+
+def _search(
+    instance: PBInstance,
+    limit: Optional[int],
+    axiom: str,
+    label: str,
+    deprived: Callable[[frozenset[int]], Iterable[_Candidate]],
+    note: str,
+) -> ExPostReport:
+    """The EJR, FJR and EJR-x search. The witness is the first
+    within-budget T, by size then lexicographically, for which a
+    candidate ``(beta or None, voters)`` that ``deprived(T)`` yields is
+    large enough to be cohesive."""
+    if instance.m > project_limit(limit):
+        raise ScaleError(f"{label} enumeration over 2^{instance.m} project sets")
+    for group in instance.subsets(range(instance.m), instance.budget):
+        projects = frozenset(group)
+        cost = instance.total_cost(group)
+        for beta, voters in deprived(projects):
+            if _cohesive_count(instance, len(voters), cost):
+                return ExPostReport(
+                    axiom=axiom,
+                    holds=False,
+                    witness=CohesivenessWitness(
+                        projects=group, voters=tuple(voters), beta=beta, note=note
+                    ),
+                )
+    return ExPostReport(axiom=axiom, holds=True)
+
+
 def check_jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> ExPostReport:
     """Justified representation for binary utilities (polynomial check)."""
     _require_binary(instance, "check_jr_binary")
@@ -103,31 +139,20 @@ def check_ejr_binary(
 ) -> ExPostReport:
     """Extended justified representation for binary utilities."""
     _require_binary(instance, "check_ejr_binary")
-    if instance.m > project_limit(limit):
-        raise ScaleError(f"EJR enumeration over 2^{instance.m} project sets")
     approvals = [instance.approval_set(i) for i in range(instance.n)]
     won = [len(approvals[i] & outcome.projects) for i in range(instance.n)]
-    for size in range(1, instance.m + 1):
-        for group in combinations(range(instance.m), size):
-            projects = frozenset(group)
-            deprived = [
-                i
-                for i in range(instance.n)
-                if projects <= approvals[i] and won[i] < size
-            ]
-            if _cohesive_count(
-                instance, len(deprived), instance.total_cost(projects)
-            ):
-                return ExPostReport(
-                    axiom="ejr",
-                    holds=False,
-                    witness=CohesivenessWitness(
-                        projects=group,
-                        voters=tuple(deprived),
-                        note="cohesive group where everyone wins fewer than |T| projects",
-                    ),
-                )
-    return ExPostReport(axiom="ejr", holds=True)
+
+    def deprived(projects: frozenset[int]) -> Iterable[_Candidate]:
+        yield None, [
+            i
+            for i in range(instance.n)
+            if projects <= approvals[i] and won[i] < len(projects)
+        ]
+
+    return _search(
+        instance, limit, "ejr", "EJR", deprived,
+        "cohesive group where everyone wins fewer than |T| projects",
+    )
 
 
 def check_fjr_binary(
@@ -135,32 +160,21 @@ def check_fjr_binary(
 ) -> ExPostReport:
     """Full justified representation for binary utilities."""
     _require_binary(instance, "check_fjr_binary")
-    if instance.m > project_limit(limit):
-        raise ScaleError(f"FJR enumeration over 2^{instance.m} project sets")
     approvals = [instance.approval_set(i) for i in range(instance.n)]
     won = [len(approvals[i] & outcome.projects) for i in range(instance.n)]
-    for size in range(1, instance.m + 1):
-        for group in combinations(range(instance.m), size):
-            projects = frozenset(group)
-            cost = instance.total_cost(projects)
-            for beta in range(1, size + 1):
-                deprived = [
-                    i
-                    for i in range(instance.n)
-                    if len(approvals[i] & projects) >= beta and won[i] < beta
-                ]
-                if _cohesive_count(instance, len(deprived), cost):
-                    return ExPostReport(
-                        axiom="fjr",
-                        holds=False,
-                        witness=CohesivenessWitness(
-                            projects=group,
-                            voters=tuple(deprived),
-                            beta=beta,
-                            note="weakly cohesive group where everyone wins fewer than beta projects",
-                        ),
-                    )
-    return ExPostReport(axiom="fjr", holds=True)
+
+    def deprived(projects: frozenset[int]) -> Iterable[_Candidate]:
+        for beta in range(1, len(projects) + 1):
+            yield beta, [
+                i
+                for i in range(instance.n)
+                if len(approvals[i] & projects) >= beta and won[i] < beta
+            ]
+
+    return _search(
+        instance, limit, "fjr", "FJR", deprived,
+        "weakly cohesive group where everyone wins fewer than beta projects",
+    )
 
 
 def check_jr_general(instance: PBInstance, outcome: IntegralOutcome) -> ExPostReport:
@@ -210,37 +224,22 @@ def check_ejrx_cost(
     )
     if not cost_shaped:
         raise SettingError("check_ejrx_cost requires cost utilities")
-    if instance.m > project_limit(limit):
-        raise ScaleError(f"EJR-x enumeration over 2^{instance.m} project sets")
     approvals = [instance.approval_set(i) for i in range(instance.n)]
     base = [utility(instance, i, outcome) for i in range(instance.n)]
-    for size in range(1, instance.m + 1):
-        for group in combinations(range(instance.m), size):
-            projects = frozenset(group)
-            members = [i for i in range(instance.n) if projects <= approvals[i]]
-            if not members:
-                continue
-            cost = instance.total_cost(projects)
-            missing = projects - outcome.projects
-            deprived = []
-            for i in members:
-                target = sum((instance.utilities[i][c] for c in projects), Fraction(0))
-                satisfied = not missing or all(
-                    base[i]
-                    + (instance.utilities[i][c] if c not in outcome.projects else 0)
-                    > target
-                    for c in missing
-                )
-                if not satisfied:
-                    deprived.append(i)
-            if _cohesive_count(instance, len(deprived), cost):
-                return ExPostReport(
-                    axiom="ejr-x",
-                    holds=False,
-                    witness=CohesivenessWitness(
-                        projects=group,
-                        voters=tuple(deprived),
-                        note="cohesive group unsatisfied even up to any missing project",
-                    ),
-                )
-    return ExPostReport(axiom="ejr-x", holds=True)
+
+    def deprived(projects: frozenset[int]) -> Iterable[_Candidate]:
+        # On T within a voter's approval set, cost utilities give
+        # u_i(T) = cost(T) and u_i(c) = cost(c).
+        missing = projects - outcome.projects
+        target = instance.total_cost(projects)
+        yield None, [
+            i
+            for i in range(instance.n)
+            if projects <= approvals[i]
+            and any(base[i] + instance.cost[c] <= target for c in missing)
+        ]
+
+    return _search(
+        instance, limit, "ejr-x", "EJR-x", deprived,
+        "cohesive group unsatisfied even up to any missing project",
+    )

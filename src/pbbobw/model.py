@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class ValidationError(ValueError):
@@ -96,6 +96,29 @@ class PBInstance:
     def total_cost(self, projects: Iterable[int]) -> Fraction:
         return sum((self.cost[j] for j in projects), Fraction(0))
 
+    def subsets(
+        self, pool: Iterable[int], ceiling: Optional[Fraction] = None
+    ) -> Iterator[tuple[int, ...]]:
+        """The non-empty subsets of ``pool`` that cost at most ``ceiling``
+        (any cost when None), by size, then lexicographically in pool order.
+
+        A prefix over the ceiling is dropped with all its extensions, none
+        of which can fit because costs are non-negative. The within-ceiling
+        subsets of one size are held in memory while the next is built.
+        """
+        pool = tuple(pool)
+        # (subset, its cost, the pool position its extensions start at)
+        level = [((), Fraction(0), 0)]
+        while level:
+            grown = []
+            for chosen, cost, start in level:
+                for k in range(start, len(pool)):
+                    total = cost + self.cost[pool[k]]
+                    if ceiling is None or total <= ceiling:
+                        grown.append((chosen + (pool[k],), total, k + 1))
+            yield from (chosen for chosen, _, _ in grown)
+            level = grown
+
     def project_index(self, pid: str) -> int:
         try:
             return self.project_ids.index(pid)
@@ -114,11 +137,6 @@ class IntegralOutcome:
 
     def cost(self, instance: PBInstance) -> Fraction:
         return instance.total_cost(self.projects)
-
-    def indicator(self, m: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(1) if j in self.projects else Fraction(0) for j in range(m)
-        )
 
 
 @dataclass(frozen=True)

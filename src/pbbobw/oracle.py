@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .expost import (
@@ -42,9 +43,7 @@ from .model import (
     IntegralOutcome,
     Lottery,
     PBInstance,
-    Setting,
     ValidationError,
-    classify,
     implements,
     rational_str,
 )
@@ -179,34 +178,23 @@ def enumerate_outcomes(
     """All outcomes satisfying ``pred``, in lexicographic index order.
 
     Lexicographic on the sorted index tuple: () < (0,) < (0,1) < (1,).
-    When the predicate is budget-capped the search prunes branches whose
-    running cost already exceeds the budget. ``limit`` caps m and is
-    passed on to the checks of ``pred``'s axioms.
+    The candidates are the empty outcome and ``PBInstance.subsets``,
+    capped at the budget when the predicate is budget-capped; the ones
+    ``pred`` accepts are sorted. ``limit`` caps m and is passed on to the
+    checks of ``pred``'s axioms.
     """
     m = instance.m
     cap = project_limit(limit)
     if m > cap:
-        raise ScaleError(
-            f"{m} projects exceeds enumeration limit {cap}"
-        )
+        raise ScaleError(f"{m} projects exceeds enumeration limit {cap}")
     ceiling = instance.budget if pred.budget_capped else None
-    results: list[IntegralOutcome] = []
-    chosen: list[int] = []
-
-    def visit(cost_so_far: Fraction, start: int) -> None:
-        outcome = IntegralOutcome(frozenset(chosen))
-        if pred.evaluate(instance, outcome, limit):
-            results.append(outcome)
-        for j in range(start, m):
-            nxt = cost_so_far + instance.cost[j]
-            if ceiling is not None and nxt > ceiling:
-                continue
-            chosen.append(j)
-            visit(nxt, j + 1)
-            chosen.pop()
-
-    visit(Fraction(0), 0)
-    return results
+    candidates = chain([()], instance.subsets(range(m), ceiling))
+    accepted = [
+        group
+        for group in candidates
+        if pred.evaluate(instance, IntegralOutcome(group), limit)
+    ]
+    return [IntegralOutcome(group) for group in sorted(accepted)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +340,12 @@ def ifs_rows(instance: PBInstance) -> list[LinearConstraint]:
 def gfs_rows(
     instance: PBInstance, limit: Optional[int] = None
 ) -> list[LinearConstraint]:
-    """Group fairness rows for binary utilities: one per non-empty voter set.
+    """Group fairness rows: one per non-empty voter set S,
+    sum_j p_j max_{i in S} u_ij >= sum_{i in S} opt_i(B)/n.
 
-    With 0/1 utilities, sum_j p_j max_{i in S} u_ij is the total share of
-    the union of the group's approval sets.
+    Each row is linear in p for any utilities; with 0/1 utilities its
+    coefficients mark the union of the group's approval sets.
     """
-    if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
-        raise ValidationError("group fairness rows require binary utilities")
     n = instance.n
     cap = exponential_limit(limit)
     if n > cap:
@@ -369,15 +356,10 @@ def gfs_rows(
     ]
     rows = []
     for mask in range(1, 1 << n):
-        union = [Fraction(0)] * instance.m
-        total = Fraction(0)
-        for i in range(n):
-            if mask >> i & 1:
-                total += opts[i]
-                for j in range(instance.m):
-                    if instance.utilities[i][j] > 0:
-                        union[j] = Fraction(1)
-        rows.append(LinearConstraint(tuple(union), ">=", total / n))
+        group = [i for i in range(n) if mask >> i & 1]
+        top = tuple(map(max, zip(*(instance.utilities[i] for i in group))))
+        total = sum((opts[i] for i in group), Fraction(0))
+        rows.append(LinearConstraint(top, ">=", total / n))
     return rows
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .exante import unanimous_partition
@@ -110,7 +109,8 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     """Greedy cohesive rule: exhaustive weakly-cohesive group selection.
 
     Ties favour larger beta, then smaller cost(T), then larger group,
-    then lexicographic T.
+    then lexicographic T. A supported T costs at most B, so only those
+    sets are searched.
     """
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError("gcr requires binary utilities")
@@ -123,23 +123,22 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     while True:
         remaining = [j for j in range(instance.m) if j not in chosen]
         best = None
-        for size in range(1, len(remaining) + 1):
-            for group in combinations(remaining, size):
-                projects = frozenset(group)
-                cost = instance.total_cost(projects)
-                for beta in range(1, size + 1):
-                    supporters = tuple(
-                        i
-                        for i in sorted(active)
-                        if len(approvals[i] & projects) >= beta
-                    )
-                    if not supporters:
-                        break
-                    if len(supporters) * instance.budget < instance.n * cost:
-                        continue
-                    key = (-beta, cost, -len(supporters), group)
-                    if best is None or key < best[0]:
-                        best = (key, beta, group, supporters)
+        for group in instance.subsets(remaining, instance.budget):
+            projects = frozenset(group)
+            cost = instance.total_cost(projects)
+            for beta in range(1, len(group) + 1):
+                supporters = tuple(
+                    i
+                    for i in sorted(active)
+                    if len(approvals[i] & projects) >= beta
+                )
+                if not supporters:
+                    break
+                if len(supporters) * instance.budget < instance.n * cost:
+                    continue
+                key = (-beta, cost, -len(supporters), group)
+                if best is None or key < best[0]:
+                    best = (key, beta, group, supporters)
         if best is None:
             break
         _, beta, group, supporters = best

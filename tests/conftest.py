@@ -120,3 +120,25 @@ def two_voter_example() -> PBInstance:
         project_ids=("a", "b", "c"),
         voter_ids=("v1", "v2"),
     )
+
+
+def with_zero_cost_projects(
+    rng: random.Random, instance: PBInstance, utility: Fraction = Fraction(1)
+) -> PBInstance:
+    """The instance with one to three zero-cost projects inserted at random
+    positions; each voter gives each new project `utility` or 0 at random.
+    """
+    cost = list(instance.cost)
+    rows = [list(row) for row in instance.utilities]
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(cost))
+        cost.insert(at, Fraction(0))
+        for row in rows:
+            row.insert(at, utility if rng.random() < 0.5 else Fraction(0))
+    return PBInstance(
+        budget=instance.budget,
+        cost=tuple(cost),
+        utilities=tuple(tuple(row) for row in rows),
+        project_ids=tuple(f"p{j + 1}" for j in range(len(cost))),
+        voter_ids=instance.voter_ids,
+    )

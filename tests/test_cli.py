@@ -13,6 +13,7 @@ from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
     PBInstance,
+    check_gfs,
     gen_gfs_jr_family,
     serialize_instance,
 )
@@ -286,6 +287,55 @@ def test_oracle_joint_builtin_ifs(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(text)["feasible"] is False
+
+
+def test_oracle_joint_builtin_gfs(capsys, family_file):
+    code, text, _ = run_cli(
+        capsys,
+        "oracle",
+        "--instance",
+        family_file,
+        "--mode",
+        "joint",
+        "--predicate",
+        "jr-binary",
+        "--builtin",
+        "gfs",
+    )
+    assert code == 1
+    assert json.loads(text)["feasible"] is False
+
+
+def test_oracle_joint_builtin_gfs_on_general_utilities(capsys, tmp_path):
+    third, two = Fraction(1, 3), Fraction(2)
+    inst = PBInstance(
+        budget=Fraction(2),
+        cost=(Fraction(1), Fraction(1), Fraction(3, 2)),
+        utilities=((two, third, Fraction(0)), (Fraction(0), third, two)),
+        project_ids=("a", "b", "c"),
+        voter_ids=("v1", "v2"),
+    )
+    path = tmp_path / "general.json"
+    path.write_text(serialize_instance(inst) + "\n")
+    code, text, _ = run_cli(
+        capsys,
+        "oracle",
+        "--instance",
+        str(path),
+        "--mode",
+        "joint",
+        "--predicate",
+        "all",
+        "--builtin",
+        "gfs",
+    )
+    assert code == 0
+    report = json.loads(text)
+    assert report["feasible"] is True
+    shares = report["fractional"]
+    p = FractionalOutcome(Fraction(shares[pid]) for pid in inst.project_ids)
+    assert p.cost(inst) == inst.budget
+    assert check_gfs(inst, p).holds
 
 
 @pytest.mark.parametrize("constraints", [["a"], [{"coefficients": ["a"]}]])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,12 @@ from pbbobw import (
     utility,
 )
 
-from conftest import random_budget_outcome, random_instance, two_voter_example
+from conftest import (
+    random_budget_outcome,
+    random_instance,
+    two_voter_example,
+    with_zero_cost_projects,
+)
 
 
 def test_jr_on_two_voter_example():
@@ -153,3 +159,114 @@ def test_ejrx_detects_starved_cohesive_group():
     )
     assert not check_ejrx_cost(inst, IntegralOutcome({1, 2})).holds
     assert check_ejrx_cost(inst, IntegralOutcome({0, 1})).holds
+
+
+# ---------------------------------------------------------------------------
+# References: the EJR, FJR and EJR-x searches as plain loops over every
+# project set by size and lexicographically, with no budget pruning. Each
+# returns the witness as (projects, voters, beta), or None when the axiom
+# holds.
+
+
+def _cohesive(inst, count, cost):
+    return count > 0 and count * inst.budget >= inst.n * cost
+
+
+def _ejr_reference(inst, w):
+    approvals = [inst.approval_set(i) for i in range(inst.n)]
+    won = [len(approvals[i] & w.projects) for i in range(inst.n)]
+    for size in range(1, inst.m + 1):
+        for group in combinations(range(inst.m), size):
+            projects = frozenset(group)
+            deprived = [
+                i
+                for i in range(inst.n)
+                if projects <= approvals[i] and won[i] < size
+            ]
+            if _cohesive(inst, len(deprived), inst.total_cost(projects)):
+                return group, tuple(deprived), None
+    return None
+
+
+def _fjr_reference(inst, w):
+    approvals = [inst.approval_set(i) for i in range(inst.n)]
+    won = [len(approvals[i] & w.projects) for i in range(inst.n)]
+    for size in range(1, inst.m + 1):
+        for group in combinations(range(inst.m), size):
+            projects = frozenset(group)
+            cost = inst.total_cost(projects)
+            for beta in range(1, size + 1):
+                deprived = [
+                    i
+                    for i in range(inst.n)
+                    if len(approvals[i] & projects) >= beta and won[i] < beta
+                ]
+                if _cohesive(inst, len(deprived), cost):
+                    return group, tuple(deprived), beta
+    return None
+
+
+def _ejrx_reference(inst, w):
+    approvals = [inst.approval_set(i) for i in range(inst.n)]
+    base = [utility(inst, i, w) for i in range(inst.n)]
+    for size in range(1, inst.m + 1):
+        for group in combinations(range(inst.m), size):
+            projects = frozenset(group)
+            missing = projects - w.projects
+            deprived = []
+            for i in range(inst.n):
+                if not projects <= approvals[i]:
+                    continue
+                target = sum(
+                    (inst.utilities[i][c] for c in projects), Fraction(0)
+                )
+                satisfied = not missing or all(
+                    base[i] + (inst.utilities[i][c] if c not in w.projects else 0)
+                    > target
+                    for c in missing
+                )
+                if not satisfied:
+                    deprived.append(i)
+            if _cohesive(inst, len(deprived), inst.total_cost(projects)):
+                return group, tuple(deprived), None
+    return None
+
+
+def _sweep_outcomes(rng, inst):
+    """A within-budget outcome, an arbitrary subset and the MES outcome."""
+    anything = IntegralOutcome(
+        j for j in range(inst.m) if rng.random() < 0.4
+    )
+    return [random_budget_outcome(rng, inst), anything, mes(inst).outcome]
+
+
+def _assert_same_verdicts(checker, reference, utilities, seed, zero_utility):
+    rng = random.Random(seed)
+    verdicts = set()
+    for case in range(50):
+        inst = random_instance(rng, n_max=6, m_max=7, utilities=utilities)
+        if case % 2:
+            inst = with_zero_cost_projects(rng, inst, zero_utility)
+        for w in _sweep_outcomes(rng, inst):
+            report = checker(inst, w)
+            expected = reference(inst, w)
+            assert report.holds == (expected is None)
+            if expected is not None:
+                witness = report.witness
+                assert (witness.projects, witness.voters, witness.beta) == expected
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "checker, reference",
+    [(check_ejr_binary, _ejr_reference), (check_fjr_binary, _fjr_reference)],
+)
+def test_binary_searches_match_the_unpruned_loops(checker, reference):
+    _assert_same_verdicts(checker, reference, "binary", 83, Fraction(1))
+
+
+def test_ejrx_search_matches_the_unpruned_loop():
+    _assert_same_verdicts(
+        check_ejrx_cost, _ejrx_reference, "cost", 89, Fraction(0)
+    )

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from pbbobw import (
     utility,
 )
 
-from conftest import random_instance, two_voter_example
+from conftest import random_instance, two_voter_example, with_zero_cost_projects
 
 
 def test_parse_rational_roundtrip():
@@ -191,3 +192,30 @@ def test_utility_is_linear_in_shares():
                 s * u for s, u in zip(shares, inst.utilities[i])
             )
             assert utility(inst, i, p) == expected
+
+
+def _filtered_combinations(instance, pool, ceiling):
+    """Reference for `PBInstance.subsets`: every non-empty combination of
+    the pool, by size, kept when its cost is within the ceiling."""
+    return [
+        group
+        for size in range(1, len(pool) + 1)
+        for group in combinations(pool, size)
+        if ceiling is None or instance.total_cost(group) <= ceiling
+    ]
+
+
+def test_subsets_match_a_filter_over_combinations():
+    rng = random.Random(71)
+    pruned = 0
+    for case in range(60):
+        inst = random_instance(rng, m_max=7, utilities="binary")
+        if case % 2:
+            inst = with_zero_cost_projects(rng, inst)
+        strict = sorted(rng.sample(range(inst.m), rng.randint(1, inst.m - 1)))
+        for pool in (range(inst.m), strict):
+            for ceiling in (None, inst.budget, inst.budget / 3, Fraction(0)):
+                expected = _filtered_combinations(inst, pool, ceiling)
+                assert list(inst.subsets(pool, ceiling)) == expected
+                pruned += 2 ** len(pool) - 1 - len(expected)
+    assert pruned > 0

@@ -15,6 +15,7 @@ from pbbobw import (
     check_ejr_binary,
     check_ejrx_cost,
     check_fjr_binary,
+    check_gfs,
     check_jr_binary,
     check_jr_general,
     enumerate_outcomes,
@@ -297,6 +298,37 @@ def test_gfs_jr_joint_infeasibility():
     assert len(rows) == 63
     verdict = lottery_feasible(inst, predicate("jr-binary"), None, rows)
     assert not verdict.feasible
+
+
+def test_gfs_rows_agree_with_check_gfs_on_general_utilities():
+    rng = random.Random(101)
+    verdicts = set()
+    for case in range(40):
+        inst = random_instance(rng, n_max=5, m_max=5, utilities="general")
+        if case % 2:
+            p = fractional_random_dictator(inst)
+        else:
+            p = random_feasible_p(rng, inst)
+        rows = gfs_rows(inst)
+        assert len(rows) == 2 ** inst.n - 1
+        holds = check_gfs(inst, p).holds
+        assert all(_satisfies(row, p.shares) for row in rows) == holds
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def test_gfs_rows_on_binary_utilities_mark_the_union_of_approvals():
+    rng = random.Random(103)
+    for _ in range(20):
+        inst = random_instance(rng, n_max=5, m_max=5, utilities="binary")
+        for mask, row in enumerate(gfs_rows(inst), start=1):
+            union = set().union(
+                *(inst.approval_set(i) for i in range(inst.n) if mask >> i & 1)
+            )
+            assert row.coefficients == tuple(
+                Fraction(1) if j in union else Fraction(0)
+                for j in range(inst.m)
+            )
 
 
 def test_ifs_jr_joint_infeasibility():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,7 @@ from pbbobw import (
     unanimous_partition,
 )
 
-from conftest import random_instance, two_voter_example
+from conftest import random_instance, two_voter_example, with_zero_cost_projects
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,57 @@ def test_gcr_output_is_fjr():
         trace = gcr(inst)
         assert trace.outcome.cost(inst) <= inst.budget
         assert check_fjr_binary(inst, trace.outcome).holds
+
+
+def _gcr_reference(inst):
+    """GCR as a plain loop over every project set of the remaining
+    projects, with no budget pruning: the steps as (beta, projects,
+    voters) and the outcome."""
+    approvals = [inst.approval_set(i) for i in range(inst.n)]
+    active = set(range(inst.n))
+    chosen = set()
+    steps = []
+    while True:
+        remaining = [j for j in range(inst.m) if j not in chosen]
+        best = None
+        for size in range(1, len(remaining) + 1):
+            for group in combinations(remaining, size):
+                projects = frozenset(group)
+                cost = inst.total_cost(projects)
+                for beta in range(1, size + 1):
+                    supporters = tuple(
+                        i
+                        for i in sorted(active)
+                        if len(approvals[i] & projects) >= beta
+                    )
+                    if not supporters:
+                        break
+                    if len(supporters) * inst.budget < inst.n * cost:
+                        continue
+                    key = (-beta, cost, -len(supporters), group)
+                    if best is None or key < best[0]:
+                        best = (key, beta, group, supporters)
+        if best is None:
+            return steps, IntegralOutcome(chosen)
+        _, beta, group, supporters = best
+        steps.append((beta, group, supporters))
+        chosen.update(group)
+        active.difference_update(supporters)
+
+
+def test_gcr_matches_the_unpruned_loop():
+    rng = random.Random(97)
+    step_counts = set()
+    for case in range(60):
+        inst = random_instance(rng, n_max=6, m_max=7, utilities="binary")
+        if case % 2:
+            inst = with_zero_cost_projects(rng, inst)
+        trace = gcr(inst)
+        steps, outcome = _gcr_reference(inst)
+        assert [(s.beta, s.projects, s.voters) for s in trace.steps] == steps
+        assert trace.outcome == outcome
+        step_counts.add(len(steps))
+    assert max(step_counts) >= 2
 
 
 def test_gcr_rejects_general_utilities():
