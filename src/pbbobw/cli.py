@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .exante import check_gfs, check_ifs, check_strong_ufs
+from .exante import check_gfs, check_ifs, check_strong_ufs, gfs_rows, ifs_rows
 from .expost import SettingError
 from .limits import ScaleError
 from .lp import LinearConstraint
@@ -43,12 +43,10 @@ from .oracle import (
     gen_bfx_family,
     gen_gfs_jr_family,
     gen_ifs_jr_family,
-    gfs_rows,
-    ifs_rows,
     lottery_feasible,
     predicate,
 )
-from .rounding import RoundingSampler, derive_seed, is_bb1
+from .rounding import RoundingSampler, derive_seeds, is_bb1
 from .rules import (
     InvariantViolation,
     bw_gcr,
@@ -138,7 +136,7 @@ def _sample_block(
     instance: PBInstance, p: FractionalOutcome, seed: int, samples: int
 ) -> tuple[dict, list[IntegralOutcome]]:
     counts = RoundingSampler(instance, p).sample_counts(
-        derive_seed(seed, k) for k in range(samples)
+        derive_seeds(seed, range(samples))
     )
     block: dict = {
         "samples": samples,
@@ -165,11 +163,12 @@ def _sample_block(
     return block, list(counts)
 
 
-def _unless_over_limit(entry: Callable[[], object]) -> object:
-    """A report entry, or a skip note if its enumeration is over the limit."""
+def _unless_skipped(entry: Callable[[], object]) -> object:
+    """A report entry, or a skip note if its check is over the limit or
+    does not apply to the instance's setting."""
     try:
         return entry()
-    except ScaleError as exc:
+    except (ScaleError, SettingError) as exc:
         return {"skipped": str(exc)}
 
 
@@ -196,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         report["fractional"] = fractional_to_dict(instance, p)
         report["cost_equals_budget"] = p.cost(instance) == instance.budget
         axioms["ifs"] = check_ifs(instance, p).to_dict(instance)
-        axioms["gfs"] = _unless_over_limit(
+        axioms["gfs"] = _unless_skipped(
             lambda: check_gfs(instance, p, args.limit_exp).to_dict(instance)
         )
         sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
@@ -232,7 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     instance.project_ids[j] for j in w.projects
                 ),
                 "bb1": is_bb1(instance, w),
-                ex_post: _unless_over_limit(
+                ex_post: _unless_skipped(
                     lambda: check(instance, w, args.limit_exp).holds
                 ),
             }
@@ -242,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown rule {args.rule!r}")
     if args.rule in ("gcr", "mes"):
-        axioms[ex_post] = _unless_over_limit(
+        axioms[ex_post] = _unless_skipped(
             lambda: check(instance, outcome, args.limit_exp).to_dict(instance)
         )
 

@@ -1,20 +1,33 @@
-"""Ex-ante fair-share hierarchy: IFS, Strong IFS, UFS, Strong UFS, GFS.
+"""Ex-ante fair-share axioms: IFS, Strong IFS, UFS, Strong UFS, GFS.
 
-Every bound is an exact rational inequality. The group axioms (UFS,
-Strong UFS) are checked on the maximal unanimous cells only; both bounds
-are monotone in the group size, so any unanimous subgroup's bound is
-implied by its cell's.
+Each axiom is written once, as rows ``(voters, coefficients, bound)``:
+the exact linear inequality ``sum_j coefficients[j] * p_j >= bound`` over
+the marginals p, whose bound comes from the voters' optimal fractional
+utilities opt_i. ``verify`` reads the rows through the ``check_*``
+functions, which evaluate them at p; ``oracle --builtin`` reads them
+through ``ifs_rows`` and ``gfs_rows``, which hand them to the LP.
+
+IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
+per maximal unanimous cell; both bounds are monotone in the group size, so
+any unanimous subgroup's bound is implied by its cell's. GFS has one row
+per non-empty voter group S, ``sum_j p_j max_{i in S} u_ij >= sum_{i in S}
+opt_i(B) / n`` (Fain, Goel, Munagala, WINE 2016); the groups come from
+``subset_walk``, each row extended from its prefix's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .limits import ScaleError, exponential_limit
-from .model import FractionalOutcome, PBInstance, rational_str, utility
+from .lp import LinearConstraint
+from .model import FractionalOutcome, PBInstance, rational_str, subset_walk
+
+# (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound.
+Row = tuple[tuple[int, ...], Sequence[Fraction], Fraction]
 
 
 @dataclass(frozen=True)
@@ -62,135 +75,160 @@ class ExAnteReport:
         }
 
 
-def optimal_fractional_utility(
+def optimal_fractional_outcome(
     instance: PBInstance, voter: int, budget: Fraction
-) -> Fraction:
-    """Best fractional-outcome utility for a voter under the given budget.
+) -> list[Fraction]:
+    """A voter's optimal fractional outcome, spending exactly ``budget``.
 
     Fractional knapsack: zero-cost approved projects first, then descending
-    utility per cost (ties: lower cost, then lower index). Spending exactly
-    the budget is always attainable by padding with zero-utility mass, so
-    the greedy value equals the optimum over equality-feasible outcomes.
+    utility per cost (ties: lower cost, then lower index), then the
+    zero-utility projects in index order, which pad the spend up to the
+    budget. Projects are funded fully while they fit; the first one that
+    does not gets what is left.
     """
     budget = Fraction(budget)
     if not 0 <= budget <= instance.budget:
         raise ValueError(f"budget {budget} outside [0, B]")
-    row = instance.utilities[voter]
-    value = Fraction(0)
-    items = []
-    for j in range(instance.m):
-        if row[j] == 0:
-            continue
-        if instance.cost[j] == 0:
-            value += row[j]
-        else:
-            items.append(j)
-    items.sort(key=lambda j: (-row[j] / instance.cost[j], instance.cost[j], j))
-    remaining = budget
-    for j in items:
-        if remaining <= 0:
+    row, cost = instance.utilities[voter], instance.cost
+    free = [j for j in range(instance.m) if row[j] > 0 and cost[j] == 0]
+    priced = [j for j in range(instance.m) if row[j] > 0 and cost[j] > 0]
+    priced.sort(key=lambda j: (-row[j] / cost[j], cost[j], j))
+    padding = [j for j in range(instance.m) if row[j] == 0]
+    shares = [Fraction(0)] * instance.m
+    left = budget
+    for j in free + priced + padding:
+        if cost[j] > left:
+            shares[j] = left / cost[j]
             break
-        take = min(Fraction(1), remaining / instance.cost[j])
-        value += take * row[j]
-        remaining -= take * instance.cost[j]
-    return value
+        shares[j] = Fraction(1)
+        left -= cost[j]
+    return shares
 
 
-def _report(axiom: str, witnesses: list[Witness]) -> ExAnteReport:
-    violations = [w for w in witnesses if w.lhs < w.rhs]
-    return ExAnteReport(
-        axiom=axiom, holds=not violations, witnesses=tuple(violations)
+def optimal_fractional_utility(
+    instance: PBInstance, voter: int, budget: Fraction
+) -> Fraction:
+    """Best fractional-outcome utility for a voter under the given budget:
+    the utility of ``optimal_fractional_outcome``."""
+    shares = optimal_fractional_outcome(instance, voter, budget)
+    return sum(map(mul, instance.utilities[voter], shares), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# The rows of each axiom
+
+
+def _share_rows(
+    instance: PBInstance, unanimous: bool, strong: bool
+) -> Iterator[Row]:
+    """One row per voter, or per unanimous cell S: the utility of S's
+    common vector is at least |S|/n * opt_i(B), or with ``strong`` at least
+    opt_i(|S| * B / n)."""
+    if unanimous:
+        cells = unanimous_partition(instance).cells
+    else:
+        cells = tuple((i,) for i in range(instance.n))
+    budget = instance.budget
+    for cell in cells:
+        i, share = cell[0], Fraction(len(cell), instance.n)
+        if strong:
+            bound = optimal_fractional_utility(instance, i, share * budget)
+        else:
+            bound = share * optimal_fractional_utility(instance, i, budget)
+        yield cell, instance.utilities[i], bound
+
+
+def _group_rows(instance: PBInstance, limit: Optional[int]) -> Iterator[Row]:
+    """One GFS row per non-empty voter group, by size, then
+    lexicographically; a group's max row and its sum of opt_i extend its
+    prefix's by one voter."""
+    n = instance.n
+    limit = exponential_limit(limit)
+    if n > limit:
+        raise ScaleError(
+            f"GFS enumeration over 2^{n} groups exceeds limit {limit}"
+        )
+    opt = [
+        optimal_fractional_utility(instance, i, instance.budget)
+        for i in range(n)
+    ]
+    utilities = instance.utilities
+
+    def extend(prefix, i):
+        top, total = prefix
+        return tuple(map(max, top, utilities[i])), total + opt[i]
+
+    root = ((Fraction(0),) * instance.m, Fraction(0))
+    return (
+        (group, top, total / n)
+        for group, (top, total) in subset_walk(range(n), root, extend)
     )
 
 
+def _report(
+    axiom: str, rows: Iterable[Row], p: FractionalOutcome, worst: bool = False
+) -> ExAnteReport:
+    """Every violated row is a witness. With ``worst``, a report that holds
+    names the row of least lhs - rhs instead, the first one on ties."""
+    violations = []
+    least = None
+    for voters, coefficients, bound in rows:
+        lhs = sum(map(mul, coefficients, p.shares), Fraction(0))
+        slack = lhs - bound
+        if slack < 0:
+            violations.append(Witness(voters, lhs, bound))
+        elif worst and (least is None or slack < least[0]):
+            least = (slack, voters, lhs, bound)
+    if violations or least is None:
+        return ExAnteReport(axiom, not violations, tuple(violations))
+    return ExAnteReport(axiom, True, (Witness(*least[1:]),))
+
+
 def check_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    witnesses = [
-        Witness(
-            voters=(i,),
-            lhs=utility(instance, i, p),
-            rhs=optimal_fractional_utility(instance, i, instance.budget)
-            / instance.n,
-        )
-        for i in range(instance.n)
-    ]
-    return _report("ifs", witnesses)
+    return _report("ifs", _share_rows(instance, False, False), p)
 
 
 def check_strong_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    share = instance.budget / instance.n
-    witnesses = [
-        Witness(
-            voters=(i,),
-            lhs=utility(instance, i, p),
-            rhs=optimal_fractional_utility(instance, i, share),
-        )
-        for i in range(instance.n)
-    ]
-    return _report("strong-ifs", witnesses)
+    return _report("strong-ifs", _share_rows(instance, False, True), p)
 
 
 def check_ufs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    witnesses = []
-    for cell in unanimous_partition(instance).cells:
-        i = cell[0]
-        witnesses.append(
-            Witness(
-                voters=cell,
-                lhs=utility(instance, i, p),
-                rhs=Fraction(len(cell), instance.n)
-                * optimal_fractional_utility(instance, i, instance.budget),
-            )
-        )
-    return _report("ufs", witnesses)
+    return _report("ufs", _share_rows(instance, True, False), p)
 
 
 def check_strong_ufs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    witnesses = []
-    for cell in unanimous_partition(instance).cells:
-        i = cell[0]
-        group_budget = len(cell) * instance.budget / instance.n
-        witnesses.append(
-            Witness(
-                voters=cell,
-                lhs=utility(instance, i, p),
-                rhs=optimal_fractional_utility(instance, i, group_budget),
-            )
-        )
-    return _report("strong-ufs", witnesses)
+    return _report("strong-ufs", _share_rows(instance, True, True), p)
 
 
 def check_gfs(
     instance: PBInstance, p: FractionalOutcome, limit: Optional[int] = None
 ) -> ExAnteReport:
-    """Group fair share, enumerated over all non-empty voter subsets."""
-    limit = exponential_limit(limit)
-    if instance.n > limit:
-        raise ScaleError(
-            f"GFS enumeration over 2^{instance.n} groups exceeds limit {limit}"
-        )
-    opt = [
-        optimal_fractional_utility(instance, i, instance.budget)
-        for i in range(instance.n)
-    ]
-    witnesses = []
-    worst: Optional[Witness] = None
-    for size in range(1, instance.n + 1):
-        for group in combinations(range(instance.n), size):
-            lhs = sum(
-                (
-                    p.shares[j]
-                    * max(instance.utilities[i][j] for i in group)
-                    for j in range(instance.m)
-                ),
-                Fraction(0),
-            )
-            rhs = sum((opt[i] for i in group), Fraction(0)) / instance.n
-            w = Witness(voters=group, lhs=lhs, rhs=rhs)
-            if worst is None or w.lhs - w.rhs < worst.lhs - worst.rhs:
-                worst = w
-            if lhs < rhs:
-                witnesses.append(w)
-    if witnesses:
-        return ExAnteReport(axiom="gfs", holds=False, witnesses=tuple(witnesses))
-    assert worst is not None
-    return ExAnteReport(axiom="gfs", holds=True, witnesses=(worst,))
+    """Group fair share over all non-empty voter groups: every violating
+    group, or the worst group when none violates."""
+    return _report("gfs", _group_rows(instance, limit), p, worst=True)
+
+
+# ---------------------------------------------------------------------------
+# The same rows as LP constraints over the marginals
+
+
+def _constraints(rows: Iterable[Row]) -> list[LinearConstraint]:
+    return [LinearConstraint(tuple(c), ">=", bound) for _, c, bound in rows]
+
+
+def ifs_rows(instance: PBInstance) -> list[LinearConstraint]:
+    """One row per voter: u_i(p) >= opt_i(B)/n."""
+    return _constraints(_share_rows(instance, False, False))
+
+
+def gfs_rows(
+    instance: PBInstance, limit: Optional[int] = None
+) -> list[LinearConstraint]:
+    """One GFS row per non-empty voter group S, in bitmask order: the row
+    of S is number sum_{i in S} 2^i - 1. With 0/1 utilities a row's
+    coefficients mark the union of the group's approval sets."""
+    rows = sorted(
+        _group_rows(instance, limit),
+        key=lambda row: sum(1 << i for i in row[0]),
+    )
+    return _constraints(rows)

@@ -24,6 +24,7 @@ from .model import (
     PBInstance,
     Setting,
     classify,
+    has_cost_utilities,
     rational_str,
     utility,
 )
@@ -217,12 +218,7 @@ def check_ejrx_cost(
     instance: PBInstance, outcome: IntegralOutcome, limit: Optional[int] = None
 ) -> ExPostReport:
     """EJR up to any project, for cost utilities."""
-    cost_shaped = all(
-        u == 0 or u == instance.cost[j]
-        for row in instance.utilities
-        for j, u in enumerate(row)
-    )
-    if not cost_shaped:
+    if not has_cost_utilities(instance):
         raise SettingError("check_ejrx_cost requires cost utilities")
     approvals = [instance.approval_set(i) for i in range(instance.n)]
     base = [utility(instance, i, outcome) for i in range(instance.n)]

@@ -11,7 +11,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+)
 
 
 class ValidationError(ValueError):
@@ -100,30 +102,51 @@ class PBInstance:
         self, pool: Iterable[int], ceiling: Optional[Fraction] = None
     ) -> Iterator[tuple[int, ...]]:
         """The non-empty subsets of ``pool`` that cost at most ``ceiling``
-        (any cost when None), by size, then lexicographically in pool order.
+        (any cost when None), in ``subset_walk`` order.
 
         A prefix over the ceiling is dropped with all its extensions, none
-        of which can fit because costs are non-negative. The within-ceiling
-        subsets of one size are held in memory while the next is built.
+        of which can fit because costs are non-negative.
         """
-        pool = tuple(pool)
-        # (subset, its cost, the pool position its extensions start at)
-        level = [((), Fraction(0), 0)]
-        while level:
-            grown = []
-            for chosen, cost, start in level:
-                for k in range(start, len(pool)):
-                    total = cost + self.cost[pool[k]]
-                    if ceiling is None or total <= ceiling:
-                        grown.append((chosen + (pool[k],), total, k + 1))
-            yield from (chosen for chosen, _, _ in grown)
-            level = grown
+        cost = self.cost
+
+        def extend(total: Fraction, j: int) -> Optional[Fraction]:
+            total += cost[j]
+            return total if ceiling is None or total <= ceiling else None
+
+        return (chosen for chosen, _ in subset_walk(pool, Fraction(0), extend))
 
     def project_index(self, pid: str) -> int:
         try:
             return self.project_ids.index(pid)
         except ValueError:
             raise ValidationError(f"unknown project id: {pid!r}") from None
+
+
+def subset_walk(
+    pool: Iterable[int],
+    root: Any,
+    extend: Callable[[Any, int], Any],
+) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """The non-empty subsets of ``pool`` with one value each, by size, then
+    lexicographically in pool order.
+
+    A subset's value is ``extend(value of its prefix, last element)``,
+    starting from ``root`` for the empty prefix; a None value drops the
+    subset with all its extensions. The subsets of one size are held in
+    memory while the next is built.
+    """
+    pool = tuple(pool)
+    # (subset, its value, the pool position its extensions start at)
+    level = [((), root, 0)]
+    while level:
+        grown = []
+        for chosen, value, start in level:
+            for k in range(start, len(pool)):
+                grown_value = extend(value, pool[k])
+                if grown_value is not None:
+                    grown.append((chosen + (pool[k],), grown_value, k + 1))
+        yield from ((chosen, value) for chosen, value, _ in grown)
+        level = grown
 
 
 @dataclass(frozen=True)
@@ -209,6 +232,15 @@ class PaymentMatrix:
                 raise ValidationError(f"project {j} overpaid: {total}")
 
 
+def has_cost_utilities(instance: PBInstance) -> bool:
+    """True iff every utility is 0 or the project's cost."""
+    return all(
+        u == 0 or u == instance.cost[j]
+        for row in instance.utilities
+        for j, u in enumerate(row)
+    )
+
+
 def classify(instance: PBInstance) -> Setting:
     """Return the most specific setting tag for the instance."""
     binary = all(
@@ -219,12 +251,7 @@ def classify(instance: PBInstance) -> Setting:
         return Setting.COMMITTEE
     if binary:
         return Setting.BINARY
-    cost_utils = all(
-        u == 0 or u == instance.cost[j]
-        for row in instance.utilities
-        for j, u in enumerate(row)
-    )
-    if cost_utils:
+    if has_cost_utilities(instance):
         return Setting.COST
     if unit:
         return Setting.UNIT_COST

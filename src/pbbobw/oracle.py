@@ -34,9 +34,8 @@ from .exante import (
     check_strong_ifs,
     check_strong_ufs,
     check_ufs,
-    optimal_fractional_utility,
 )
-from .limits import ScaleError, exponential_limit, project_limit
+from .limits import ScaleError, project_limit
 from .lp import LinearConstraint, solve_feasibility
 from .model import (
     FractionalOutcome,
@@ -318,49 +317,6 @@ def lottery_feasible(
         marginals = FractionalOutcome(shares)
     assert implements(instance, lottery, marginals)
     return FeasibilityVerdict(True, lottery, marginals, "certificate found")
-
-
-# ---------------------------------------------------------------------------
-# Built-in constraint rows over marginals
-
-
-def ifs_rows(instance: PBInstance) -> list[LinearConstraint]:
-    """One row per voter: u_i(p) >= opt_i(B)/n."""
-    rows = []
-    for i in range(instance.n):
-        opt = optimal_fractional_utility(instance, i, instance.budget)
-        rows.append(
-            LinearConstraint(
-                tuple(instance.utilities[i]), ">=", opt / instance.n
-            )
-        )
-    return rows
-
-
-def gfs_rows(
-    instance: PBInstance, limit: Optional[int] = None
-) -> list[LinearConstraint]:
-    """Group fairness rows: one per non-empty voter set S,
-    sum_j p_j max_{i in S} u_ij >= sum_{i in S} opt_i(B)/n.
-
-    Each row is linear in p for any utilities; with 0/1 utilities its
-    coefficients mark the union of the group's approval sets.
-    """
-    n = instance.n
-    cap = exponential_limit(limit)
-    if n > cap:
-        raise ScaleError(f"{n} voters exceeds group enumeration limit {cap}")
-    opts = [
-        optimal_fractional_utility(instance, i, instance.budget)
-        for i in range(n)
-    ]
-    rows = []
-    for mask in range(1, 1 << n):
-        group = [i for i in range(n) if mask >> i & 1]
-        top = tuple(map(max, zip(*(instance.utilities[i] for i in group))))
-        total = sum((opts[i] for i in group), Fraction(0))
-        rows.append(LinearConstraint(top, ">=", total / n))
-    return rows
 
 
 # ---------------------------------------------------------------------------

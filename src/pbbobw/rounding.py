@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import (
     FractionalOutcome,
@@ -55,14 +55,20 @@ def _draws(seed: int) -> Iterator[int]:
         state = (state + _GAMMA) & _MASK64
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Per-sample seed: splitmix64(splitmix64(seed) + index).
+def derive_seeds(seed: int, indices: Iterable[int]) -> Iterator[int]:
+    """Per-sample seeds splitmix64(splitmix64(seed) + k), k in `indices`.
 
-    Scrambling `seed` before adding `index` keeps the streams of nearby
-    seeds apart; with splitmix64(seed + index), seed s + 1 would draw the
-    samples of seed s shifted by one.
+    Scrambling `seed` before adding the index keeps the streams of nearby
+    seeds apart; with splitmix64(seed + k), seed s + 1 would draw the
+    samples of seed s shifted by one. splitmix64(seed) is computed once.
     """
-    return splitmix64((splitmix64(seed) + index) & _MASK64)
+    base = splitmix64(seed)
+    return (splitmix64((base + k) & _MASK64) for k in indices)
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """The per-sample seed of one index (see `derive_seeds`)."""
+    return next(derive_seeds(seed, (index,)))
 
 
 @dataclass(frozen=True)

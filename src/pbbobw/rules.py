@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exante import unanimous_partition
+from .exante import optimal_fractional_outcome, unanimous_partition
 from .expost import SettingError
 from .limits import ScaleError, project_limit
 from .model import (
@@ -35,40 +35,12 @@ class InvariantViolation(RuntimeError):
 # Fractional Random Dictator
 
 
-def _ratio_order(instance: PBInstance, voter: int) -> list[int]:
-    """Projects in descending utility-per-cost order for one voter.
-
-    Zero-cost approved projects come first, ties break toward lower cost
-    then lower index, and zero-utility projects are appended in index
-    order (they pad the dictator's spend up to the full budget).
-    """
-    row = instance.utilities[voter]
-    free = [j for j in range(instance.m) if row[j] > 0 and instance.cost[j] == 0]
-    priced = [j for j in range(instance.m) if row[j] > 0 and instance.cost[j] > 0]
-    priced.sort(key=lambda j: (-row[j] / instance.cost[j], instance.cost[j], j))
-    padding = [j for j in range(instance.m) if row[j] == 0]
-    return free + priced + padding
-
-
 def fractional_random_dictator(instance: PBInstance) -> FractionalOutcome:
     """Average of each voter's optimal fractional outcome, weight 1/n."""
     shares = [Fraction(0)] * instance.m
-    budget = instance.budget
     for i in range(instance.n):
-        order = _ratio_order(instance, i)
-        spent = Fraction(0)
-        cut = len(order)
-        for pos, j in enumerate(order):
-            if spent + instance.cost[j] <= budget:
-                spent += instance.cost[j]
-                shares[j] += 1
-            else:
-                cut = pos
-                break
-        leftover = budget - spent
-        if leftover > 0:
-            g = order[cut]
-            shares[g] += leftover / instance.cost[g]
+        best = optimal_fractional_outcome(instance, i, instance.budget)
+        shares = [s + x for s, x in zip(shares, best)]
     p = FractionalOutcome(s / instance.n for s in shares)
     if not p.is_feasible(instance):
         raise InvariantViolation("random dictator outcome is not feasible")

@@ -624,3 +624,34 @@ def test_verify_never_raises_on_arbitrary_instances(doc, target, axioms):
             "--axioms", axioms]
     code = _exit_code(argv, {"i.json": doc, "t.json": target})
     assert code in (0, 1, 2)
+
+
+def test_run_mes_on_general_utilities_skips_ejrx(capsys, tmp_path):
+    """MES runs on any utilities; its EJR-x check needs cost utilities, so
+    on general ones the entry is a skip note and the run still exits 0.
+    Rules that cannot run on general utilities still exit 2."""
+    doc = {
+        "budget": "2",
+        "projects": [{"id": pid, "cost": "1"} for pid in ("a", "b", "c")],
+        "voters": [
+            {"id": "v1", "utilities": {"a": "3", "b": "1"}},
+            {"id": "v2", "utilities": {"c": "2"}},
+        ],
+    }
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "run", "--instance", str(path), "--rule", "mes"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["outcome"]
+    assert report["axioms"]["ejrx"] == {
+        "skipped": "check_ejrx_cost requires cost utilities"
+    }
+    for rule in ("gcr", "bw-gcr", "bw-mes"):
+        code, _, err = run_cli(
+            capsys, "run", "--instance", str(path), "--rule", rule
+        )
+        assert code == 2
+        assert err.startswith("error: ")

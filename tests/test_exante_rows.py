@@ -1,0 +1,288 @@
+"""The ex-ante rows against the loops they replaced.
+
+Each axiom is one set of rows in ``pbbobw.exante``; the checkers, the
+oracle rows, FRD and the optimal fractional utility all read them or the
+one greedy optimum. The reference functions below are the former
+implementations, one loop per axiom, kept to pin the reports, the row
+order and the FRD marginals on seeded sweeps.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from pbbobw import (
+    ExAnteReport,
+    FractionalOutcome,
+    LinearConstraint,
+    Witness,
+    check_gfs,
+    check_ifs,
+    check_strong_ifs,
+    check_strong_ufs,
+    check_ufs,
+    exante,
+    fractional_random_dictator,
+    gfs_rows,
+    ifs_rows,
+    optimal_fractional_utility,
+    unanimous_partition,
+    utility,
+)
+
+from conftest import random_feasible_p, random_instance, with_zero_cost_projects
+
+
+# ---------------------------------------------------------------------------
+# References
+
+
+def ref_optimal_fractional_utility(instance, voter, budget):
+    row = instance.utilities[voter]
+    value = Fraction(0)
+    items = []
+    for j in range(instance.m):
+        if row[j] == 0:
+            continue
+        if instance.cost[j] == 0:
+            value += row[j]
+        else:
+            items.append(j)
+    items.sort(key=lambda j: (-row[j] / instance.cost[j], instance.cost[j], j))
+    remaining = Fraction(budget)
+    for j in items:
+        if remaining <= 0:
+            break
+        take = min(Fraction(1), remaining / instance.cost[j])
+        value += take * row[j]
+        remaining -= take * instance.cost[j]
+    return value
+
+
+def ref_ratio_order(instance, voter):
+    row = instance.utilities[voter]
+    free = [j for j in range(instance.m) if row[j] > 0 and instance.cost[j] == 0]
+    priced = [j for j in range(instance.m) if row[j] > 0 and instance.cost[j] > 0]
+    priced.sort(key=lambda j: (-row[j] / instance.cost[j], instance.cost[j], j))
+    padding = [j for j in range(instance.m) if row[j] == 0]
+    return free + priced + padding
+
+
+def ref_frd(instance):
+    shares = [Fraction(0)] * instance.m
+    budget = instance.budget
+    for i in range(instance.n):
+        order = ref_ratio_order(instance, i)
+        spent = Fraction(0)
+        cut = len(order)
+        for pos, j in enumerate(order):
+            if spent + instance.cost[j] <= budget:
+                spent += instance.cost[j]
+                shares[j] += 1
+            else:
+                cut = pos
+                break
+        leftover = budget - spent
+        if leftover > 0:
+            g = order[cut]
+            shares[g] += leftover / instance.cost[g]
+    return FractionalOutcome(s / instance.n for s in shares)
+
+
+def _ref_report(axiom, witnesses):
+    violations = [w for w in witnesses if w.lhs < w.rhs]
+    return ExAnteReport(
+        axiom=axiom, holds=not violations, witnesses=tuple(violations)
+    )
+
+
+def ref_check_ifs(instance, p):
+    return _ref_report("ifs", [
+        Witness(
+            (i,),
+            utility(instance, i, p),
+            ref_optimal_fractional_utility(instance, i, instance.budget)
+            / instance.n,
+        )
+        for i in range(instance.n)
+    ])
+
+
+def ref_check_strong_ifs(instance, p):
+    share = instance.budget / instance.n
+    return _ref_report("strong-ifs", [
+        Witness(
+            (i,),
+            utility(instance, i, p),
+            ref_optimal_fractional_utility(instance, i, share),
+        )
+        for i in range(instance.n)
+    ])
+
+
+def ref_check_ufs(instance, p):
+    return _ref_report("ufs", [
+        Witness(
+            cell,
+            utility(instance, cell[0], p),
+            Fraction(len(cell), instance.n)
+            * ref_optimal_fractional_utility(instance, cell[0], instance.budget),
+        )
+        for cell in unanimous_partition(instance).cells
+    ])
+
+
+def ref_check_strong_ufs(instance, p):
+    return _ref_report("strong-ufs", [
+        Witness(
+            cell,
+            utility(instance, cell[0], p),
+            ref_optimal_fractional_utility(
+                instance, cell[0], len(cell) * instance.budget / instance.n
+            ),
+        )
+        for cell in unanimous_partition(instance).cells
+    ])
+
+
+def ref_check_gfs(instance, p):
+    opt = [
+        ref_optimal_fractional_utility(instance, i, instance.budget)
+        for i in range(instance.n)
+    ]
+    witnesses = []
+    worst = None
+    for size in range(1, instance.n + 1):
+        for group in itertools.combinations(range(instance.n), size):
+            lhs = sum(
+                (
+                    p.shares[j]
+                    * max(instance.utilities[i][j] for i in group)
+                    for j in range(instance.m)
+                ),
+                Fraction(0),
+            )
+            rhs = sum((opt[i] for i in group), Fraction(0)) / instance.n
+            w = Witness(voters=group, lhs=lhs, rhs=rhs)
+            if worst is None or w.lhs - w.rhs < worst.lhs - worst.rhs:
+                worst = w
+            if lhs < rhs:
+                witnesses.append(w)
+    if witnesses:
+        return ExAnteReport(axiom="gfs", holds=False, witnesses=tuple(witnesses))
+    return ExAnteReport(axiom="gfs", holds=True, witnesses=(worst,))
+
+
+def ref_ifs_rows(instance):
+    return [
+        LinearConstraint(
+            tuple(instance.utilities[i]),
+            ">=",
+            ref_optimal_fractional_utility(instance, i, instance.budget)
+            / instance.n,
+        )
+        for i in range(instance.n)
+    ]
+
+
+def ref_gfs_rows(instance):
+    n = instance.n
+    opts = [
+        ref_optimal_fractional_utility(instance, i, instance.budget)
+        for i in range(n)
+    ]
+    rows = []
+    for mask in range(1, 1 << n):
+        group = [i for i in range(n) if mask >> i & 1]
+        top = tuple(map(max, zip(*(instance.utilities[i] for i in group))))
+        total = sum((opts[i] for i in group), Fraction(0))
+        rows.append(LinearConstraint(top, ">=", total / n))
+    return rows
+
+
+CHECKS = (
+    (check_ifs, ref_check_ifs),
+    (check_strong_ifs, ref_check_strong_ifs),
+    (check_ufs, ref_check_ufs),
+    (check_strong_ufs, ref_check_strong_ufs),
+    (check_gfs, ref_check_gfs),
+)
+
+
+def sweep(seed, count, n_max=6, m_max=6):
+    """Seeded instances over general, binary and cost utilities; every
+    second one gets zero-cost projects inserted."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = ("general", "binary", "cost")[k % 3]
+        inst = random_instance(rng, n_max=n_max, m_max=m_max, utilities=kind)
+        if k % 2:
+            # Zero-cost projects keep cost utilities only at utility 0.
+            free = Fraction(0) if kind == "cost" else Fraction(1)
+            inst = with_zero_cost_projects(rng, inst, free)
+        yield rng, inst
+
+
+# ---------------------------------------------------------------------------
+# Sweeps against the references
+
+
+def test_checkers_match_the_per_axiom_loops():
+    outcomes = {True: 0, False: 0}
+    for rng, inst in sweep(81, 150):
+        for p in (random_feasible_p(rng, inst), fractional_random_dictator(inst)):
+            for check, reference in CHECKS:
+                report = check(inst, p)
+                assert report.to_dict(inst) == reference(inst, p).to_dict(inst)
+                outcomes[report.holds] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_oracle_rows_match_the_voter_and_mask_loops():
+    for _, inst in sweep(82, 90):
+        assert ifs_rows(inst) == ref_ifs_rows(inst)
+        assert gfs_rows(inst) == ref_gfs_rows(inst)
+
+
+def test_frd_matches_the_ratio_order_loop():
+    for _, inst in sweep(83, 300):
+        assert fractional_random_dictator(inst) == ref_frd(inst)
+
+
+def test_optimal_fractional_utility_matches_the_greedy_loop():
+    for _, inst in sweep(84, 150):
+        n = inst.n
+        for i in range(n):
+            for k in range(n + 1):
+                budget = k * inst.budget / n
+                assert optimal_fractional_utility(
+                    inst, i, budget
+                ) == ref_optimal_fractional_utility(inst, i, budget)
+
+
+# ---------------------------------------------------------------------------
+# Property: an axiom holds exactly when p meets all of its rows
+
+
+def test_each_axiom_holds_exactly_when_p_meets_its_rows():
+    axioms = (
+        (check_ifs, lambda inst: exante._share_rows(inst, False, False)),
+        (check_strong_ifs, lambda inst: exante._share_rows(inst, False, True)),
+        (check_ufs, lambda inst: exante._share_rows(inst, True, False)),
+        (check_strong_ufs, lambda inst: exante._share_rows(inst, True, True)),
+        (check_gfs, lambda inst: exante._group_rows(inst, None)),
+    )
+    outcomes = {True: 0, False: 0}
+    for rng, inst in sweep(85, 120):
+        arbitrary = FractionalOutcome(
+            Fraction(rng.randint(0, 4), 4) for _ in range(inst.m)
+        )
+        for p in (arbitrary, random_feasible_p(rng, inst)):
+            for check, rows in axioms:
+                meets = all(
+                    sum(c * x for c, x in zip(coefficients, p.shares)) >= bound
+                    for _, coefficients, bound in rows(inst)
+                )
+                assert check(inst, p).holds == meets
+                outcomes[meets] += 1
+    assert min(outcomes.values()) > 50

@@ -10,6 +10,7 @@ from pbbobw import (
     RoundingSampler,
     dependent_round,
     derive_seed,
+    derive_seeds,
     is_bb1,
     is_bfx,
     round_with_hard_cap,
@@ -40,6 +41,17 @@ def test_derive_seed_streams_of_nearby_seeds_do_not_overlap():
     for s in range(50):
         for k in range(50):
             assert derive_seed(s + 1, k) != derive_seed(s, k + 1)
+
+
+def test_derive_seeds_match_derive_seed_one_index_at_a_time():
+    mask = 2**64 - 1
+    for s in (0, 1, 42, -1, 2**64 - 1, 2**70 + 3):
+        seeds = list(derive_seeds(s, range(200)))
+        assert seeds == [derive_seed(s, k) for k in range(200)]
+        assert seeds == [
+            splitmix64((splitmix64(s) + k) & mask) for k in range(200)
+        ]
+    assert list(derive_seeds(7, [5, 2])) == [derive_seed(7, 5), derive_seed(7, 2)]
 
 
 def test_rounding_is_deterministic():
