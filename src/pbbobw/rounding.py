@@ -17,7 +17,9 @@ each; the spend-space steps take the draws that follow.
 `dependent_round` follows one seed's path and records it. `RoundingSampler`
 replays the same draws over a tree of spend states whose nodes are made
 the first time a sample reaches them, so it returns the same outcome seed
-for seed and grows with the samples drawn, not with 2^m.
+for seed and grows with the samples drawn, not with 2^m. Callers that
+need only the outcome (the BW rules, `round_with_hard_cap`) draw through
+the sampler.
 """
 
 from __future__ import annotations
@@ -194,9 +196,8 @@ class _Process:
                 out.append(self.p.shares[j])
         return tuple(out)
 
-    def run(
-        self, seed: int, rounds: Optional[list] = None
-    ) -> IntegralOutcome:
+    def run(self, seed: int, rounds: list[RoundingRound]) -> IntegralOutcome:
+        """Follow one seed's path, appending each round to `rounds`."""
         draws = _draws(seed)
         costs = self.costs
         spends = self.spends0
@@ -206,33 +207,31 @@ class _Process:
             share = self.p.shares[j]
             to_one = next(draws) * share.denominator < share.numerator * _TWO64
             zero_state[j] = Fraction(int(to_one))
-            if rounds is not None:
-                rounds.append(
-                    RoundingRound(
-                        t=t,
-                        indices=(j,),
-                        alpha=1 - share,
-                        beta=share,
-                        branch="up" if to_one else "down",
-                        q=self.q_snapshot(spends, zero_state),
-                    )
+            rounds.append(
+                RoundingRound(
+                    t=t,
+                    indices=(j,),
+                    alpha=1 - share,
+                    beta=share,
+                    branch="up" if to_one else "down",
+                    q=self.q_snapshot(spends, zero_state),
                 )
+            )
             t += 1
         while (step := _step(costs, spends)) is not None:
             indices, num, den, up, down = step
             go_up = next(draws) * den < num * _TWO64
-            if rounds is not None:
-                i = indices[0]
-                rounds.append(
-                    RoundingRound(
-                        t=t,
-                        indices=indices,
-                        alpha=Fraction(up[i] - spends[i], costs[i]),
-                        beta=Fraction(spends[i] - down[i], costs[i]),
-                        branch="up" if go_up else "down",
-                        q=self.q_snapshot(up if go_up else down, zero_state),
-                    )
+            i = indices[0]
+            rounds.append(
+                RoundingRound(
+                    t=t,
+                    indices=indices,
+                    alpha=Fraction(up[i] - spends[i], costs[i]),
+                    beta=Fraction(spends[i] - down[i], costs[i]),
+                    branch="up" if go_up else "down",
+                    q=self.q_snapshot(up if go_up else down, zero_state),
                 )
+            )
             spends = up if go_up else down
             t += 1
         return self.outcome(
@@ -259,8 +258,7 @@ def round_with_hard_cap(
 ) -> IntegralOutcome:
     """Round a fractional outcome spending B' = B - max cost; cost(W) <= B always."""
     reduced = instance.budget - max(instance.cost)
-    proc = _Process(instance, p, reduced)
-    return proc.run(seed)
+    return RoundingSampler(instance, p, target=reduced).sample(seed)
 
 
 def is_bb1(instance: PBInstance, outcome: IntegralOutcome) -> bool:

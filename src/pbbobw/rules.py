@@ -10,8 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exante import optimal_fractional_outcome, unanimous_partition
-from .expost import SettingError
-from .limits import ScaleError, project_limit
+from .expost import SettingError, cohesive_groups, within_budget
 from .model import (
     FractionalOutcome,
     IntegralOutcome,
@@ -20,7 +19,7 @@ from .model import (
     Setting,
     classify,
 )
-from .rounding import dependent_round
+from .rounding import RoundingSampler
 
 
 class InvariantViolation(RuntimeError):
@@ -80,43 +79,40 @@ class GCRTrace:
 def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     """Greedy cohesive rule: exhaustive weakly-cohesive group selection.
 
-    Ties favour larger beta, then smaller cost(T), then larger group,
-    then lexicographic T. A supported T costs at most B, so only those
-    sets are searched.
+    Each step takes the `expost.cohesive_groups` candidate over the
+    within-budget sets of unchosen projects with the largest beta, then
+    smallest cost(T), then largest group, then lexicographically first T.
     """
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError("gcr requires binary utilities")
-    if instance.m > project_limit(limit):
-        raise ScaleError(f"GCR search over 2^{instance.m} project sets")
     approvals = [instance.approval_set(i) for i in range(instance.n)]
     active = set(range(instance.n))
     chosen: set[int] = set()
     steps: list[GCRStep] = []
+
+    def supporters(projects: frozenset[int]):
+        for beta in range(1, len(projects) + 1):
+            voters = tuple(
+                i for i in sorted(active) if len(approvals[i] & projects) >= beta
+            )
+            if not voters:
+                break
+            yield voters, {"beta": beta}
+
     while True:
         remaining = [j for j in range(instance.m) if j not in chosen]
-        best = None
-        for group in instance.subsets(remaining, instance.budget):
-            projects = frozenset(group)
-            cost = instance.total_cost(projects)
-            for beta in range(1, len(group) + 1):
-                supporters = tuple(
-                    i
-                    for i in sorted(active)
-                    if len(approvals[i] & projects) >= beta
-                )
-                if not supporters:
-                    break
-                if len(supporters) * instance.budget < instance.n * cost:
-                    continue
-                key = (-beta, cost, -len(supporters), group)
-                if best is None or key < best[0]:
-                    best = (key, beta, group, supporters)
+        groups = within_budget(instance, remaining, limit, "GCR search")
+        best = min(
+            cohesive_groups(instance, groups, supporters),
+            key=lambda c: (-c[3]["beta"], c[1], -len(c[2]), c[0]),
+            default=None,
+        )
         if best is None:
             break
-        _, beta, group, supporters = best
-        steps.append(GCRStep(beta=beta, projects=group, voters=supporters))
+        group, _, voters, fields = best
+        steps.append(GCRStep(beta=fields["beta"], projects=group, voters=voters))
         chosen.update(group)
-        active.difference_update(supporters)
+        active.difference_update(voters)
     return GCRTrace(steps=tuple(steps), outcome=IntegralOutcome(chosen))
 
 
@@ -268,6 +264,20 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
         Fraction(1) if j in core else Fraction(0) for j in range(instance.m)
     ]
     budgets = [Fraction(0)] * instance.n
+
+    def spend(order, money: Fraction) -> Fraction:
+        """Raise shares toward 1 along `order` until `money` is spent;
+        returns what is left."""
+        for j in order:
+            if money == 0:
+                break
+            if instance.cost[j] == 0:
+                continue
+            add = min(1 - shares[j], money / instance.cost[j])
+            shares[j] += add
+            money -= add * instance.cost[j]
+        return money
+
     cells = unanimous_partition(instance).cells
     ladders = {cell: group_ladder(instance, cell) for cell in cells}
     qualifying: set[tuple[int, ...]] = set()
@@ -286,15 +296,7 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
             budgets[i] = per_voter
         # Spend on the cheapest approved project, capped at p_c = 1;
         # overflow continues to the next cheapest, residue joins the fill.
-        for j in sorted(approved, key=lambda j: (instance.cost[j], j)):
-            if group_budget == 0:
-                break
-            if instance.cost[j] == 0:
-                continue
-            room = (1 - shares[j]) * instance.cost[j]
-            amount = min(group_budget, room)
-            shares[j] += amount / instance.cost[j]
-            group_budget -= amount
+        spend(sorted(approved, key=lambda j: (instance.cost[j], j)), group_budget)
 
     leftover = instance.budget - instance.total_cost(core)
     total_budget = sum(budgets, Fraction(0))
@@ -321,19 +323,11 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
     needed = instance.budget - sum(
         (s * c for s, c in zip(shares, instance.cost)), Fraction(0)
     )
-    for j in range(instance.m):
-        if needed == 0:
-            break
-        if instance.cost[j] == 0:
-            continue
-        add = min(1 - shares[j], needed / instance.cost[j])
-        shares[j] += add
-        needed -= add * instance.cost[j]
-    if needed != 0:
+    if spend(range(instance.m), needed) != 0:
         raise InvariantViolation("fill step could not reach the budget")
 
     p = FractionalOutcome(shares)
-    outcome, _ = dependent_round(instance, p, seed)
+    outcome = RoundingSampler(instance, p).sample(seed)
     if not core <= outcome.projects:
         raise InvariantViolation("sampled outcome lost a core project")
     return BWGCRResult(
@@ -419,7 +413,7 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
         y=tuple(tuple(row) for row in y), b=tuple(budgets)
     )
     payments.validate(instance)
-    outcome, _ = dependent_round(instance, p, seed)
+    outcome = RoundingSampler(instance, p).sample(seed)
     if not core <= outcome.projects:
         raise InvariantViolation("sampled outcome lost a core project")
     return BWMESResult(

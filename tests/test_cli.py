@@ -443,6 +443,16 @@ def test_limit_exp_caps_the_ex_post_checks(capsys, tmp_path):
     assert code in (0, 1)
 
 
+def test_limit_exp_leaves_the_jr_checks_ungated(capsys, tmp_path):
+    path = _wide_binary_file(tmp_path, 5)
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["p00", "p01", "p02"]))
+    code, _, err = run_cli(
+        capsys, "verify", "--instance", path, "--target", str(target),
+        "--axioms", "jr,jr-general", "--limit-exp", "3",
+    )
+    assert code in (0, 1), err
+
 
 def test_oracle_limit_exp_reaches_the_predicate_checks(
     capsys, monkeypatch, instance_file

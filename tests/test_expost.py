@@ -165,7 +165,8 @@ def test_ejrx_detects_starved_cohesive_group():
 # References: the EJR, FJR and EJR-x searches as plain loops over every
 # project set by size and lexicographically, with no budget pruning. Each
 # returns the witness as (projects, voters, beta), or None when the axiom
-# holds.
+# holds. The JR references are the two checkers' own loops over single
+# projects and return (projects, voters, alpha, note).
 
 
 def _cohesive(inst, count, cost):
@@ -232,6 +233,43 @@ def _ejrx_reference(inst, w):
     return None
 
 
+def _jr_binary_reference(inst, w):
+    approvals = [inst.approval_set(i) for i in range(inst.n)]
+    covered = [bool(approvals[i] & w.projects) for i in range(inst.n)]
+    for j in range(inst.m):
+        deprived = [i for i in range(inst.n) if j in approvals[i] and not covered[i]]
+        if _cohesive(inst, len(deprived), inst.cost[j]):
+            return (
+                (j,), tuple(deprived), None,
+                "cohesive group with zero represented members",
+            )
+    return None
+
+
+def _jr_general_reference(inst, w):
+    sat = [utility(inst, i, w) for i in range(inst.n)]
+    for j in range(inst.m):
+        candidates = sorted(
+            {
+                min(Fraction(1), inst.utilities[i][j])
+                for i in range(inst.n)
+                if inst.utilities[i][j] > 0
+            }
+        )
+        for alpha in candidates:
+            deprived = [
+                i
+                for i in range(inst.n)
+                if inst.utilities[i][j] >= alpha and sat[i] < alpha
+            ]
+            if _cohesive(inst, len(deprived), inst.cost[j]):
+                return (
+                    (j,), tuple(deprived), alpha,
+                    "(alpha, {j})-cohesive group below threshold alpha",
+                )
+    return None
+
+
 def _sweep_outcomes(rng, inst):
     """A within-budget outcome, an arbitrary subset and the MES outcome."""
     anything = IntegralOutcome(
@@ -240,7 +278,10 @@ def _sweep_outcomes(rng, inst):
     return [random_budget_outcome(rng, inst), anything, mes(inst).outcome]
 
 
-def _assert_same_verdicts(checker, reference, utilities, seed, zero_utility):
+def _assert_same_verdicts(
+    checker, reference, utilities, seed, zero_utility,
+    fields=("projects", "voters", "beta"),
+):
     rng = random.Random(seed)
     verdicts = set()
     for case in range(50):
@@ -253,7 +294,7 @@ def _assert_same_verdicts(checker, reference, utilities, seed, zero_utility):
             assert report.holds == (expected is None)
             if expected is not None:
                 witness = report.witness
-                assert (witness.projects, witness.voters, witness.beta) == expected
+                assert tuple(getattr(witness, f) for f in fields) == expected
             verdicts.add(report.holds)
     assert verdicts == {True, False}
 
@@ -269,4 +310,20 @@ def test_binary_searches_match_the_unpruned_loops(checker, reference):
 def test_ejrx_search_matches_the_unpruned_loop():
     _assert_same_verdicts(
         check_ejrx_cost, _ejrx_reference, "cost", 89, Fraction(0)
+    )
+
+
+@pytest.mark.parametrize(
+    "checker, reference, utilities, zero_utility",
+    [
+        (check_jr_binary, _jr_binary_reference, "binary", Fraction(1)),
+        (check_jr_general, _jr_general_reference, "general", Fraction(3, 2)),
+    ],
+)
+def test_jr_checks_match_their_loops_over_single_projects(
+    checker, reference, utilities, zero_utility
+):
+    _assert_same_verdicts(
+        checker, reference, utilities, 97, zero_utility,
+        fields=("projects", "voters", "alpha", "note"),
     )

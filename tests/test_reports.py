@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -79,11 +80,11 @@ CASES = {
 def _documents(text: str) -> list:
     """The JSON documents written one after another to stdout, each
     without its timing field."""
-    decoder = json.JSONDecoder()
-    docs, at = [], 0
-    while text[at:].strip():
-        at += len(text[at:]) - len(text[at:].lstrip())
-        doc, at = decoder.raw_decode(text, at)
+    decoder, space = json.JSONDecoder(), re.compile(r"\s*")
+    docs, at = [], space.match(text).end()
+    while at < len(text):
+        doc, end = decoder.raw_decode(text, at)
+        at = space.match(text, end).end()
         if isinstance(doc, dict):
             doc.pop("elapsed_seconds", None)
         docs.append(doc)
