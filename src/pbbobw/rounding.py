@@ -15,11 +15,15 @@ zero-cost project is rounded on its own first, in index order, one draw
 each; the spend-space steps take the draws that follow.
 
 `dependent_round` follows one seed's path and records it. `RoundingSampler`
-replays the same draws over a tree of spend states whose nodes are made
-the first time a sample reaches them, so it returns the same outcome seed
-for seed and grows with the samples drawn, not with 2^m. Callers that
-need only the outcome (the BW rules, `round_with_hard_cap`) draw through
-the sampler.
+replays the same draws over a DAG of spend states: a branch depends only
+on the state, so it holds at most one node per distinct state, made the
+first time a sample reaches it, and it grows with the states visited, not
+with 2^m. Each node keeps the integer threshold ceil(num * 2**64 / den),
+and a draw u < threshold exactly when u * den < num * 2**64, so the
+sampler returns the same outcome seed for seed. Callers that need only the
+outcome (the BW rules, `round_with_hard_cap`) draw through the sampler;
+`RoundingSampler.probabilities()` gives the exact distribution in one
+forward pass over the states.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ def splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _threshold(num: int, den: int) -> int:
+    """ceil(num * 2**64 / den): an integer draw u is below it exactly when
+    ``u * den < num * 2**64``."""
+    return -(-num * _TWO64 // den)
 
 
 def _draws(seed: int) -> Iterator[int]:
@@ -286,16 +296,22 @@ def is_bfx(instance: PBInstance, outcome: IntegralOutcome) -> bool:
 
 
 class RoundingSampler:
-    """Bulk sampler replaying `dependent_round`'s draws over a lazy tree.
+    """Bulk sampler replaying `dependent_round`'s draws over a lazy DAG.
 
     A sample first rounds each fractional zero-cost project on its own, in
     index order, one draw each, as `dependent_round` does. It then walks a
-    decision tree over spend states: a node is ``[num * 2**64, den, up,
-    down]`` from `_step`, and a child stays a bare spend tuple until a
-    sample first reaches it, when it becomes a node or a leaf outcome. So
-    the tree holds at most samples x depth nodes rather than all 2^m, and
-    each seed meets the same draws and the same exact comparisons as in
-    `dependent_round`: sampled outcomes agree seed for seed.
+    DAG over spend states: a node is ``[t, up, down, step]``, where `step`
+    is `_step`'s ``(indices, num, den, up, down)`` and the threshold is
+    ``t = ceil(num * 2**64 / den)``. For an integer draw u, ``u < t`` holds
+    exactly when ``u * den < num * 2**64``, so each seed meets the same
+    draws and the same exact comparisons as in `dependent_round`: sampled
+    outcomes agree seed for seed.
+
+    Nodes are memoised by spend tuple, so the sampler holds at most one
+    node per distinct state, and every path into a state shares it (a
+    branch depends only on the state). A child slot stays a bare spend
+    tuple until a sample or `probabilities()` first reaches it, so the
+    DAG grows with the states visited, not with 2^m.
     """
 
     def __init__(
@@ -308,43 +324,58 @@ class RoundingSampler:
             instance, p, instance.budget if target is None else target
         )
         self._zero = [
-            (j, p.shares[j].numerator * _TWO64, p.shares[j].denominator)
+            (j, _threshold(p.shares[j].numerator, p.shares[j].denominator))
             for j in self._proc.zero_frac
         ]
+        self._nodes: dict[tuple[int, ...], object] = {}
         self._root = self._node(self._proc.spends0)
 
     def _node(self, spends: tuple[int, ...]):
-        step = _step(self._proc.costs, spends)
-        if step is None:
-            return self._proc.outcome(spends, frozenset())
-        _, num, den, up, down = step
-        return [num * _TWO64, den, up, down]
-
-    def _child(self, node: list, k: int):
-        """Child k (2 up, 3 down) of `node`, made on its first visit."""
-        child = node[k]
-        if type(child) is tuple:
-            child = node[k] = self._node(child)
-        return child
+        """The node or leaf outcome of a spend state, made once."""
+        node = self._nodes.get(spends)
+        if node is None:
+            step = _step(self._proc.costs, spends)
+            if step is None:
+                node = self._proc.outcome(spends, frozenset())
+            else:
+                _, num, den, up, down = step
+                node = [_threshold(num, den), up, down, step]
+            self._nodes[spends] = node
+        return node
 
     def probabilities(self) -> dict[IntegralOutcome, Fraction]:
         """Exact outcome distribution implied by the branch probabilities.
 
-        Expands the whole tree. Branch probabilities here are the exact
-        rational ones; the 2**-64 dyadic draw bias is below any statistical
-        tolerance used in tests.
+        One forward pass over the reachable spend states: each state pushes
+        its exact weight to its two children. States are taken in
+        decreasing order of their number of fractional projects, which is
+        topological because every `_step` makes at least one more project
+        integral. Branch probabilities here are the exact rational ones;
+        the 2**-64 dyadic draw bias is below any statistical tolerance
+        used in tests.
         """
+        costs = self._proc.costs
+        levels: dict[int, dict[tuple[int, ...], Fraction]] = {}
+
+        def push(spends: tuple[int, ...], weight: Fraction) -> None:
+            level = levels.setdefault(
+                sum(1 for s, c in zip(spends, costs) if 0 < s < c), {}
+            )
+            level[spends] = level.get(spends, 0) + weight
+
+        push(self._proc.spends0, Fraction(1))
         probs: dict[IntegralOutcome, Fraction] = {}
-
-        def walk(node, weight: Fraction) -> None:
-            if type(node) is not list:
-                probs[node] = probs.get(node, Fraction(0)) + weight
-                return
-            q = Fraction(node[0] // _TWO64, node[1])
-            walk(self._child(node, 2), weight * q)
-            walk(self._child(node, 3), weight * (1 - q))
-
-        walk(self._root, Fraction(1))
+        for fractional in range(max(levels), -1, -1):
+            for spends, weight in levels.pop(fractional, {}).items():
+                node = self._node(spends)
+                if type(node) is not list:
+                    # Distinct integral spend states are distinct outcomes.
+                    probs[node] = weight
+                    continue
+                _, num, den, up, down = node[3]
+                q = Fraction(num, den)
+                push(up, weight * q)
+                push(down, weight * (1 - q))
         for j in self._proc.zero_frac:
             share = self._proc.p.shares[j]
             split: dict[IntegralOutcome, Fraction] = {}
@@ -358,15 +389,21 @@ class RoundingSampler:
     def sample(self, seed: int) -> IntegralOutcome:
         state = seed & _MASK64
         chosen = []
-        for j, num, den in self._zero:
-            if splitmix64(state) * den < num:
+        for j, t in self._zero:
+            if splitmix64(state) < t:
                 chosen.append(j)
             state = (state + _GAMMA) & _MASK64
         node = self._root
         while type(node) is list:
-            k = 2 if splitmix64(state) * node[1] < node[0] else 3
-            state = (state + _GAMMA) & _MASK64
-            node = self._child(node, k)
+            # splitmix64(state) inlined: advance, then mix the new state.
+            state = z = (state + _GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            k = 1 if z ^ (z >> 31) < node[0] else 2
+            child = node[k]
+            if type(child) is tuple:
+                child = node[k] = self._node(child)
+            node = child
         return IntegralOutcome(node.projects.union(chosen)) if chosen else node
 
     def sample_counts(self, seeds) -> dict[IntegralOutcome, int]:

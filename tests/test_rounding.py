@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pbbobw.rounding as rounding
 from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
@@ -27,6 +29,18 @@ def test_splitmix64_reference_vector():
     assert splitmix64(0) == 0xE220A8397B1DCDAF
     assert splitmix64(gamma) == 0x6E789E6AA1B965F4
     assert splitmix64(2 * gamma & (2**64 - 1)) == 0x06C45D188009454F
+
+
+def test_threshold_is_exact_at_the_boundary():
+    """u < ceil(num * 2**64 / den) iff u * den < num * 2**64, tested at
+    the draws just below and at the threshold."""
+    two64 = 2**64
+    for num, den in [(1, 2), (1, 3), (2, 3), (5, 7), (1, 1), (0, 4),
+                     (10**20 + 1, 3 * 10**20), (2**64 - 1, 2**64 + 5)]:
+        t = rounding._threshold(num, den)
+        for u in (t - 1, t):
+            if 0 <= u < two64:
+                assert (u < t) == (u * den < num * two64)
 
 
 def test_derive_seed_distinct_and_stable():
@@ -75,7 +89,7 @@ def test_two_voter_example_outcomes():
 
 
 def test_exact_marginals_and_bb1_support():
-    """The decision tree's exact distribution has marginals equal to p and
+    """The sampler's exact distribution has marginals equal to p and
     only BB1 outcomes in its support."""
     rng = random.Random(101)
     for case in range(40):
@@ -127,6 +141,62 @@ def test_sampler_agrees_with_dependent_round():
             seed = derive_seed(1234, k)
             w, _ = dependent_round(inst, p, seed)
             assert sampler.sample(seed) == w
+
+
+def test_sample_counts_match_dependent_round():
+    """The bulk tally equals a tally of the reference path over the same
+    seeds, for B-spending and hard-cap (B - max cost) samplers."""
+    rng = random.Random(66)
+    for case in range(16):
+        inst = random_instance(rng)
+        p = random_feasible_p(rng, inst)
+        if case % 2:
+            inst, p = with_zero_cost_projects(rng, inst, p)
+        reduced = inst.budget - max(inst.cost)
+        capped = FractionalOutcome(
+            [s if c == 0 else s * reduced / inst.budget
+             for s, c in zip(p.shares, inst.cost)]
+        )
+        seeds = list(derive_seeds(rng.getrandbits(64), range(300)))
+        sampler = RoundingSampler(inst, p)
+        assert sampler.sample_counts(seeds) == Counter(
+            dependent_round(inst, p, s)[0] for s in seeds
+        )
+        sampler = RoundingSampler(inst, capped, target=reduced)
+        assert sampler.sample_counts(seeds) == Counter(
+            round_with_hard_cap(inst, capped, s) for s in seeds
+        )
+
+
+def test_sampler_makes_one_node_per_spend_state(monkeypatch):
+    """Eight projects of equal cost at share 1/4 reach 46 distinct spend
+    states over 127 tree paths; the sampler steps each state once."""
+    calls = []
+    step = rounding._step
+
+    def counting(costs, spends):
+        calls.append(spends)
+        return step(costs, spends)
+
+    monkeypatch.setattr(rounding, "_step", counting)
+    m = 8
+    inst = PBInstance(
+        budget=Fraction(2),
+        cost=(Fraction(1),) * m,
+        utilities=((Fraction(1),) * m,),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome(["1/4"] * m)
+    probs = RoundingSampler(inst, p).probabilities()
+    assert len(calls) == len(set(calls)) == 46
+    assert len(probs) == 16
+    calls.clear()
+    sampler = RoundingSampler(inst, p)
+    sampler.sample_counts(derive_seeds(9, range(2000)))
+    assert len(calls) <= 46
+    assert sampler.probabilities() == probs
+    assert len(calls) == len(set(calls)) == 46
 
 
 def test_sampler_with_forty_fractional_projects():
