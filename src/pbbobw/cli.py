@@ -71,11 +71,24 @@ class UsageError(Exception):
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    """Write `text` to `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_instance(path: str) -> PBInstance:
@@ -117,11 +130,7 @@ def fractional_to_dict(instance: PBInstance, p: FractionalOutcome) -> dict:
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
 
 
 def _digest(instance: PBInstance) -> str:
@@ -366,27 +375,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown family {args.family!r}")
 
-    text = serialize_instance(instance) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize_instance(instance) + "\n", args.out)
     if fractional is not None:
-        ptext = (
-            json.dumps(
-                fractional_to_dict(instance, fractional),
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        _emit(
+            fractional_to_dict(instance, fractional),
+            args.out_fractional or (args.out and args.out + ".p.json"),
         )
-        if args.out:
-            ppath = args.out_fractional or args.out + ".p.json"
-            Path(ppath).write_text(ptext)
-        elif args.out_fractional:
-            Path(args.out_fractional).write_text(ptext)
-        else:
-            sys.stdout.write(ptext)
     return EXIT_OK
 
 

@@ -1,18 +1,20 @@
 """Dependent rounding of feasible fractional outcomes into BB1 outcomes.
 
-The randomized pairwise update is carried out in integer "spend space":
-after a one-time rescaling, each project's current spend w_c = q_c * cost(c)
-is an integer in [0, C_c], where C_c is the rescaled cost. `_step` is the
-one transition: it moves an integer amount of spend between the first two
-fractional projects, or rounds the last fractional one alone, so every
-intermediate state is exact. Each branch decision takes the next draw of a
-splitmix64 stream and compares it against the exact rational branch
-probability by integer cross-multiplication (per-decision bias at most
-2**-64).
+The randomized rounding is carried out in one integer "spend space"
+(`_spend_space`): after a one-time rescaling, each project c has an integer
+cost C_c and an integer spend w_c in [0, C_c] with q_c = w_c / C_c. A
+priced project's C_c is its rescaled cost; a zero-cost project's is its
+share's denominator. `_step` is the one transition: it moves an integer
+amount of spend between the first two fractional projects, or rounds the
+last fractional one `_alone`, so every intermediate state is exact. Each
+branch decision takes the next draw of a splitmix64 stream and compares it
+against the exact rational branch probability by integer
+cross-multiplication (per-decision bias at most 2**-64).
 
 Zero-cost projects never affect the spend conservation, so each fractional
-zero-cost project is rounded on its own first, in index order, one draw
-each; the spend-space steps take the draws that follow.
+zero-cost project is rounded `_alone` first, in index order, one draw
+each; `_step` takes the draws that follow. A leaf is the set of fully
+spent projects.
 
 `dependent_round` follows one seed's path and records it. `RoundingSampler`
 replays the same draws over a DAG of spend states: a branch depends only
@@ -119,6 +121,48 @@ class RoundingTrace:
         }
 
 
+def _spend_space(
+    instance: PBInstance, p: FractionalOutcome, target: Fraction
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """The integer spend space of `p`: ``(costs, spends, zero)``.
+
+    One LCM rescaling makes every priced cost and spend an integer. A
+    zero-cost project's cost here is its share's denominator and its spend
+    the numerator, so project j is funded with probability
+    spends[j] / costs[j] for every j. `zero` lists the fractional zero-cost
+    projects in index order.
+    """
+    if len(p.shares) != instance.m:
+        raise ValueError("fractional outcome has wrong length")
+    spent = p.cost(instance)
+    if spent != target:
+        raise ValueError(
+            f"fractional outcome spends {spent}, expected {target}"
+        )
+    denoms = [c.denominator for c in instance.cost]
+    denoms += [(s * c).denominator for s, c in zip(p.shares, instance.cost)]
+    scale = lcm(*denoms)
+    costs, spends = [], []
+    for s, c in zip(p.shares, instance.cost):
+        costs.append(int(c * scale) if c else s.denominator)
+        spends.append(int(s * c * scale) if c else s.numerator)
+    zero = tuple(
+        j
+        for j, c in enumerate(instance.cost)
+        if c == 0 and 0 < spends[j] < costs[j]
+    )
+    return costs, tuple(spends), zero
+
+
+def _alone(costs: Sequence[int], spends: tuple[int, ...], ell: int):
+    """Round project `ell` alone: `_step`'s ``(indices, num, den, up, down)``
+    moving its spend to its full cost with probability
+    spends[ell] / costs[ell] and to zero otherwise."""
+    up, down = list(spends), list(spends)
+    up[ell], down[ell] = costs[ell], 0
+    return (ell,), spends[ell], costs[ell], tuple(up), tuple(down)
+
+
 def _step(costs: Sequence[int], spends: tuple[int, ...]):
     """The one rounding transition from an integer spend state.
 
@@ -126,8 +170,8 @@ def _step(costs: Sequence[int], spends: tuple[int, ...]):
     ``(indices, num, den, up, down)``: the state moves to the spend tuple
     `up` with probability num/den and to `down` otherwise. The first two
     fractional projects trade spend until one of them is integral, each
-    keeping its expected spend; a last fractional project alone is rounded
-    to its full cost or to zero.
+    keeping its expected spend; a last fractional project is rounded
+    `_alone`.
     """
     frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
     if not frac:
@@ -144,109 +188,12 @@ def _step(costs: Sequence[int], spends: tuple[int, ...]):
         # P[up] = delta_down / (delta_up + delta_down)
         den = delta_up + delta_down
         return (i, j), delta_down, den, tuple(up), tuple(down)
-    ell = frac[0]
-    up[ell], down[ell] = costs[ell], 0
-    return (ell,), spends[ell], costs[ell], tuple(up), tuple(down)
+    return _alone(costs, spends, frac[0])
 
 
-class _Process:
-    """Shared exact state machine behind the direct and bulk samplers.
-
-    State is (chosen zero-cost set, integer spends). A run rounds the
-    fractional zero-cost projects, then takes `_step` until the spends are
-    integral; each decision consumes one 64-bit draw u and compares
-    ``u * den < num * 2**64``.
-    """
-
-    def __init__(self, instance: PBInstance, p: FractionalOutcome, target: Fraction):
-        if len(p.shares) != instance.m:
-            raise ValueError("fractional outcome has wrong length")
-        spent = p.cost(instance)
-        if spent != target:
-            raise ValueError(
-                f"fractional outcome spends {spent}, expected {target}"
-            )
-        self.instance = instance
-        self.p = p
-        denoms = [c.denominator for c in instance.cost]
-        denoms += [(s * c).denominator for s, c in zip(p.shares, instance.cost)]
-        scale = lcm(*denoms)
-        self.costs = [int(c * scale) for c in instance.cost]
-        self.spends0 = tuple(
-            int(s * c * scale) for s, c in zip(p.shares, instance.cost)
-        )
-        self.zero_frac = tuple(
-            j
-            for j in range(instance.m)
-            if instance.cost[j] == 0 and 0 < p.shares[j] < 1
-        )
-        self.zero_fixed = frozenset(
-            j
-            for j in range(instance.m)
-            if instance.cost[j] == 0 and p.shares[j] == 1
-        )
-
-    def outcome(self, spends: Sequence[int], zero_chosen: frozenset) -> IntegralOutcome:
-        chosen = set(zero_chosen) | set(self.zero_fixed)
-        for j in range(self.instance.m):
-            if self.costs[j] > 0 and spends[j] == self.costs[j]:
-                chosen.add(j)
-        return IntegralOutcome(chosen)
-
-    def q_snapshot(
-        self, spends: Sequence[int], zero_state: dict[int, Fraction]
-    ) -> tuple[Fraction, ...]:
-        out = []
-        for j in range(self.instance.m):
-            if self.costs[j] > 0:
-                out.append(Fraction(spends[j], self.costs[j]))
-            elif j in zero_state:
-                out.append(zero_state[j])
-            else:
-                out.append(self.p.shares[j])
-        return tuple(out)
-
-    def run(self, seed: int, rounds: list[RoundingRound]) -> IntegralOutcome:
-        """Follow one seed's path, appending each round to `rounds`."""
-        draws = _draws(seed)
-        costs = self.costs
-        spends = self.spends0
-        zero_state: dict[int, Fraction] = {}
-        t = 0
-        for j in self.zero_frac:
-            share = self.p.shares[j]
-            to_one = next(draws) * share.denominator < share.numerator * _TWO64
-            zero_state[j] = Fraction(int(to_one))
-            rounds.append(
-                RoundingRound(
-                    t=t,
-                    indices=(j,),
-                    alpha=1 - share,
-                    beta=share,
-                    branch="up" if to_one else "down",
-                    q=self.q_snapshot(spends, zero_state),
-                )
-            )
-            t += 1
-        while (step := _step(costs, spends)) is not None:
-            indices, num, den, up, down = step
-            go_up = next(draws) * den < num * _TWO64
-            i = indices[0]
-            rounds.append(
-                RoundingRound(
-                    t=t,
-                    indices=indices,
-                    alpha=Fraction(up[i] - spends[i], costs[i]),
-                    beta=Fraction(spends[i] - down[i], costs[i]),
-                    branch="up" if go_up else "down",
-                    q=self.q_snapshot(up if go_up else down, zero_state),
-                )
-            )
-            spends = up if go_up else down
-            t += 1
-        return self.outcome(
-            spends, frozenset(j for j, q in zero_state.items() if q)
-        )
+def _leaf(costs: Sequence[int], spends: Sequence[int]) -> IntegralOutcome:
+    """The outcome of an integral spend state: every fully spent project."""
+    return IntegralOutcome(j for j, c in enumerate(costs) if spends[j] == c)
 
 
 def dependent_round(
@@ -257,9 +204,32 @@ def dependent_round(
     Deterministic function of (instance, p, seed). The returned trace
     records every round with exact thresholds and state snapshots.
     """
-    proc = _Process(instance, p, instance.budget)
+    costs, spends, zero = _spend_space(instance, p, instance.budget)
+    draws = _draws(seed)
     rounds: list[RoundingRound] = []
-    outcome = proc.run(seed, rounds)
+    while True:
+        t = len(rounds)
+        if t < len(zero):
+            step = _alone(costs, spends, zero[t])
+        elif (step := _step(costs, spends)) is None:
+            break
+        indices, num, den, up, down = step
+        go_up = next(draws) * den < num * _TWO64
+        i = indices[0]
+        alpha = Fraction(up[i] - spends[i], costs[i])
+        beta = Fraction(spends[i] - down[i], costs[i])
+        spends = up if go_up else down
+        rounds.append(
+            RoundingRound(
+                t=t,
+                indices=indices,
+                alpha=alpha,
+                beta=beta,
+                branch="up" if go_up else "down",
+                q=tuple(Fraction(s, c) for s, c in zip(spends, costs)),
+            )
+        )
+    outcome = _leaf(costs, spends)
     return outcome, RoundingTrace(rounds=tuple(rounds), outcome=outcome, seed=seed)
 
 
@@ -298,14 +268,17 @@ def is_bfx(instance: PBInstance, outcome: IntegralOutcome) -> bool:
 class RoundingSampler:
     """Bulk sampler replaying `dependent_round`'s draws over a lazy DAG.
 
-    A sample first rounds each fractional zero-cost project on its own, in
-    index order, one draw each, as `dependent_round` does. It then walks a
-    DAG over spend states: a node is ``[t, up, down, step]``, where `step`
-    is `_step`'s ``(indices, num, den, up, down)`` and the threshold is
-    ``t = ceil(num * 2**64 / den)``. For an integer draw u, ``u < t`` holds
-    exactly when ``u * den < num * 2**64``, so each seed meets the same
-    draws and the same exact comparisons as in `dependent_round`: sampled
-    outcomes agree seed for seed.
+    A sample first draws each fractional zero-cost project's `_alone`
+    round, in index order, one draw each, as `dependent_round` does. It
+    then walks one DAG over spend states, shared by every pattern of those
+    draws: it starts from the state with each of them at spend 0, and the
+    drawn ones are added to the leaf. A node is ``[t, up, down, step]``,
+    where `step` is `_step`'s ``(indices, num, den, up, down)`` and the
+    threshold is ``t = ceil(num * 2**64 / den)``; the zero-cost rounds use
+    the same threshold. For an integer draw u, ``u < t`` holds exactly when
+    ``u * den < num * 2**64``, so each seed meets the same draws and the
+    same exact comparisons as in `dependent_round`: sampled outcomes agree
+    seed for seed.
 
     Nodes are memoised by spend tuple, so the sampler holds at most one
     node per distinct state, and every path into a state shares it (a
@@ -320,23 +293,27 @@ class RoundingSampler:
         p: FractionalOutcome,
         target: Optional[Fraction] = None,
     ) -> None:
-        self._proc = _Process(
+        costs, spends, zero = _spend_space(
             instance, p, instance.budget if target is None else target
         )
-        self._zero = [
-            (j, _threshold(p.shares[j].numerator, p.shares[j].denominator))
-            for j in self._proc.zero_frac
-        ]
+        self._costs = costs
+        # (j, threshold, exact share) of each zero-cost `_alone` round; the
+        # DAG starts from the state where all of them went down.
+        self._zero = []
+        for j in zero:
+            _, num, den, _, spends = _alone(costs, spends, j)
+            self._zero.append((j, _threshold(num, den), Fraction(num, den)))
+        self._spends0 = spends
         self._nodes: dict[tuple[int, ...], object] = {}
-        self._root = self._node(self._proc.spends0)
+        self._root = self._node(spends)
 
     def _node(self, spends: tuple[int, ...]):
         """The node or leaf outcome of a spend state, made once."""
         node = self._nodes.get(spends)
         if node is None:
-            step = _step(self._proc.costs, spends)
+            step = _step(self._costs, spends)
             if step is None:
-                node = self._proc.outcome(spends, frozenset())
+                node = _leaf(self._costs, spends)
             else:
                 _, num, den, up, down = step
                 node = [_threshold(num, den), up, down, step]
@@ -354,7 +331,7 @@ class RoundingSampler:
         the 2**-64 dyadic draw bias is below any statistical tolerance
         used in tests.
         """
-        costs = self._proc.costs
+        costs = self._costs
         levels: dict[int, dict[tuple[int, ...], Fraction]] = {}
 
         def push(spends: tuple[int, ...], weight: Fraction) -> None:
@@ -363,7 +340,7 @@ class RoundingSampler:
             )
             level[spends] = level.get(spends, 0) + weight
 
-        push(self._proc.spends0, Fraction(1))
+        push(self._spends0, Fraction(1))
         probs: dict[IntegralOutcome, Fraction] = {}
         for fractional in range(max(levels), -1, -1):
             for spends, weight in levels.pop(fractional, {}).items():
@@ -376,8 +353,7 @@ class RoundingSampler:
                 q = Fraction(num, den)
                 push(up, weight * q)
                 push(down, weight * (1 - q))
-        for j in self._proc.zero_frac:
-            share = self._proc.p.shares[j]
+        for j, _, share in self._zero:
             split: dict[IntegralOutcome, Fraction] = {}
             for w, weight in probs.items():
                 up = IntegralOutcome(w.projects | {j})
@@ -389,7 +365,7 @@ class RoundingSampler:
     def sample(self, seed: int) -> IntegralOutcome:
         state = seed & _MASK64
         chosen = []
-        for j, t in self._zero:
+        for j, t, _ in self._zero:
             if splitmix64(state) < t:
                 chosen.append(j)
             state = (state + _GAMMA) & _MASK64

@@ -378,6 +378,55 @@ def test_run_negative_samples_exits_2(capsys, instance_file):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize(
+    "flag", ["--instance", "--target", "--fractional", "--constraints"]
+)
+def test_input_that_is_not_utf8_exits_2(capsys, instance_file, tmp_path, flag):
+    """A file that starts with the bytes ff fe is a usage error naming the
+    file, whichever input flag reads it."""
+    bad = str(tmp_path / "bad.json")
+    Path(bad).write_bytes(b"\xff\xfe{}")
+    argv = {
+        "--instance": ["run", "--instance", bad, "--rule", "frd"],
+        "--target": ["verify", "--instance", instance_file, "--target", bad,
+                     "--axioms", "bb1"],
+        "--fractional": ["oracle", "--instance", instance_file, "--mode",
+                         "implementable", "--fractional", bad],
+        "--constraints": ["oracle", "--instance", instance_file, "--mode",
+                          "joint", "--constraints", bad],
+    }[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not valid UTF-8")
+
+
+def test_unwritable_out_exits_2(capsys, instance_file, tmp_path):
+    """Every command that writes a file turns a failed write into a usage
+    error naming the path."""
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["a", "b"]))
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ["run", "--instance", instance_file, "--rule", "frd"],
+        ["verify", "--instance", instance_file, "--target", str(target),
+         "--axioms", "bb1"],
+        ["oracle", "--instance", instance_file, "--mode", "joint"],
+        ["gen", "--family", "bfx"],
+        ["gen", "--family", "gfs-jr"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", missing)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {missing}: ")
+    # The instance is written, then its fractional outcome fails.
+    out = tmp_path / "bfx.json"
+    code, _, err = run_cli(
+        capsys, "gen", "--family", "bfx", "--out", str(out),
+        "--out-fractional", missing,
+    )
+    assert code == 2 and out.exists()
+    assert err.startswith(f"error: cannot write {missing}: ")
+
+
 def _wide_binary_file(tmp_path, m):
     ids = [f"p{j:02d}" for j in range(m)]
     doc = {

@@ -199,6 +199,85 @@ def test_sampler_makes_one_node_per_spend_state(monkeypatch):
     assert len(calls) == len(set(calls)) == 46
 
 
+def test_zero_cost_states_do_not_split_the_spend_dag(monkeypatch):
+    """Two fractional zero-cost projects (shares 1/3 and 1/2) added to the
+    eight-project instance above leave its 46 spend states unsplit: the
+    sampler does not key its DAG on the zero-cost draws."""
+    calls = []
+    step = rounding._step
+
+    def counting(costs, spends):
+        calls.append(spends)
+        return step(costs, spends)
+
+    monkeypatch.setattr(rounding, "_step", counting)
+    cost = [Fraction(1)] * 8
+    shares = [Fraction(1, 4)] * 8
+    for at, share in ((2, Fraction(1, 3)), (6, Fraction(1, 2))):
+        cost.insert(at, Fraction(0))
+        shares.insert(at, share)
+    m = len(cost)
+    inst = PBInstance(
+        budget=Fraction(2),
+        cost=tuple(cost),
+        utilities=((Fraction(1),) * m,),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome(shares)
+    probs = RoundingSampler(inst, p).probabilities()
+    assert len(calls) == 46
+    assert len(probs) == 64
+    calls.clear()
+    RoundingSampler(inst, p).sample_counts(derive_seeds(9, range(2000)))
+    assert len(calls) <= 46
+
+
+def test_zero_cost_rounds_in_the_trace():
+    """The exact trace of two fixed seeds on an instance with two
+    fractional zero-cost projects (a and d): each is rounded alone first,
+    with alpha = 1 - share and beta = share, then the priced projects."""
+    inst = PBInstance(
+        budget=Fraction(2),
+        cost=(Fraction(0), Fraction(1), Fraction(2), Fraction(0), Fraction(1)),
+        utilities=((Fraction(1),) * 5,),
+        project_ids=("a", "b", "c", "d", "e"),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome(["1/3", "1/2", "1/2", "2/5", "1/2"])
+    expected = {
+        3: (
+            [
+                ([0], "2/3", "1/3", "up", ["1", "1/2", "1/2", "2/5", "1/2"]),
+                ([3], "3/5", "2/5", "down", ["1", "1/2", "1/2", "0", "1/2"]),
+                ([1, 2], "1/2", "1/2", "down", ["1", "0", "3/4", "0", "1/2"]),
+                ([2, 4], "1/4", "1/4", "up", ["1", "0", "1", "0", "0"]),
+            ],
+            [0, 2],
+        ),
+        7: (
+            [
+                ([0], "2/3", "1/3", "down", ["0", "1/2", "1/2", "2/5", "1/2"]),
+                ([3], "3/5", "2/5", "up", ["0", "1/2", "1/2", "1", "1/2"]),
+                ([1, 2], "1/2", "1/2", "down", ["0", "0", "3/4", "1", "1/2"]),
+                ([2, 4], "1/4", "1/4", "down", ["0", "0", "1/2", "1", "1"]),
+                ([2], "1/2", "1/2", "up", ["0", "0", "1", "1", "1"]),
+            ],
+            [2, 3, 4],
+        ),
+    }
+    for seed, (rounds, outcome) in expected.items():
+        assert dependent_round(inst, p, seed)[1].to_dict() == {
+            "seed": seed,
+            "rounds": [
+                {"t": t, "indices": indices, "alpha": alpha, "beta": beta,
+                 "branch": branch, "q": q}
+                for t, (indices, alpha, beta, branch, q) in enumerate(rounds)
+            ],
+            "outcome": outcome,
+        }
+
+
 def test_sampler_with_forty_fractional_projects():
     """A full tree would have about 2^40 nodes; the sampler makes only the
     nodes its samples reach."""
