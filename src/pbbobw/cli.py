@@ -81,14 +81,32 @@ def _load_json(path: str):
 
 
 def _write(text: str, path: Optional[str]) -> None:
-    """Write `text` to `path`, or to stdout when no path is given."""
+    """Write `text` to `path`, or to stdout when no path is given.
+
+    An existing regular file is unlinked and written anew rather than
+    truncated in place: on ext4 a file truncated and rewritten is flushed
+    to disk when it is closed, which costs tens of milliseconds.
+    """
     if not path:
         sys.stdout.write(text)
         return
+    target = Path(path)
     try:
-        Path(path).write_text(text)
+        if target.is_file() and not target.is_symlink():
+            target.unlink()
+        target.write_text(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out_dirs(args: argparse.Namespace) -> None:
+    """Fail before any work when an output file's directory is missing."""
+    for name in ("out", "out_fractional"):
+        path = getattr(args, name, None)
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(
+                f"cannot write {path}: {Path(path).parent} is not a directory"
+            )
 
 
 def _load_instance(path: str) -> PBInstance:
@@ -463,6 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes.
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
+        _check_out_dirs(args)
         return args.handler(args)
     except (
         UsageError,

@@ -1,24 +1,30 @@
 """Ex-ante fair-share axioms: IFS, Strong IFS, UFS, Strong UFS, GFS.
 
-Each axiom is written once, as rows ``(voters, coefficients, bound)``:
-the exact linear inequality ``sum_j coefficients[j] * p_j >= bound`` over
+Each axiom is written once, as ``Rows``: integer rows ``(voters,
+coefficients, bound)`` on one common denominator d per axiom, each the
+exact linear inequality ``sum_j coefficients[j]/d * p_j >= bound/d`` over
 the marginals p, whose bound comes from the voters' optimal fractional
 utilities opt_i. ``verify`` reads the rows through the ``check_*``
-functions, which evaluate them at p; ``oracle --builtin`` reads them
-through ``ifs_rows`` and ``gfs_rows``, which hand them to the LP.
+functions, which scale p once to integers on its own denominator q and
+evaluate every row with integer products and compares; only the reported
+witnesses become fractions again. ``oracle --builtin`` reads the same rows
+through ``ifs_rows`` and ``gfs_rows``, which divide them by d for the LP.
 
 IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
 per maximal unanimous cell; both bounds are monotone in the group size, so
 any unanimous subgroup's bound is implied by its cell's. GFS has one row
 per non-empty voter group S, ``sum_j p_j max_{i in S} u_ij >= sum_{i in S}
 opt_i(B) / n`` (Fain, Goel, Munagala, WINE 2016); the groups come from
-``subset_walk``, each row extended from its prefix's.
+``subset_walk``, each row extended from its prefix's by one elementwise
+integer ``max``. The check stays exponential in n: 2^n - 1 rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,8 +32,22 @@ from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
 from .model import FractionalOutcome, PBInstance, rational_str, subset_walk
 
-# (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound.
-Row = tuple[tuple[int, ...], Sequence[Fraction], Fraction]
+# (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound,
+# in integers on the common denominator of its ``Rows``.
+Row = tuple[tuple[int, ...], Sequence[int], int]
+
+
+@dataclass(frozen=True)
+class Rows:
+    """An axiom's rows, each an integer row over one common denominator:
+    the row ``(voters, c, b)`` stands for sum_j (c_j/d) p_j >= b/d with
+    d = ``denominator``. Iterating gives the rows."""
+
+    denominator: int
+    rows: Iterable[Row]
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows)
 
 
 @dataclass(frozen=True)
@@ -118,9 +138,11 @@ def optimal_fractional_utility(
 # The rows of each axiom
 
 
-def _share_rows(
-    instance: PBInstance, unanimous: bool, strong: bool
-) -> Iterator[Row]:
+def _lcm_of_denominators(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
     """One row per voter, or per unanimous cell S: the utility of S's
     common vector is at least |S|/n * opt_i(B), or with ``strong`` at least
     opt_i(|S| * B / n)."""
@@ -129,59 +151,85 @@ def _share_rows(
     else:
         cells = tuple((i,) for i in range(instance.n))
     budget = instance.budget
+    rows = []
     for cell in cells:
         i, share = cell[0], Fraction(len(cell), instance.n)
         if strong:
             bound = optimal_fractional_utility(instance, i, share * budget)
         else:
             bound = share * optimal_fractional_utility(instance, i, budget)
-        yield cell, instance.utilities[i], bound
+        rows.append((cell, instance.utilities[i], bound))
+    d = _lcm_of_denominators(
+        chain.from_iterable((*c, b) for _, c, b in rows)
+    )
+    return Rows(d, [
+        (cell, tuple(int(c * d) for c in coefficients), int(bound * d))
+        for cell, coefficients, bound in rows
+    ])
 
 
-def _group_rows(instance: PBInstance, limit: Optional[int]) -> Iterator[Row]:
+def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
     """One GFS row per non-empty voter group, by size, then
-    lexicographically; a group's max row and its sum of opt_i extend its
-    prefix's by one voter."""
+    lexicographically. The utilities and each opt_i/n are scaled once to
+    integers on their common denominator; a group's max row and its sum
+    of opt_i/n extend its prefix's by one voter."""
     n = instance.n
     limit = exponential_limit(limit)
     if n > limit:
         raise ScaleError(
             f"GFS enumeration over 2^{n} groups exceeds limit {limit}"
         )
-    opt = [
-        optimal_fractional_utility(instance, i, instance.budget)
+    shares = [
+        optimal_fractional_utility(instance, i, instance.budget) / n
         for i in range(n)
     ]
-    utilities = instance.utilities
+    d = _lcm_of_denominators(
+        chain(shares, chain.from_iterable(instance.utilities))
+    )
+    utilities = [tuple(int(u * d) for u in row) for row in instance.utilities]
+    share = [int(x * d) for x in shares]
 
     def extend(prefix, i):
         top, total = prefix
-        return tuple(map(max, top, utilities[i])), total + opt[i]
+        return tuple(map(max, top, utilities[i])), total + share[i]
 
-    root = ((Fraction(0),) * instance.m, Fraction(0))
-    return (
-        (group, top, total / n)
+    root = ((0,) * instance.m, 0)
+    return Rows(d, (
+        (group, top, total)
         for group, (top, total) in subset_walk(range(n), root, extend)
-    )
+    ))
 
 
 def _report(
-    axiom: str, rows: Iterable[Row], p: FractionalOutcome, worst: bool = False
+    axiom: str, rows: Rows, p: FractionalOutcome, worst: bool = False
 ) -> ExAnteReport:
     """Every violated row is a witness. With ``worst``, a report that holds
-    names the row of least lhs - rhs instead, the first one on ties."""
+    names the row of least lhs - rhs instead, the first one on ties.
+
+    p is scaled once to integers on its common denominator q, so each row
+    costs m integer products: lhs·d·q against bound·q. Only the reported
+    rows are turned back into fractions."""
+    q = _lcm_of_denominators(p.shares)
+    scaled = [int(x * q) for x in p.shares]
     violations = []
     least = None
     for voters, coefficients, bound in rows:
-        lhs = sum(map(mul, coefficients, p.shares), Fraction(0))
-        slack = lhs - bound
+        lhs = sum(map(mul, coefficients, scaled))
+        slack = lhs - bound * q
         if slack < 0:
-            violations.append(Witness(voters, lhs, bound))
+            violations.append((voters, lhs, bound))
         elif worst and (least is None or slack < least[0]):
             least = (slack, voters, lhs, bound)
     if violations or least is None:
-        return ExAnteReport(axiom, not violations, tuple(violations))
-    return ExAnteReport(axiom, True, (Witness(*least[1:]),))
+        reported = violations
+    else:
+        reported = [least[1:]]
+    d = rows.denominator
+    witnesses = tuple(
+        Witness(voters, Fraction(lhs, d * q), Fraction(bound, d))
+        for voters, lhs, bound in reported
+    )
+    return ExAnteReport(axiom, not violations, witnesses)
 
 
 def check_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
@@ -212,8 +260,12 @@ def check_gfs(
 # The same rows as LP constraints over the marginals
 
 
-def _constraints(rows: Iterable[Row]) -> list[LinearConstraint]:
-    return [LinearConstraint(tuple(c), ">=", bound) for _, c, bound in rows]
+def _constraints(rows: Rows) -> list[LinearConstraint]:
+    d = rows.denominator
+    return [
+        LinearConstraint(tuple(Fraction(x, d) for x in c), ">=", Fraction(b, d))
+        for _, c, b in rows
+    ]
 
 
 def ifs_rows(instance: PBInstance) -> list[LinearConstraint]:
@@ -227,8 +279,7 @@ def gfs_rows(
     """One GFS row per non-empty voter group S, in bitmask order: the row
     of S is number sum_{i in S} 2^i - 1. With 0/1 utilities a row's
     coefficients mark the union of the group's approval sets."""
-    rows = sorted(
-        _group_rows(instance, limit),
-        key=lambda row: sum(1 << i for i in row[0]),
-    )
-    return _constraints(rows)
+    rows = _group_rows(instance, limit)
+    return _constraints(Rows(rows.denominator, sorted(
+        rows, key=lambda row: sum(1 << i for i in row[0])
+    )))

@@ -5,18 +5,33 @@ voters, all deprived in the axiom's sense, with |group|·B ≥ n·cost(T)?
 (Any subgroup of that size is itself cohesive.) `cohesive_groups` is the
 one search: it walks a source of project sets and keeps the voter groups
 an axiom's rule yields for each T that are large enough, and a checker's
-witness is the first of them. EJR, FJR and EJR-x walk `within_budget`:
-as the group has at most n voters, only sets with cost(T) <= B can be
-violated, so they visit those sets only, through ``PBInstance.subsets``,
-behind the project-set limit. JR is EJR's rule over the single projects
+witness is the first of them. JR is EJR's rule over the single projects
 (at |T| = 1 EJR's deprived voters are JR's), and general JR its
-α-threshold rule over them; both are polynomial and not gated. GCR in
+α-threshold rule over them; both are polynomial and not gated. EJR, FJR
+and EJR-x walk `within_budget`, behind the project-set limit, and GCR in
 `rules` reads the same candidates over the projects it has not chosen.
 
-The budget pruning is exact, not a polynomial algorithm: the searches
-stay exponential in the number of projects, and EJR verification is
-coNP-complete (Aziz, Elkind, Huang, Lackner, Sánchez-Fernández, Skowron,
-AAAI 2018). All comparisons are exact; budget never appears as a divisor.
+`within_budget` walks ``model.subset_walk`` on integers: costs and B
+scaled by the instance's ``cost_scale``, T as a project bitmask and the
+voters approving all of T as a voter bitmask, so a step is a few integer
+operations and ``int.bit_count`` calls. It drops T with all its
+extensions, exactly, when no extension can have a large enough
+non-empty group (a count of 0 drops T too):
+- cost(T) > B (a group has at most n voters);
+- for EJR and EJR-x, #{i : T ⊆ A_i}·B < n·cost(T), since every deprived
+  voter approves all of T;
+- for FJR, #{i : won_i < |A_i ∩ (T ∪ R)|}·B < n·cost(T), where R is the
+  pool after T's last project (any extension lies within T ∪ R);
+- for GCR, #{active i : A_i ∩ (T ∪ R) ≠ ∅}·B < n·cost(T).
+Each count only falls and cost(T) only rises along an extension, so the
+sets left keep their (size, lexicographic) order and the first witness,
+and GCR's choice, stay the same.
+
+The pruning is exact, not a polynomial algorithm: the searches stay
+exponential in the number of projects (one large cohesive group still
+costs 2^|A_i| sets), and EJR verification is coNP-complete (Aziz, Elkind,
+Huang, Lackner, Sánchez-Fernández, Skowron, AAAI 2018). All comparisons
+are exact; budget never appears as a divisor.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ from .model import (
     classify,
     has_cost_utilities,
     rational_str,
+    subset_walk,
     utility,
 )
 
@@ -83,38 +99,104 @@ def _require_binary(instance: PBInstance, checker: str) -> None:
         raise SettingError(f"{checker} requires binary utilities")
 
 
-_Candidate = tuple[tuple[int, ...], Fraction, Sequence[int], dict]
-_Rule = Callable[[frozenset[int]], Iterable[tuple[Sequence[int], dict]]]
+# (T, cost(T)·scale, T as a project bitmask, the voters approving all of
+# T as a voter bitmask): one project set of a walk.
+_Walked = tuple[tuple[int, ...], int, int, int]
+_Candidate = tuple[tuple[int, ...], int, Sequence[int], dict]
+_Rule = Callable[
+    [tuple[int, ...], int, int, int], Iterable[tuple[Sequence[int], dict]]
+]
+# The number of voters that can still join a group for T or for any
+# extension of T: called with T ∪ R as a project bitmask (R the pool
+# after T's last project) and the approvers of all of T as a voter mask.
+_Reach = Callable[[int, int], int]
+
+
+def _approvers(instance: PBInstance) -> list[int]:
+    """For each project, the voters approving it as a bitmask."""
+    masks = instance.approval_masks
+    return [
+        sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1)
+        for j in range(instance.m)
+    ]
 
 
 def within_budget(
-    instance: PBInstance, pool: Iterable[int], limit: Optional[int], label: str
-) -> Iterator[tuple[int, ...]]:
-    """The project sets of ``pool`` that cost at most B, by size then
-    lexicographically; raises ``ScaleError`` at once above the limit."""
+    instance: PBInstance,
+    pool: Iterable[int],
+    limit: Optional[int],
+    label: str,
+    reach: _Reach,
+) -> Iterator[_Walked]:
+    """The project sets T of the ascending ``pool`` with cost(T) <= B that
+    some large enough group may still support, by size then
+    lexicographically; raises ``ScaleError`` at once above the limit.
+
+    The walk sums integer ``scaled_costs`` and carries T's project mask and
+    the mask of T's common approvers. T is dropped with all its extensions
+    when ``reach`` counts no voter, or too few to afford T:
+    count·B < n·cost(T). Extensions only add cost, and ``reach`` must not
+    grow along them, so no dropped set has a cohesive group.
+    """
     if instance.m > project_limit(limit):
         raise ScaleError(f"{label} over 2^{instance.m} project sets")
-    return instance.subsets(pool, instance.budget)
+    pool = tuple(pool)
+    cost, budget, n = instance.scaled_costs, instance.scaled_budget, instance.n
+    approvers = _approvers(instance)
+    # after[j]: the pool's projects after j, as a bitmask
+    after, rest = {}, 0
+    for j in reversed(pool):
+        after[j], rest = rest, rest | 1 << j
+
+    def extend(prefix, j):
+        total, mask, common = prefix
+        total += cost[j]
+        if total > budget:
+            return None
+        mask, common = mask | 1 << j, common & approvers[j]
+        count = reach(mask | after[j], common)
+        if not count or count * budget < n * total:
+            return None
+        return total, mask, common
+
+    root = (0, 0, (1 << n) - 1)
+    return (
+        (group, *value) for group, value in subset_walk(pool, root, extend)
+    )
+
+
+def _singles(instance: PBInstance) -> Iterator[_Walked]:
+    """Each single project as a walked set, unpruned and ungated."""
+    cost = instance.scaled_costs
+    for j, common in enumerate(_approvers(instance)):
+        yield (j,), cost[j], 1 << j, common
+
+
+def _common_approvers(within: int, common: int) -> int:
+    """EJR's and EJR-x's reach: the voters approving all of T."""
+    return common.bit_count()
 
 
 def cohesive_groups(
-    instance: PBInstance, groups: Iterable[tuple[int, ...]], rule: _Rule
+    instance: PBInstance, groups: Iterable[_Walked], rule: _Rule
 ) -> Iterator[_Candidate]:
-    """``(T, cost(T), voters, fields)`` for each T of ``groups``, in order,
-    and each ``(voters, fields)`` that ``rule(frozenset(T))`` yields whose
-    non-empty ``voters`` are enough to afford T: |voters|·B ≥ n·cost(T).
+    """``(T, cost, voters, fields)`` for each walked ``(T, cost, mask,
+    common)`` of ``groups``, in order, and each ``(voters, fields)`` that
+    ``rule(T, cost, mask, common)`` yields whose non-empty ``voters`` are
+    enough to afford T: |voters|·B ≥ n·cost(T), on the scaled costs.
     ``fields`` are the witness's extra fields (``beta`` or ``alpha``)."""
-    for group in groups:
-        cost = instance.total_cost(group)
-        for voters, fields in rule(frozenset(group)):
-            if voters and len(voters) * instance.budget >= instance.n * cost:
+    budget, n = instance.scaled_budget, instance.n
+    for walked in groups:
+        group, cost = walked[:2]
+        for voters, fields in rule(*walked):
+            if voters and len(voters) * budget >= n * cost:
                 yield group, cost, voters, fields
 
 
 def _first(
     instance: PBInstance,
     axiom: str,
-    groups: Iterable[tuple[int, ...]],
+    groups: Iterable[_Walked],
     rule: _Rule,
     note: str,
 ) -> ExPostReport:
@@ -127,16 +209,21 @@ def _first(
     return ExPostReport(axiom=axiom, holds=True)
 
 
+def _won(instance: PBInstance, outcome: IntegralOutcome) -> list[int]:
+    """How many approved projects each voter wins."""
+    funded = sum(1 << j for j in outcome.projects)
+    return [(mask & funded).bit_count() for mask in instance.approval_masks]
+
+
 def _ejr_rule(instance: PBInstance, outcome: IntegralOutcome) -> _Rule:
     """Voters who approve all of T and win fewer than |T| projects."""
-    approvals = [instance.approval_set(i) for i in range(instance.n)]
-    won = [len(approvals[i] & outcome.projects) for i in range(instance.n)]
+    won = _won(instance, outcome)
 
-    def rule(projects: frozenset[int]):
+    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
         yield [
             i
             for i in range(instance.n)
-            if projects <= approvals[i] and won[i] < len(projects)
+            if common >> i & 1 and won[i] < len(projects)
         ], {}
 
     return rule
@@ -146,9 +233,8 @@ def check_jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> ExPostRep
     """Justified representation for binary utilities (polynomial check):
     EJR's rule over the single projects."""
     _require_binary(instance, "check_jr_binary")
-    singles = ((j,) for j in range(instance.m))
     return _first(
-        instance, "jr", singles, _ejr_rule(instance, outcome),
+        instance, "jr", _singles(instance), _ejr_rule(instance, outcome),
         "cohesive group with zero represented members",
     )
 
@@ -158,7 +244,9 @@ def check_ejr_binary(
 ) -> ExPostReport:
     """Extended justified representation for binary utilities."""
     _require_binary(instance, "check_ejr_binary")
-    groups = within_budget(instance, range(instance.m), limit, "EJR enumeration")
+    groups = within_budget(
+        instance, range(instance.m), limit, "EJR enumeration", _common_approvers
+    )
     return _first(
         instance, "ejr", groups, _ejr_rule(instance, outcome),
         "cohesive group where everyone wins fewer than |T| projects",
@@ -168,20 +256,31 @@ def check_ejr_binary(
 def check_fjr_binary(
     instance: PBInstance, outcome: IntegralOutcome, limit: Optional[int] = None
 ) -> ExPostReport:
-    """Full justified representation for binary utilities."""
-    _require_binary(instance, "check_fjr_binary")
-    approvals = [instance.approval_set(i) for i in range(instance.n)]
-    won = [len(approvals[i] & outcome.projects) for i in range(instance.n)]
+    """Full justified representation for binary utilities.
 
-    def rule(projects: frozenset[int]):
+    A voter can join a group for (T′, β) with T′ ⊆ T ∪ R only if it wins
+    fewer than |A_i ∩ (T ∪ R)| projects, which is the walk's reach."""
+    _require_binary(instance, "check_fjr_binary")
+    approvals = instance.approval_masks
+    won = _won(instance, outcome)
+
+    def reach(within: int, common: int) -> int:
+        return sum(
+            (mask & within).bit_count() > w for mask, w in zip(approvals, won)
+        )
+
+    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
+        have = [(approved & mask).bit_count() for approved in approvals]
         for beta in range(1, len(projects) + 1):
             yield [
                 i
                 for i in range(instance.n)
-                if len(approvals[i] & projects) >= beta and won[i] < beta
+                if have[i] >= beta and won[i] < beta
             ], {"beta": beta}
 
-    groups = within_budget(instance, range(instance.m), limit, "FJR enumeration")
+    groups = within_budget(
+        instance, range(instance.m), limit, "FJR enumeration", reach
+    )
     return _first(
         instance, "fjr", groups, rule,
         "weakly cohesive group where everyone wins fewer than beta projects",
@@ -197,7 +296,7 @@ def check_jr_general(instance: PBInstance, outcome: IntegralOutcome) -> ExPostRe
     """
     sat = [utility(instance, i, outcome) for i in range(instance.n)]
 
-    def rule(projects: frozenset[int]):
+    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
         (j,) = projects
         thresholds = {
             min(Fraction(1), instance.utilities[i][j])
@@ -211,9 +310,8 @@ def check_jr_general(instance: PBInstance, outcome: IntegralOutcome) -> ExPostRe
                 if instance.utilities[i][j] >= alpha and sat[i] < alpha
             ], {"alpha": alpha}
 
-    singles = ((j,) for j in range(instance.m))
     return _first(
-        instance, "jr-general", singles, rule,
+        instance, "jr-general", _singles(instance), rule,
         "(alpha, {j})-cohesive group below threshold alpha",
     )
 
@@ -224,22 +322,32 @@ def check_ejrx_cost(
     """EJR up to any project, for cost utilities."""
     if not has_cost_utilities(instance):
         raise SettingError("check_ejrx_cost requires cost utilities")
-    approvals = [instance.approval_set(i) for i in range(instance.n)]
-    base = [utility(instance, i, outcome) for i in range(instance.n)]
+    scaled = instance.scaled_costs
+    # u_i(W) on the scaled costs: the cost of the funded approved projects
+    base = [
+        sum(scaled[j] for j in outcome.projects if approved >> j & 1)
+        for approved in instance.approval_masks
+    ]
 
-    def rule(projects: frozenset[int]):
+    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
         # On T within a voter's approval set, cost utilities give
-        # u_i(T) = cost(T) and u_i(c) = cost(c).
-        missing = projects - outcome.projects
-        target = instance.total_cost(projects)
+        # u_i(T) = cost(T) and u_i(c) = cost(c), so a voter is deprived
+        # when its utility plus the cheapest missing project is at most
+        # cost(T).
+        missing = [scaled[c] for c in projects if c not in outcome.projects]
+        if not missing:
+            return
+        cheapest = min(missing)
         yield [
             i
             for i in range(instance.n)
-            if projects <= approvals[i]
-            and any(base[i] + instance.cost[c] <= target for c in missing)
+            if common >> i & 1 and base[i] + cheapest <= cost
         ], {}
 
-    groups = within_budget(instance, range(instance.m), limit, "EJR-x enumeration")
+    groups = within_budget(
+        instance, range(instance.m), limit, "EJR-x enumeration",
+        _common_approvers,
+    )
     return _first(
         instance, "ejr-x", groups, rule,
         "cohesive group unsatisfied even up to any missing project",

@@ -1,16 +1,23 @@
 """Core domain types for participatory-budgeting lotteries.
 
 All numeric quantities are exact rationals (`fractions.Fraction`); no
-floating point enters any predicate or algorithm in this package.
+floating point enters any predicate or algorithm in this package. The
+exponential walks over project sets work on the same values scaled to
+integers: costs and B times ``PBInstance.cost_scale``, the least common
+multiple of their denominators, and approval sets as bitmasks. That keeps
+them exact while a step costs a few integer operations; the walks are
+still exponential in the number of projects.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 )
@@ -98,22 +105,48 @@ class PBInstance:
     def total_cost(self, projects: Iterable[int]) -> Fraction:
         return sum((self.cost[j] for j in projects), Fraction(0))
 
+    @cached_property
+    def cost_scale(self) -> int:
+        """The least common multiple of the denominators of the costs and
+        B, computed once per instance: scaled by it, all are integers."""
+        return math.lcm(
+            self.budget.denominator, *(c.denominator for c in self.cost)
+        )
+
+    @cached_property
+    def scaled_costs(self) -> tuple[int, ...]:
+        return tuple(int(c * self.cost_scale) for c in self.cost)
+
+    @cached_property
+    def scaled_budget(self) -> int:
+        return int(self.budget * self.cost_scale)
+
+    @cached_property
+    def approval_masks(self) -> tuple[int, ...]:
+        """Each voter's approval set as a bitmask over project indices."""
+        return tuple(
+            sum(1 << j for j, u in enumerate(row) if u > 0)
+            for row in self.utilities
+        )
+
     def subsets(
         self, pool: Iterable[int], ceiling: Optional[Fraction] = None
     ) -> Iterator[tuple[int, ...]]:
         """The non-empty subsets of ``pool`` that cost at most ``ceiling``
         (any cost when None), in ``subset_walk`` order.
 
-        A prefix over the ceiling is dropped with all its extensions, none
-        of which can fit because costs are non-negative.
+        The walk sums the integer ``scaled_costs``. A prefix over the
+        ceiling is dropped with all its extensions, none of which can fit
+        because costs are non-negative.
         """
-        cost = self.cost
+        cost = self.scaled_costs
+        cap = None if ceiling is None else math.floor(ceiling * self.cost_scale)
 
-        def extend(total: Fraction, j: int) -> Optional[Fraction]:
+        def extend(total: int, j: int) -> Optional[int]:
             total += cost[j]
-            return total if ceiling is None or total <= ceiling else None
+            return total if cap is None or total <= cap else None
 
-        return (chosen for chosen, _ in subset_walk(pool, Fraction(0), extend))
+        return (chosen for chosen, _ in subset_walk(pool, 0, extend))
 
     def project_index(self, pid: str) -> int:
         try:

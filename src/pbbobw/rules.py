@@ -82,26 +82,32 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     Each step takes the `expost.cohesive_groups` candidate over the
     within-budget sets of unchosen projects with the largest beta, then
     smallest cost(T), then largest group, then lexicographically first T.
+    A supporter of T, or of any extension of it within T ∪ R (R the
+    unchosen projects after T's last), is an active voter approving some
+    project of T ∪ R; the walk drops T with its extensions when too few
+    such voters could afford it, which never drops a candidate.
     """
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError("gcr requires binary utilities")
-    approvals = [instance.approval_set(i) for i in range(instance.n)]
-    active = set(range(instance.n))
+    approvals = instance.approval_masks
+    active = list(range(instance.n))  # ascending
     chosen: set[int] = set()
     steps: list[GCRStep] = []
 
-    def supporters(projects: frozenset[int]):
+    def reach(within: int, common: int) -> int:
+        return sum(1 for i in active if approvals[i] & within)
+
+    def supporters(projects: tuple[int, ...], cost: int, mask: int, common: int):
+        have = [(i, (approvals[i] & mask).bit_count()) for i in active]
         for beta in range(1, len(projects) + 1):
-            voters = tuple(
-                i for i in sorted(active) if len(approvals[i] & projects) >= beta
-            )
+            voters = tuple(i for i, count in have if count >= beta)
             if not voters:
                 break
             yield voters, {"beta": beta}
 
     while True:
         remaining = [j for j in range(instance.m) if j not in chosen]
-        groups = within_budget(instance, remaining, limit, "GCR search")
+        groups = within_budget(instance, remaining, limit, "GCR search", reach)
         best = min(
             cohesive_groups(instance, groups, supporters),
             key=lambda c: (-c[3]["beta"], c[1], -len(c[2]), c[0]),
@@ -112,7 +118,7 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
         group, _, voters, fields = best
         steps.append(GCRStep(beta=fields["beta"], projects=group, voters=voters))
         chosen.update(group)
-        active.difference_update(voters)
+        active = [i for i in active if i not in voters]
     return GCRTrace(steps=tuple(steps), outcome=IntegralOutcome(chosen))
 
 

@@ -142,3 +142,47 @@ def with_zero_cost_projects(
         project_ids=tuple(f"p{j + 1}" for j in range(len(cost))),
         voter_ids=instance.voter_ids,
     )
+
+
+def dense_instance(rng: random.Random, utilities: str = "binary") -> PBInstance:
+    """An instance of 4 to 8 voters and 5 to 8 projects in which each
+    voter approves each project with probability 3/4 (at least one), and
+    B is about half the total cost: many sets fit the budget, and many of
+    them have too few common approvers to afford them."""
+    n, m = rng.randint(4, 8), rng.randint(5, 8)
+    cost = [rand_cost(rng) for _ in range(m)]
+    budget = max(max(cost), sum(cost) * Fraction(rng.randint(3, 6), 10))
+    rows = []
+    for _ in range(n):
+        approved = [j for j in range(m) if rng.random() < 0.75]
+        approved = approved or [rng.randrange(m)]
+        rows.append(tuple(
+            (cost[j] if utilities == "cost" else Fraction(1))
+            if j in approved else Fraction(0)
+            for j in range(m)
+        ))
+    return PBInstance(
+        budget=budget,
+        cost=tuple(cost),
+        utilities=tuple(rows),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=tuple(f"v{i + 1}" for i in range(n)),
+    )
+
+
+def count_walks(monkeypatch) -> list[int]:
+    """Patch the enumerator the ex-post walks call so that each walk
+    appends the number of project sets it yields (the sets it visits)
+    to the returned list."""
+    from pbbobw import expost, model
+
+    visited: list[int] = []
+
+    def walk(pool, root, extend):
+        visited.append(0)
+        for item in model.subset_walk(pool, root, extend):
+            visited[-1] += 1
+            yield item
+
+    monkeypatch.setattr(expost, "subset_walk", walk)
+    return visited

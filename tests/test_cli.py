@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -417,14 +418,45 @@ def test_unwritable_out_exits_2(capsys, instance_file, tmp_path):
         code, out, err = run_cli(capsys, *argv, "--out", missing)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {missing}: ")
-    # The instance is written, then its fractional outcome fails.
+    # Both paths are checked before anything is computed or written.
     out = tmp_path / "bfx.json"
     code, _, err = run_cli(
         capsys, "gen", "--family", "bfx", "--out", str(out),
         "--out-fractional", missing,
     )
-    assert code == 2 and out.exists()
+    assert code == 2 and not out.exists()
     assert err.startswith(f"error: cannot write {missing}: ")
+
+
+def test_out_under_a_file_exits_2_before_any_work(capsys, tmp_path):
+    parent = tmp_path / "plain"
+    parent.write_text("")
+    out = str(parent / "x.json")
+    code, stdout, err = run_cli(
+        capsys, "run", "--instance", str(tmp_path / "absent.json"),
+        "--rule", "mes", "--out", out,
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_overwritten_out_is_a_new_file_with_the_same_bytes(capsys, tmp_path):
+    """An existing output is replaced, not truncated in place; a symlink
+    is still written through."""
+    out = tmp_path / "i.json"
+    assert run_cli(capsys, "gen", "--family", "ifs-jr", "--out", str(out))[0] == 0
+    first = out.read_bytes()
+    kept = tmp_path / "kept.json"
+    os.link(out, kept)  # holds the old inode so it cannot be reused
+    assert run_cli(capsys, "gen", "--family", "ifs-jr", "--out", str(out))[0] == 0
+    assert out.stat().st_ino != kept.stat().st_ino
+    assert out.read_bytes() == first == kept.read_bytes()
+
+    link = tmp_path / "link.json"
+    link.symlink_to(kept)
+    kept.write_text("old")
+    assert run_cli(capsys, "gen", "--family", "ifs-jr", "--out", str(link))[0] == 0
+    assert link.is_symlink() and kept.read_bytes() == first
 
 
 def _wide_binary_file(tmp_path, m):

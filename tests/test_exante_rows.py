@@ -15,6 +15,7 @@ from pbbobw import (
     ExAnteReport,
     FractionalOutcome,
     LinearConstraint,
+    PBInstance,
     Witness,
     check_gfs,
     check_ifs,
@@ -236,6 +237,54 @@ def test_checkers_match_the_per_axiom_loops():
                 assert report.to_dict(inst) == reference(inst, p).to_dict(inst)
                 outcomes[report.holds] += 1
     assert min(outcomes.values()) > 100
+
+
+def _large_denominator_instance(rng):
+    """General utilities, costs and budget with denominators up to 10^5."""
+    n, m = rng.randint(3, 7), rng.randint(2, 6)
+
+    def big():
+        return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**5))
+
+    cost = [big() for _ in range(m)]
+    budget = max(cost) + Fraction(rng.randint(0, 10**3), 10**3 + 7) * (
+        sum(cost) - max(cost)
+    )
+    rows = tuple(
+        tuple(big() if rng.random() < 0.7 else Fraction(0) for _ in range(m))
+        for _ in range(n)
+    )
+    return PBInstance(
+        budget=budget,
+        cost=tuple(cost),
+        utilities=rows,
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=tuple(f"v{i + 1}" for i in range(n)),
+    )
+
+
+def test_checkers_match_the_loops_with_large_denominators():
+    """The integer rows on one common denominator against the Fraction
+    loops: a starved p leaves most of the 2^n - 1 groups violated, and
+    FRD's p meets every GFS row, so the worst row is reported."""
+    rng = random.Random(86)
+    violated, holds = 0, 0
+    for _ in range(40):
+        inst = _large_denominator_instance(rng)
+        starved = FractionalOutcome(
+            Fraction(rng.randint(0, 10**3), rng.randint(10**4, 10**6))
+            for _ in range(inst.m)
+        )
+        for p in (starved, fractional_random_dictator(inst)):
+            for check, reference in CHECKS:
+                report = check(inst, p)
+                assert report.to_dict(inst) == reference(inst, p).to_dict(inst)
+            gfs = check_gfs(inst, p)
+            violated += 0 if gfs.holds else len(gfs.witnesses)
+            holds += gfs.holds
+        assert gfs_rows(inst) == ref_gfs_rows(inst)
+        assert ifs_rows(inst) == ref_ifs_rows(inst)
+    assert violated > 1000 and holds == 40
 
 
 def test_oracle_rows_match_the_voter_and_mask_loops():

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from pbbobw import (
     IntegralOutcome,
     PBInstance,
     SettingError,
+    parse_instance,
     ValidationError,
     check_ejr_binary,
     check_ejrx_cost,
@@ -20,6 +23,8 @@ from pbbobw import (
 )
 
 from conftest import (
+    count_walks,
+    dense_instance,
     random_budget_outcome,
     random_instance,
     two_voter_example,
@@ -327,3 +332,63 @@ def test_jr_checks_match_their_loops_over_single_projects(
         checker, reference, utilities, 97, zero_utility,
         fields=("projects", "voters", "alpha", "note"),
     )
+
+
+@pytest.mark.parametrize(
+    "checker, reference, utilities",
+    [
+        (check_ejr_binary, _ejr_reference, "binary"),
+        (check_fjr_binary, _fjr_reference, "binary"),
+        (check_ejrx_cost, _ejrx_reference, "cost"),
+    ],
+)
+def test_pruned_walks_match_the_unpruned_loops_on_dense_approvals(
+    monkeypatch, checker, reference, utilities
+):
+    """Dense approval sets and a large budget: the walk skips many
+    within-budget sets that too few voters can still afford, and the
+    verdicts and witnesses stay those of the plain loops."""
+    visited = count_walks(monkeypatch)
+    rng = random.Random(101)
+    verdicts, skipped = set(), 0
+    for _ in range(40):
+        inst = dense_instance(rng, utilities)
+        for w in _sweep_outcomes(rng, inst):
+            visited.clear()
+            report = checker(inst, w)
+            expected = reference(inst, w)
+            assert report.holds == (expected is None)
+            if expected is not None:
+                witness = report.witness
+                assert (witness.projects, witness.voters, witness.beta) == expected
+            else:
+                # The walk ran to its end: compare with every within-budget set.
+                fitting = sum(1 for _ in inst.subsets(range(inst.m), inst.budget))
+                assert visited[0] <= fitting
+                skipped += fitting - visited[0]
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+    assert skipped > 1000
+
+
+BINARY20 = Path(__file__).resolve().parent / "data" / "reports" / "binary20.json"
+
+
+def test_walks_on_the_committed_20_project_instance_visit_pinned_counts(
+    monkeypatch,
+):
+    """A machine-independent work guard: on the committed n = m = 20
+    binary instance (B = 10, costs 1 and 2), 89,644 project sets fit the
+    budget; against its MES outcome the pruned EJR walk visits 19 of them
+    and the FJR walk 3,952."""
+    inst = parse_instance(BINARY20.read_text())
+    w = IntegralOutcome(
+        inst.project_index(pid)
+        for pid in json.loads(BINARY20.with_name("binary20-mes.json").read_text())
+    )
+    assert w == mes(inst).outcome
+    visited = count_walks(monkeypatch)
+    assert check_ejr_binary(inst, w).holds
+    assert check_fjr_binary(inst, w).holds
+    assert visited == [19, 3952]
+    assert sum(1 for _ in inst.subsets(range(inst.m), inst.budget)) == 89644

@@ -70,6 +70,11 @@ CASES = {
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
     "gen-gfs-jr": ["gen", "--family", "gfs-jr", "--n", "6"],
     "gen-ifs-jr": ["gen", "--family", "ifs-jr", "--n", "4"],
+    "run-bw-mes-binary20": ["run", "--instance", "binary20.json", "--rule",
+                            "bw-mes", "--seed", "7", "--samples", "100"],
+    "run-gcr-binary20": ["run", "--instance", "binary20.json", "--rule", "gcr"],
+    "verify-binary20-mes": ["verify", "--instance", "binary20.json", "--target",
+                            "binary20-mes.json", "--axioms", "ejr,fjr"],
     "gate-verify-ejr": ["verify", "--instance", "binary.json", "--target",
                         "binary-a.json", "--axioms", "ejr", "--limit-exp", "3"],
     "gate-run-gcr": ["run", "--instance", "binary.json", "--rule", "gcr",

@@ -25,7 +25,13 @@ from pbbobw import (
     unanimous_partition,
 )
 
-from conftest import random_instance, two_voter_example, with_zero_cost_projects
+from conftest import (
+    count_walks,
+    dense_instance,
+    random_instance,
+    two_voter_example,
+    with_zero_cost_projects,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +145,33 @@ def test_gcr_matches_the_unpruned_loop():
         assert trace.outcome == outcome
         step_counts.add(len(steps))
     assert max(step_counts) >= 2
+
+
+def test_gcr_matches_the_unpruned_loop_on_dense_approvals(monkeypatch):
+    """Dense approval sets and a large budget: each step's walk skips
+    within-budget sets that too few active voters can reach, and the
+    trace stays that of the plain loop."""
+    visited = count_walks(monkeypatch)
+    rng = random.Random(103)
+    skipped = 0
+    for _ in range(40):
+        inst = dense_instance(rng)
+        visited.clear()
+        trace = gcr(inst)
+        steps, outcome = _gcr_reference(inst)
+        assert [(s.beta, s.projects, s.voters) for s in trace.steps] == steps
+        assert trace.outcome == outcome
+        # One full walk per step and a last one that finds no candidate.
+        chosen = set()
+        assert len(visited) == len(steps) + 1
+        for k, count in enumerate(visited):
+            pool = [j for j in range(inst.m) if j not in chosen]
+            fitting = sum(1 for _ in inst.subsets(pool, inst.budget))
+            assert count <= fitting
+            skipped += fitting - count
+            if k < len(steps):
+                chosen.update(steps[k][1])
+    assert skipped > 100
 
 
 def test_gcr_rejects_general_utilities():
