@@ -247,10 +247,6 @@ def lottery_feasible(
     if not outcomes:
         return FeasibilityVerdict(False, None, None, "empty outcome class")
     m = instance.m
-    columns = [
-        [Fraction(1) if j in w.projects else Fraction(0) for w in outcomes]
-        for j in range(m)
-    ]
     rows: list[LinearConstraint] = [
         LinearConstraint(
             tuple(Fraction(1) for _ in outcomes), "=", Fraction(1)
@@ -276,20 +272,21 @@ def lottery_feasible(
                     "fractional outcome violates a side constraint",
                 )
         for j in range(m):
-            rows.append(
-                LinearConstraint(
-                    tuple(columns[j]), "=", fractional.shares[j]
-                )
+            column = tuple(
+                Fraction(1) if j in w.projects else Fraction(0)
+                for w in outcomes
             )
+            rows.append(LinearConstraint(column, "=", fractional.shares[j]))
     else:
         cost_row = tuple(w.cost(instance) for w in outcomes)
         rows.append(LinearConstraint(cost_row, "=", instance.budget))
         for con in extra:
             if len(con.coefficients) != m:
                 raise ValidationError("extra constraint has wrong arity")
+            # Each outcome's column is 0/1: sum the coefficients of W.
             substituted = tuple(
-                sum(con.coefficients[j] * columns[j][k] for j in range(m))
-                for k in range(len(outcomes))
+                sum((con.coefficients[j] for j in w.projects), Fraction(0))
+                for w in outcomes
             )
             rows.append(
                 LinearConstraint(substituted, con.relation, con.bound)

@@ -26,12 +26,24 @@ sampler returns the same outcome seed for seed. Callers that need only the
 outcome (the BW rules, `round_with_hard_cap`) draw through the sampler;
 `RoundingSampler.probabilities()` gives the exact distribution in one
 forward pass over the states.
+
+The sampler and `derive_seeds` draw for a block of up to `_BLOCK` seeds at
+once (`_draw_rows`): the block's 64-bit states are packed into one Python
+int, one 128-bit lane per seed, and splitmix64's add, xor-shift and
+multiply steps run on the packed int, masked back to the low 64 bits of
+every lane after each shift and multiply so that no bit crosses a lane.
+One kernel call per depth gives that draw of every seed in the block; the
+draws are the scalar `splitmix64` ones, bit for bit.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -46,19 +58,80 @@ _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
+# Seeds drawn per packed kernel call: the packed ints are 16 KiB.
+_BLOCK = 1024
+
+# The packed lanes are read and written as native-order 64-bit words; a
+# lane's low word sits first on a little-endian machine, second otherwise.
+assert array("Q").itemsize == 8, "array('Q') must hold 64-bit words"
+_LOW = 0 if sys.byteorder == "little" else 1
+
+
+def _mix(z: int, mask: int) -> int:
+    """splitmix64's output function on every lane of `z`.
+
+    `mask` keeps the low 64 bits of each lane: one lane of 64 bits for a
+    scalar state, 128-bit lanes for a packed block (`_draw_rows`).
+    """
+    z = ((z ^ (z >> 30) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27) & mask) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31) & mask
+
 
 def splitmix64(state: int) -> int:
     """One output of the splitmix64 scrambler (used for seed derivation)."""
-    z = (state + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return _mix((state + _GAMMA) & _MASK64, _MASK64)
 
 
 def _threshold(num: int, den: int) -> int:
     """ceil(num * 2**64 / den): an integer draw u is below it exactly when
     ``u * den < num * 2**64``."""
     return -(-num * _TWO64 // den)
+
+
+def _pack(words: Sequence[int]) -> int:
+    """The 64-bit `words` as one int, word k in the low half of lane k."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[_LOW::2] = array("Q", words)
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+def _unpack(packed: int, n: int) -> array:
+    """The low words of the `n` lanes of `packed` (inverse of `_pack`)."""
+    lanes = array("Q")
+    lanes.frombytes(packed.to_bytes(16 * n, sys.byteorder))
+    return lanes[_LOW::2]
+
+
+# All ones in, and GAMMA in, the low word of every lane of a full block;
+# shifted right by the lanes a smaller block leaves unused.
+_LANE_MASK = _pack((_MASK64,) * _BLOCK)
+_LANE_GAMMA = _pack((_GAMMA,) * _BLOCK)
+
+
+def _draw_rows(states: Sequence[int], depth: int) -> list[array]:
+    """Row d holds draw d of each stream: splitmix64(state + d * GAMMA).
+
+    `states` are at most `_BLOCK` 64-bit words; each row costs one packed
+    kernel call for all of them.
+    """
+    n = len(states)
+    unused = 128 * (_BLOCK - n)
+    mask, gamma = _LANE_MASK >> unused, _LANE_GAMMA >> unused
+    packed = _pack(states)
+    rows = []
+    for _ in range(depth):
+        # splitmix64's add is also the step to the stream's next state.
+        packed = (packed + gamma) & mask
+        rows.append(_unpack(_mix(packed, mask), n))
+    return rows
+
+
+def _blocks(values: Iterable[int]) -> Iterator[list[int]]:
+    """`values` in consecutive lists of at most `_BLOCK`, read lazily."""
+    values = iter(values)
+    while block := list(islice(values, _BLOCK)):
+        yield block
 
 
 def _draws(seed: int) -> Iterator[int]:
@@ -74,15 +147,18 @@ def derive_seeds(seed: int, indices: Iterable[int]) -> Iterator[int]:
 
     Scrambling `seed` before adding the index keeps the streams of nearby
     seeds apart; with splitmix64(seed + k), seed s + 1 would draw the
-    samples of seed s shifted by one. splitmix64(seed) is computed once.
+    samples of seed s shifted by one. splitmix64(seed) is computed once,
+    and the seeds one block of indices at a time, as they are consumed.
     """
     base = splitmix64(seed)
-    return (splitmix64((base + k) & _MASK64) for k in indices)
+    for block in _blocks(indices):
+        yield from _draw_rows([(base + k) & _MASK64 for k in block], 1)[0]
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """The per-sample seed of one index (see `derive_seeds`)."""
-    return next(derive_seeds(seed, (index,)))
+    """The per-sample seed of one index (see `derive_seeds`), computed
+    with scalar `splitmix64`: for one seed a packed block costs more."""
+    return splitmix64((splitmix64(seed) + index) & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -285,6 +361,12 @@ class RoundingSampler:
     branch depends only on the state). A child slot stays a bare spend
     tuple until a sample or `probabilities()` first reaches it, so the
     DAG grows with the states visited, not with 2^m.
+
+    Seeds are drawn a block at a time: every `_step` makes a fractional
+    project integral, so no walk takes more draws than the root has
+    fractional projects, and `_draw_rows` computes that many draws of
+    every seed in the block before the walks read them. `sample` is the
+    same walk on a block of one seed.
     """
 
     def __init__(
@@ -304,7 +386,15 @@ class RoundingSampler:
             _, num, den, _, spends = _alone(costs, spends, j)
             self._zero.append((j, _threshold(num, den), Fraction(num, den)))
         self._spends0 = spends
+        # Draws per seed: the zero-cost rounds, then at most one per
+        # fractional project of the root, and at least one, so that each
+        # seed has a column of draws even when the root is a leaf.
+        self._depth = len(zero) + max(
+            1, sum(1 for s, c in zip(spends, costs) if 0 < s < c)
+        )
         self._nodes: dict[tuple[int, ...], object] = {}
+        # The leaf outcomes by id, for tallies keyed on the id.
+        self._leaves: dict[int, IntegralOutcome] = {}
         self._root = self._node(spends)
 
     def _node(self, spends: tuple[int, ...]):
@@ -314,6 +404,7 @@ class RoundingSampler:
             step = _step(self._costs, spends)
             if step is None:
                 node = _leaf(self._costs, spends)
+                self._leaves[id(node)] = node
             else:
                 _, num, den, up, down = step
                 node = [_threshold(num, den), up, down, step]
@@ -363,29 +454,43 @@ class RoundingSampler:
         return probs
 
     def sample(self, seed: int) -> IntegralOutcome:
-        state = seed & _MASK64
-        chosen = []
-        for j, t, _ in self._zero:
-            if splitmix64(state) < t:
-                chosen.append(j)
-            state = (state + _GAMMA) & _MASK64
-        node = self._root
-        while type(node) is list:
-            # splitmix64(state) inlined: advance, then mix the new state.
-            state = z = (state + _GAMMA) & _MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            k = 1 if z ^ (z >> 31) < node[0] else 2
-            child = node[k]
-            if type(child) is tuple:
-                child = node[k] = self._node(child)
-            node = child
-        return IntegralOutcome(node.projects.union(chosen)) if chosen else node
+        """The outcome `dependent_round` reaches from `seed`."""
+        (outcome,) = self.sample_counts((seed,))
+        return outcome
 
     def sample_counts(self, seeds) -> dict[IntegralOutcome, int]:
-        """Sample every seed and tally counts per distinct outcome."""
+        """Sample every seed and tally counts per distinct outcome, in the
+        order the outcomes are first drawn."""
+        zero = self._zero
+        z = len(zero)
+        root, node_of = self._root, self._node
+        # Keyed on the leaf's id and the zero-cost draws, which is cheaper
+        # than hashing the outcome once per sample.
+        tally: Counter = Counter()
+        for block in _blocks(seeds):
+            rows = _draw_rows([s & _MASK64 for s in block], self._depth)
+            ends = []
+            for us in zip(*rows[z:]):
+                node = root
+                for u in us:
+                    if type(node) is not list:
+                        break
+                    k = 1 if u < node[0] else 2
+                    child = node[k]
+                    if type(child) is tuple:
+                        child = node[k] = node_of(child)
+                    node = child
+                ends.append(node)
+            # Which zero-cost rounds went up, per seed.
+            ups = zip(*(
+                [u < t for u in row] for row, (_, t, _) in zip(rows, zero)
+            )) if z else repeat(())
+            tally.update(zip(map(id, ends), ups))
         counts: dict[IntegralOutcome, int] = {}
-        for seed in seeds:
-            w = self.sample(seed)
-            counts[w] = counts.get(w, 0) + 1
+        for (leaf, up), count in tally.items():
+            w = self._leaves[leaf]
+            chosen = [j for (j, _, _), went_up in zip(zero, up) if went_up]
+            if chosen:
+                w = IntegralOutcome(w.projects.union(chosen))
+            counts[w] = count
         return counts

@@ -746,3 +746,30 @@ def test_run_mes_on_general_utilities_skips_ejrx(capsys, tmp_path):
         )
         assert code == 2
         assert err.startswith("error: ")
+
+
+def test_successive_main_calls_share_no_parser_state(monkeypatch):
+    """The parser is built once per process, and one call's subcommand or
+    --limit-exp does not leak into the next: each report below equals the
+    committed one of the same command run on its own."""
+    from test_reports import CASES, DATA, EXPECTED, _report
+
+    builds = []
+    build = pbbobw.cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(pbbobw.cli, "build_parser", counting)
+    pbbobw.cli._parser.cache_clear()
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
+    try:
+        for name in ("gate-run-gcr", "run-gcr-binary", "gate-verify-ejr",
+                     "verify-binary-a", "gate-run-gcr"):
+            expected = json.loads((EXPECTED / f"{name}.json").read_text())
+            assert _report(CASES[name]) == expected, name
+    finally:
+        pbbobw.cli._parser.cache_clear()
+    assert len(builds) == 1

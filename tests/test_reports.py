@@ -43,6 +43,11 @@ CASES = {
     "run-frd-general": ["run", "--instance", "general.json", "--rule", "frd",
                         "--seed", "1", "--samples", "10"],
     "run-mes-general": ["run", "--instance", "general.json", "--rule", "mes"],
+    # More samples than one block of seeds in `RoundingSampler.sample_counts`.
+    "run-frd-general-blocks": ["run", "--instance", "general.json", "--rule",
+                               "frd", "--seed", "4", "--samples", "2500"],
+    "run-bw-mes-binary-blocks": ["run", "--instance", "binary.json", "--rule",
+                                 "bw-mes", "--seed", "6", "--samples", "2049"],
     "verify-binary-a": ["verify", "--instance", "binary.json", "--target",
                         "binary-a.json", "--axioms", "jr,jr-general,ejr,fjr,bb1,bfx"],
     "verify-binary-ae": ["verify", "--instance", "binary.json", "--target",

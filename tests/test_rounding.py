@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -43,6 +44,48 @@ def test_threshold_is_exact_at_the_boundary():
                 assert (u < t) == (u * den < num * two64)
 
 
+def _seed_with_first_draw(draw):
+    """The seed whose first splitmix64 draw is `draw`: splitmix64 inverted
+    (each xor-shift undone by iterating it, each odd multiplier by its
+    inverse modulo 2**64)."""
+    mask = 2**64 - 1
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(draw, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def test_draws_at_the_threshold_branch_like_dependent_round():
+    """A first draw of t - 1 goes up and one of t goes down, both in a
+    zero-cost round and at the root of the DAG, as in `dependent_round`."""
+    zero_cost = PBInstance(
+        budget=Fraction(1),
+        cost=(Fraction(0), Fraction(1), Fraction(1)),
+        utilities=((Fraction(1), Fraction(1), Fraction(1)),),
+        project_ids=("a", "b", "c"),
+        voter_ids=("v1",),
+    )
+    for inst, p in [
+        (zero_cost, FractionalOutcome(["1/3", "1", "0"])),
+        (two_voter_example(), FractionalOutcome([1, "1/3", "2/3"])),
+    ]:
+        sampler = RoundingSampler(inst, p)
+        t = sampler._zero[0][1] if sampler._zero else sampler._root[0]
+        seeds = [_seed_with_first_draw(t - 1), _seed_with_first_draw(t)]
+        assert [splitmix64(s) for s in seeds] == [t - 1, t]
+        up, down = (dependent_round(inst, p, s)[0] for s in seeds)
+        assert up != down
+        assert [sampler.sample(s) for s in seeds] == [up, down]
+        assert sampler.sample_counts(seeds) == {up: 1, down: 1}
+
+
 def test_derive_seed_distinct_and_stable():
     seeds = [derive_seed(42, k) for k in range(1000)]
     assert len(set(seeds)) == 1000
@@ -66,6 +109,106 @@ def test_derive_seeds_match_derive_seed_one_index_at_a_time():
             splitmix64((splitmix64(s) + k) & mask) for k in range(200)
         ]
     assert list(derive_seeds(7, [5, 2])) == [derive_seed(7, 5), derive_seed(7, 2)]
+
+
+def test_packed_kernel_matches_scalar_splitmix64():
+    """Every draw of a packed block equals the scalar splitmix64 of its
+    stream, at the ends of the 64-bit range, where a state + d * gamma
+    wraps past 2**64, in a full block and in a block of one."""
+    mask = 2**64 - 1
+    gamma = 0x9E3779B97F4A7C15
+    rng = random.Random(64)
+    edges = [0, 1, mask, mask - 1, 2**63, (-gamma) & mask, (-2 * gamma) & mask]
+    states = edges + [
+        rng.getrandbits(64) for _ in range(rounding._BLOCK - len(edges))
+    ]
+    # Word k sits in the low half of 128-bit lane k on either byte order.
+    assert rounding._pack(states[:3]) == sum(
+        s << 128 * k for k, s in enumerate(states[:3])
+    )
+    assert list(rounding._unpack(rounding._pack(states), len(states))) == states
+    for block in (states, states[:1], states[2:3]):
+        rows = rounding._draw_rows(block, 4)
+        assert len(rows) == 4
+        for d, row in enumerate(rows):
+            assert list(row) == [
+                splitmix64((s + d * gamma) & mask) for s in block
+            ]
+
+
+def test_derive_seeds_wrap_past_two_to_the_64():
+    """base + k wraps for indices near 2**64 - splitmix64(seed)."""
+    mask = 2**64 - 1
+    base = splitmix64(5)
+    wrap = range(2**64 - base - 3, 2**64 - base + 3)
+    assert list(derive_seeds(5, wrap)) == [
+        splitmix64((base + k) & mask) for k in wrap
+    ]
+    assert [derive_seed(5, k) for k in wrap] == list(derive_seeds(5, wrap))
+
+
+def test_derive_seeds_is_lazy():
+    assert next(derive_seeds(3, itertools.count())) == derive_seed(3, 0)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, rounding._BLOCK - 1, rounding._BLOCK, rounding._BLOCK + 1],
+)
+def test_sample_counts_across_block_boundaries(count):
+    """The block tally equals a tally of single samples and of the
+    reference path, for seed counts around the block size."""
+    rng = random.Random(count)
+    inst = random_instance(rng)
+    p = random_feasible_p(rng, inst)
+    inst, p = with_zero_cost_projects(rng, inst, p)
+    sampler = RoundingSampler(inst, p)
+    seeds = list(derive_seeds(count, range(count)))
+    counts = sampler.sample_counts(seeds)
+    assert counts == Counter(sampler.sample(s) for s in seeds)
+    assert counts == Counter(dependent_round(inst, p, s)[0] for s in seeds)
+    assert sum(counts.values()) == count
+
+
+def test_sample_counts_of_seeds_outside_64_bits():
+    """Seeds are taken modulo 2**64, as `dependent_round` takes them."""
+    rng = random.Random(65)
+    inst = random_instance(rng)
+    p = random_feasible_p(rng, inst)
+    seeds = [-1, -(2**70) - 9, 2**64, 2**64 + 5, 2**100 + 3, 2**64 - 1]
+    seeds += [rng.randrange(-(2**80), 2**80) for _ in range(1500)]
+    sampler = RoundingSampler(inst, p)
+    assert sampler.sample_counts(seeds) == Counter(
+        dependent_round(inst, p, s)[0] for s in seeds
+    )
+    for s in seeds[:6]:
+        assert sampler.sample(s) == sampler.sample(s % 2**64)
+
+
+def test_sample_counts_without_priced_rounds():
+    """An integral p has a leaf for its root (no draws at all), and a p
+    whose only fractional projects cost nothing takes only the zero-cost
+    rounds; every seed is still counted."""
+    inst = two_voter_example()
+    p = FractionalOutcome([1, 1, 0])
+    sampler = RoundingSampler(inst, p)
+    assert sampler.sample_counts(range(1500)) == {IntegralOutcome({0, 1}): 1500}
+    assert sampler.sample(7) == IntegralOutcome({0, 1})
+    assert sampler.sample_counts([]) == {}
+    inst = PBInstance(
+        budget=Fraction(1),
+        cost=(Fraction(0), Fraction(1), Fraction(0), Fraction(1)),
+        utilities=((Fraction(1),) * 4,),
+        project_ids=("a", "b", "c", "d"),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome(["1/3", "1", "3/4", "0"])
+    sampler = RoundingSampler(inst, p)
+    seeds = list(derive_seeds(8, range(1500)))
+    counts = sampler.sample_counts(seeds)
+    assert counts == Counter(dependent_round(inst, p, s)[0] for s in seeds)
+    assert len(counts) == 4
+    assert sum(counts.values()) == 1500
 
 
 def test_rounding_is_deterministic():
