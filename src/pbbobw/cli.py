@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .exante import check_gfs, check_ifs, check_strong_ufs, gfs_rows, ifs_rows
 from .expost import SettingError
-from .limits import ScaleError
+from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
 from .model import (
     FractionalOutcome,
@@ -100,14 +100,17 @@ def _write(text: str, path: Optional[str]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail before any work when an output file's directory is missing."""
+def _check_before_work(args: argparse.Namespace) -> None:
+    """Fail before any work when an output file's directory is missing or
+    PB_BOBW_LIMIT is malformed, which a check would report as a skip."""
     for name in ("out", "out_fractional"):
         path = getattr(args, name, None)
         if path and not Path(path).parent.is_dir():
             raise UsageError(
                 f"cannot write {path}: {Path(path).parent} is not a directory"
             )
+    if hasattr(args, "limit_exp"):
+        exponential_limit(None)
 
 
 def _load_instance(path: str) -> PBInstance:
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--samples", type=_count, default=1)
     run.add_argument("--out")
-    run.add_argument("--limit-exp", type=int, default=None)
+    run.add_argument("--limit-exp", type=_count, default=None)
     run.set_defaults(handler=cmd_run)
 
     verify = sub.add_parser("verify", help="check axioms on an outcome")
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--target", required=True)
     verify.add_argument("--axioms", required=True)
     verify.add_argument("--out")
-    verify.add_argument("--limit-exp", type=int, default=None)
+    verify.add_argument("--limit-exp", type=_count, default=None)
     verify.set_defaults(handler=cmd_verify)
 
     oracle = sub.add_parser("oracle", help="lottery feasibility queries")
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--constraints")
     oracle.add_argument("--builtin", choices=["ifs", "gfs"])
     oracle.add_argument("--out")
-    oracle.add_argument("--limit-exp", type=int, default=None)
+    oracle.add_argument("--limit-exp", type=_count, default=None)
     oracle.set_defaults(handler=cmd_oracle)
 
     gen = sub.add_parser("gen", help="write a counterexample instance")
@@ -488,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes.
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        _check_out_dirs(args)
+        _check_before_work(args)
         return args.handler(args)
     except (
         UsageError,

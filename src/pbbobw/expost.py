@@ -5,11 +5,14 @@ voters, all deprived in the axiom's sense, with |group|·B ≥ n·cost(T)?
 (Any subgroup of that size is itself cohesive.) `cohesive_groups` is the
 one search: it walks a source of project sets and keeps the voter groups
 an axiom's rule yields for each T that are large enough, and a checker's
-witness is the first of them. JR is EJR's rule over the single projects
-(at |T| = 1 EJR's deprived voters are JR's), and general JR its
-α-threshold rule over them; both are polynomial and not gated. EJR, FJR
-and EJR-x walk `within_budget`, behind the project-set limit, and GCR in
-`rules` reads the same candidates over the projects it has not chosen.
+witness is the first of them. Three rules serve its six searches.
+`_common_rule`, the approvers of all of T who miss it, serves EJR with
+unit weights, EJR-x with the scaled costs and JR over single projects.
+`fjr_search`, the weakly cohesive groups, serves FJR, and GCR in `rules`
+over the projects it has not chosen, with its chosen voters served.
+General JR has its own α-threshold rule over single projects. JR and
+general JR are polynomial and not gated; the other four walk
+`within_budget`, behind the project-set limit.
 
 `within_budget` walks ``model.subset_walk`` on integers: costs and B
 scaled by the instance's ``cost_scale``, T as a project bitmask and the
@@ -20,9 +23,9 @@ non-empty group (a count of 0 drops T too):
 - cost(T) > B (a group has at most n voters);
 - for EJR and EJR-x, #{i : T ⊆ A_i}·B < n·cost(T), since every deprived
   voter approves all of T;
-- for FJR, #{i : won_i < |A_i ∩ (T ∪ R)|}·B < n·cost(T), where R is the
-  pool after T's last project (any extension lies within T ∪ R);
-- for GCR, #{active i : A_i ∩ (T ∪ R) ≠ ∅}·B < n·cost(T).
+- for FJR and GCR, #{i : won_i < |A_i ∩ (T ∪ R)|}·B < n·cost(T), where R
+  is the pool after T's last project (any extension lies within T ∪ R)
+  and GCR's chosen voters win m projects.
 Each count only falls and cost(T) only rises along an extension, so the
 sets left keep their (size, lexicographic) order and the first witness,
 and GCR's choice, stay the same.
@@ -209,32 +212,76 @@ def _first(
     return ExPostReport(axiom=axiom, holds=True)
 
 
-def _won(instance: PBInstance, outcome: IntegralOutcome) -> list[int]:
-    """How many approved projects each voter wins."""
-    funded = sum(1 << j for j in outcome.projects)
-    return [(mask & funded).bit_count() for mask in instance.approval_masks]
+def _won(
+    instance: PBInstance, outcome: IntegralOutcome, weight: Sequence[int]
+) -> list[int]:
+    """The weight of the funded projects each voter approves."""
+    return [
+        sum(weight[j] for j in outcome.projects if approved >> j & 1)
+        for approved in instance.approval_masks
+    ]
 
 
-def _ejr_rule(instance: PBInstance, outcome: IntegralOutcome) -> _Rule:
-    """Voters who approve all of T and win fewer than |T| projects."""
-    won = _won(instance, outcome)
+def _common_rule(
+    instance: PBInstance, outcome: IntegralOutcome, weight: Sequence[int]
+) -> _Rule:
+    """Voters who approve all of T and stay deprived up to any project of
+    T they miss: base_i ≤ weight(T) − min{weight_c : c ∈ T ∖ W}, base_i the
+    weight of the funded projects i approves; no group when T ⊆ W. Unit
+    weights give EJR's won_i < |T|, the scaled costs EJR-x's test."""
+    funded, base = outcome.projects, _won(instance, outcome, weight)
 
     def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
+        missing = [weight[c] for c in projects if c not in funded]
+        if not missing:
+            return
+        bound = sum(weight[c] for c in projects) - min(missing)
         yield [
             i
             for i in range(instance.n)
-            if common >> i & 1 and won[i] < len(projects)
+            if common >> i & 1 and base[i] <= bound
         ], {}
 
     return rule
+
+
+def fjr_search(instance: PBInstance, won: Sequence[int]) -> tuple[_Reach, _Rule]:
+    """FJR's reach and rule when voter i wins ``won_i`` approved projects:
+    the groups for (T, β) are the voters with |A_i ∩ T| ≥ β > won_i.
+
+    Only voters with |A_i| > won_i can join any group, and β stops at the
+    largest |A_i ∩ T| > won_i; the reach counts won_i < |A_i ∩ (T ∪ R)|."""
+    voters = [
+        (i, approved, w)
+        for i, (approved, w) in enumerate(zip(instance.approval_masks, won))
+        if approved.bit_count() > w
+    ]
+    masks = [(approved, w) for _, approved, w in voters]
+
+    def reach(within: int, common: int) -> int:
+        return len([a for a, w in masks if (a & within).bit_count() > w])
+
+    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
+        candidates = [
+            (i, have, w)
+            for i, approved, w in voters
+            if (have := (approved & mask).bit_count()) > w
+        ]
+        if not candidates:
+            return
+        for beta in range(1, max([have for _, have, _ in candidates]) + 1):
+            yield [i for i, have, w in candidates if w < beta <= have], {"beta": beta}
+
+    return reach, rule
 
 
 def check_jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> ExPostReport:
     """Justified representation for binary utilities (polynomial check):
     EJR's rule over the single projects."""
     _require_binary(instance, "check_jr_binary")
+    rule = _common_rule(instance, outcome, [1] * instance.m)
     return _first(
-        instance, "jr", _singles(instance), _ejr_rule(instance, outcome),
+        instance, "jr", _singles(instance), rule,
         "cohesive group with zero represented members",
     )
 
@@ -247,8 +294,9 @@ def check_ejr_binary(
     groups = within_budget(
         instance, range(instance.m), limit, "EJR enumeration", _common_approvers
     )
+    rule = _common_rule(instance, outcome, [1] * instance.m)
     return _first(
-        instance, "ejr", groups, _ejr_rule(instance, outcome),
+        instance, "ejr", groups, rule,
         "cohesive group where everyone wins fewer than |T| projects",
     )
 
@@ -256,28 +304,9 @@ def check_ejr_binary(
 def check_fjr_binary(
     instance: PBInstance, outcome: IntegralOutcome, limit: Optional[int] = None
 ) -> ExPostReport:
-    """Full justified representation for binary utilities.
-
-    A voter can join a group for (T′, β) with T′ ⊆ T ∪ R only if it wins
-    fewer than |A_i ∩ (T ∪ R)| projects, which is the walk's reach."""
+    """Full justified representation for binary utilities."""
     _require_binary(instance, "check_fjr_binary")
-    approvals = instance.approval_masks
-    won = _won(instance, outcome)
-
-    def reach(within: int, common: int) -> int:
-        return sum(
-            (mask & within).bit_count() > w for mask, w in zip(approvals, won)
-        )
-
-    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
-        have = [(approved & mask).bit_count() for approved in approvals]
-        for beta in range(1, len(projects) + 1):
-            yield [
-                i
-                for i in range(instance.n)
-                if have[i] >= beta and won[i] < beta
-            ], {"beta": beta}
-
+    reach, rule = fjr_search(instance, _won(instance, outcome, [1] * instance.m))
     groups = within_budget(
         instance, range(instance.m), limit, "FJR enumeration", reach
     )
@@ -322,32 +351,11 @@ def check_ejrx_cost(
     """EJR up to any project, for cost utilities."""
     if not has_cost_utilities(instance):
         raise SettingError("check_ejrx_cost requires cost utilities")
-    scaled = instance.scaled_costs
-    # u_i(W) on the scaled costs: the cost of the funded approved projects
-    base = [
-        sum(scaled[j] for j in outcome.projects if approved >> j & 1)
-        for approved in instance.approval_masks
-    ]
-
-    def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
-        # On T within a voter's approval set, cost utilities give
-        # u_i(T) = cost(T) and u_i(c) = cost(c), so a voter is deprived
-        # when its utility plus the cheapest missing project is at most
-        # cost(T).
-        missing = [scaled[c] for c in projects if c not in outcome.projects]
-        if not missing:
-            return
-        cheapest = min(missing)
-        yield [
-            i
-            for i in range(instance.n)
-            if common >> i & 1 and base[i] + cheapest <= cost
-        ], {}
-
     groups = within_budget(
         instance, range(instance.m), limit, "EJR-x enumeration",
         _common_approvers,
     )
+    rule = _common_rule(instance, outcome, instance.scaled_costs)
     return _first(
         instance, "ejr-x", groups, rule,
         "cohesive group unsatisfied even up to any missing project",

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exante import optimal_fractional_outcome, unanimous_partition
-from .expost import SettingError, cohesive_groups, within_budget
+from .expost import SettingError, cohesive_groups, fjr_search, within_budget
 from .model import (
     FractionalOutcome,
     IntegralOutcome,
@@ -79,46 +79,34 @@ class GCRTrace:
 def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     """Greedy cohesive rule: exhaustive weakly-cohesive group selection.
 
-    Each step takes the `expost.cohesive_groups` candidate over the
+    Each step takes the candidate of `expost.fjr_search` over the
     within-budget sets of unchosen projects with the largest beta, then
     smallest cost(T), then largest group, then lexicographically first T.
-    A supporter of T, or of any extension of it within T ∪ R (R the
-    unchosen projects after T's last), is an active voter approving some
-    project of T ∪ R; the walk drops T with its extensions when too few
-    such voters could afford it, which never drops a candidate.
+    Active voters win 0 in the search, so a group for (T, beta) is the
+    active voters approving at least beta projects of T; chosen voters
+    win m, so they are served and join no later group.
     """
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError("gcr requires binary utilities")
-    approvals = instance.approval_masks
-    active = list(range(instance.n))  # ascending
+    won = [0] * instance.n
     chosen: set[int] = set()
     steps: list[GCRStep] = []
-
-    def reach(within: int, common: int) -> int:
-        return sum(1 for i in active if approvals[i] & within)
-
-    def supporters(projects: tuple[int, ...], cost: int, mask: int, common: int):
-        have = [(i, (approvals[i] & mask).bit_count()) for i in active]
-        for beta in range(1, len(projects) + 1):
-            voters = tuple(i for i, count in have if count >= beta)
-            if not voters:
-                break
-            yield voters, {"beta": beta}
-
     while True:
         remaining = [j for j in range(instance.m) if j not in chosen]
+        reach, rule = fjr_search(instance, won)
         groups = within_budget(instance, remaining, limit, "GCR search", reach)
         best = min(
-            cohesive_groups(instance, groups, supporters),
+            cohesive_groups(instance, groups, rule),
             key=lambda c: (-c[3]["beta"], c[1], -len(c[2]), c[0]),
             default=None,
         )
         if best is None:
             break
         group, _, voters, fields = best
-        steps.append(GCRStep(beta=fields["beta"], projects=group, voters=voters))
+        steps.append(GCRStep(fields["beta"], group, tuple(voters)))
         chosen.update(group)
-        active = [i for i in active if i not in voters]
+        for i in voters:
+            won[i] = instance.m
     return GCRTrace(steps=tuple(steps), outcome=IntegralOutcome(chosen))
 
 

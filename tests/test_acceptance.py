@@ -30,6 +30,7 @@ from pbbobw import (
     check_ufs,
     dependent_round,
     derive_seed,
+    derive_seeds,
     enumerate_outcomes,
     fractional_random_dictator,
     gen_bfx_family,
@@ -86,7 +87,7 @@ def _sampled_sweep():
         for idx, (inst, p) in enumerate(_rounding_sweep()):
             sampler = RoundingSampler(inst, p)
             counts = sampler.sample_counts(
-                derive_seed(idx, k) for k in range(SAMPLES_PER_INSTANCE)
+                derive_seeds(idx, range(SAMPLES_PER_INSTANCE))
             )
             data.append((inst, p, counts))
         _sweep_cache["data"] = data
@@ -194,10 +195,10 @@ def test_criterion_5_hard_cap(capsys):
             [s * scale for s in random_feasible_p(rng, inst).shares]
         )
         sampler = RoundingSampler(inst, p, target=reduced)
-        for k in range(10_000):
-            w = sampler.sample(derive_seed(idx, k))
-            if w.cost(inst) > inst.budget:
-                overruns += 1
+        counts = sampler.sample_counts(derive_seeds(idx, range(10_000)))
+        overruns += sum(
+            c for w, c in counts.items() if w.cost(inst) > inst.budget
+        )
         # Spot-check agreement with the direct implementation.
         for k in range(20):
             seed = derive_seed(idx, k)

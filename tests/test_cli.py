@@ -546,6 +546,53 @@ def test_oracle_limit_exp_reaches_the_predicate_checks(
     assert code in (0, 1), err
 
 
+def _limited_commands(instance_file, tmp_path):
+    """One run, verify and oracle command line on the two-voter example."""
+    target = tmp_path / "w.json"
+    target.write_text(json.dumps(["a"]))
+    return [
+        ["run", "--instance", instance_file, "--rule", "mes"],
+        ["verify", "--instance", instance_file, "--target", str(target),
+         "--axioms", "ejr"],
+        ["oracle", "--instance", instance_file, "--mode", "joint",
+         "--predicate", "fjr-binary"],
+    ]
+
+
+def test_malformed_env_limit_exits_2_before_any_work(
+    capsys, monkeypatch, instance_file, tmp_path
+):
+    """A PB_BOBW_LIMIT that is not an integer is a usage error, not a
+    skipped check, even where --limit-exp overrides it."""
+    monkeypatch.setenv("PB_BOBW_LIMIT", "abc")
+    out = tmp_path / "report.json"
+    for argv in _limited_commands(instance_file, tmp_path):
+        for extra in ([], ["--limit-exp", "5"]):
+            code, stdout, err = run_cli(capsys, *argv, *extra, "--out", str(out))
+            assert code == 2
+            assert err == "error: PB_BOBW_LIMIT must be an integer, got 'abc'\n"
+            assert stdout == ""
+            assert not out.exists()
+
+
+def test_limit_exp_must_be_non_negative(
+    capsys, monkeypatch, instance_file, tmp_path
+):
+    monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
+    commands = _limited_commands(instance_file, tmp_path)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--limit-exp", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--limit-exp: must be non-negative, got -1" in err
+    # 0 is valid and allows no exponential work.
+    code, out, _ = run_cli(capsys, *commands[0], "--limit-exp", "0")
+    assert code == 0
+    assert json.loads(out)["axioms"]["ejr"] == {
+        "skipped": "EJR enumeration over 2^3 project sets"
+    }
+
+
 @pytest.mark.parametrize("axioms", ["ifs,jr", "jr,ifs"])
 def test_verify_cannot_mix_fractional_and_integral(
     capsys, instance_file, tmp_path, axioms

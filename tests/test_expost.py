@@ -334,6 +334,43 @@ def test_jr_checks_match_their_loops_over_single_projects(
     )
 
 
+def _unit_costs(rng, inst):
+    """The approval sets of `inst` with every cost 1 and an integer B in
+    [1, m]: its binary utilities are then also cost utilities."""
+    one, zero = Fraction(1), Fraction(0)
+    return PBInstance(
+        budget=Fraction(rng.randint(1, inst.m)),
+        cost=(one,) * inst.m,
+        utilities=tuple(
+            tuple(one if u else zero for u in row) for row in inst.utilities
+        ),
+        project_ids=inst.project_ids,
+        voter_ids=inst.voter_ids,
+    )
+
+
+def test_ejr_and_ejrx_agree_on_unit_cost_binary_instances():
+    """With unit costs and binary utilities, EJR-x is EJR: both checkers
+    give the same verdict and the same witness."""
+    rng = random.Random(107)
+    verdicts = set()
+    for case in range(60):
+        inst = (
+            dense_instance(rng)
+            if case % 2
+            else random_instance(rng, n_max=6, m_max=7, utilities="binary")
+        )
+        inst = _unit_costs(rng, inst)
+        for w in _sweep_outcomes(rng, inst):
+            ejr, ejrx = check_ejr_binary(inst, w), check_ejrx_cost(inst, w)
+            assert ejr.holds == ejrx.holds
+            if not ejr.holds:
+                assert ejr.witness.projects == ejrx.witness.projects
+                assert ejr.witness.voters == ejrx.witness.voters
+            verdicts.add(ejr.holds)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize(
     "checker, reference, utilities",
     [
