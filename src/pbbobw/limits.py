@@ -26,9 +26,12 @@ def _env_limit() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ScaleError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ScaleError(f"{_ENV_VAR} must be non-negative, got {value}")
+    return value
 
 
 def exponential_limit(override: Optional[int], default: int = DEFAULT_GROUP_LIMIT) -> int:

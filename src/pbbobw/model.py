@@ -121,6 +121,26 @@ class PBInstance:
     def scaled_budget(self) -> int:
         return int(self.budget * self.cost_scale)
 
+    def scaled_total(self, projects: Iterable[int]) -> int:
+        """cost(projects) times ``cost_scale``, compared with ``scaled_budget``."""
+        cost = self.scaled_costs
+        return sum(cost[j] for j in projects)
+
+    @cached_property
+    def setting(self) -> Setting:
+        """The most specific setting tag, computed once per instance."""
+        binary = all(u == 0 or u == 1 for row in self.utilities for u in row)
+        unit = all(c == 1 for c in self.cost)
+        if binary and unit:
+            return Setting.COMMITTEE
+        if binary:
+            return Setting.BINARY
+        if has_cost_utilities(self):
+            return Setting.COST
+        if unit:
+            return Setting.UNIT_COST
+        return Setting.GENERAL
+
     @cached_property
     def approval_masks(self) -> tuple[int, ...]:
         """Each voter's approval set as a bitmask over project indices."""
@@ -276,19 +296,7 @@ def has_cost_utilities(instance: PBInstance) -> bool:
 
 def classify(instance: PBInstance) -> Setting:
     """Return the most specific setting tag for the instance."""
-    binary = all(
-        u == 0 or u == 1 for row in instance.utilities for u in row
-    )
-    unit = all(c == 1 for c in instance.cost)
-    if binary and unit:
-        return Setting.COMMITTEE
-    if binary:
-        return Setting.BINARY
-    if has_cost_utilities(instance):
-        return Setting.COST
-    if unit:
-        return Setting.UNIT_COST
-    return Setting.GENERAL
+    return instance.setting
 
 
 def utility(

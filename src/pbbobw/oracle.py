@@ -122,7 +122,10 @@ class OutcomePredicate:
         outcome: IntegralOutcome,
         limit: Optional[int] = None,
     ) -> bool:
-        if self.budget_capped and outcome.cost(instance) > instance.budget:
+        if (
+            self.budget_capped
+            and instance.scaled_total(outcome.projects) > instance.scaled_budget
+        ):
             return False
         return all(
             INTEGRAL_AXIOMS[a](instance, outcome, limit).holds
@@ -248,9 +251,7 @@ def lottery_feasible(
         return FeasibilityVerdict(False, None, None, "empty outcome class")
     m = instance.m
     rows: list[LinearConstraint] = [
-        LinearConstraint(
-            tuple(Fraction(1) for _ in outcomes), "=", Fraction(1)
-        )
+        LinearConstraint((1,) * len(outcomes), "=", Fraction(1))
     ]
     if fractional is not None:
         if len(fractional.shares) != m:
@@ -272,10 +273,7 @@ def lottery_feasible(
                     "fractional outcome violates a side constraint",
                 )
         for j in range(m):
-            column = tuple(
-                Fraction(1) if j in w.projects else Fraction(0)
-                for w in outcomes
-            )
+            column = tuple(int(j in w.projects) for w in outcomes)
             rows.append(LinearConstraint(column, "=", fractional.shares[j]))
     else:
         cost_row = tuple(w.cost(instance) for w in outcomes)

@@ -318,17 +318,16 @@ def round_with_hard_cap(
 
 
 def is_bb1(instance: PBInstance, outcome: IntegralOutcome) -> bool:
-    """Budget balanced up to one project."""
+    """Budget balanced up to one project. Sums the integer
+    ``scaled_costs``, which compare as the costs do."""
     w = outcome.projects
-    total = instance.total_cost(w)
-    budget = instance.budget
+    cost, budget = instance.scaled_costs, instance.scaled_budget
+    total = instance.scaled_total(w)
     if total <= budget and any(
-        total + instance.cost[c] >= budget
-        for c in range(instance.m)
-        if c not in w
+        total + cost[c] >= budget for c in range(instance.m) if c not in w
     ):
         return True
-    if total >= budget and any(total - instance.cost[c] <= budget for c in w):
+    if total >= budget and any(total - cost[c] <= budget for c in w):
         return True
     # Degenerate cases (W = C, or no project outside W reaching B) fall back
     # to exact balance.
@@ -337,8 +336,9 @@ def is_bb1(instance: PBInstance, outcome: IntegralOutcome) -> bool:
 
 def is_bfx(instance: PBInstance, outcome: IntegralOutcome) -> bool:
     """Budget feasible up to any project: removing any one funds within B."""
-    total = instance.total_cost(outcome.projects)
-    return all(total - instance.cost[c] <= instance.budget for c in outcome.projects)
+    cost, budget = instance.scaled_costs, instance.scaled_budget
+    total = instance.scaled_total(outcome.projects)
+    return all(total - cost[c] <= budget for c in outcome.projects)
 
 
 class RoundingSampler:

@@ -575,6 +575,29 @@ def test_malformed_env_limit_exits_2_before_any_work(
             assert not out.exists()
 
 
+def test_negative_env_limit_exits_2_before_any_work(
+    capsys, monkeypatch, instance_file, tmp_path
+):
+    """A negative PB_BOBW_LIMIT is a usage error, as a negative
+    --limit-exp is, and not a limit that skips every check."""
+    monkeypatch.setenv("PB_BOBW_LIMIT", "-3")
+    out = tmp_path / "report.json"
+    for argv in _limited_commands(instance_file, tmp_path):
+        for extra in ([], ["--limit-exp", "5"]):
+            code, stdout, err = run_cli(capsys, *argv, *extra, "--out", str(out))
+            assert code == 2
+            assert err == "error: PB_BOBW_LIMIT must be non-negative, got -3\n"
+            assert stdout == ""
+            assert not out.exists()
+    # 0 is valid and allows no exponential work.
+    monkeypatch.setenv("PB_BOBW_LIMIT", "0")
+    code, stdout, _ = run_cli(capsys, *_limited_commands(instance_file, tmp_path)[0])
+    assert code == 0
+    assert json.loads(stdout)["axioms"]["ejr"] == {
+        "skipped": "EJR enumeration over 2^3 project sets"
+    }
+
+
 def test_limit_exp_must_be_non_negative(
     capsys, monkeypatch, instance_file, tmp_path
 ):

@@ -25,7 +25,7 @@ from pbbobw import (
     predicate,
     solve_feasibility,
 )
-from pbbobw import oracle
+from pbbobw import lp, oracle
 
 from conftest import random_feasible_p, random_instance
 
@@ -224,6 +224,107 @@ def test_matches_fraction_simplex_on_oracle_lps(monkeypatch):
     assert len(lps) == 27
     for rows, num_vars in lps:
         assert solve_feasibility(rows, num_vars) == reference(rows, num_vars)
+
+
+def large_system(rng: random.Random):
+    """A random system with coefficients up to 10^12, some of them over
+    small denominators: its Bareiss entries outgrow 64-bit lanes."""
+    num_vars = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        coeffs = tuple(
+            0 if rng.random() < 0.2
+            else F(rng.randint(-10**12, 10**12), rng.choice((1, 1, 2, 3, 7)))
+            for _ in range(num_vars)
+        )
+        bound = F(rng.randint(-10**12, 10**12), rng.choice((1, 5)))
+        rows.append(LinearConstraint(coeffs, rng.choice(RELATIONS), bound))
+    return rows, num_vars
+
+
+def test_matches_fraction_simplex_on_large_coefficients(monkeypatch):
+    widened = []
+
+    def counting(packed, width, lanes):
+        widened.append(width)
+        return widen(packed, width, lanes)
+
+    widen = lp._widen
+    monkeypatch.setattr(lp, "_widen", counting)
+    verdicts: Counter = Counter()
+    for seed in range(300):
+        rows, num_vars = large_system(random.Random(seed))
+        expected = reference(rows, num_vars)
+        assert solve_feasibility(rows, num_vars) == expected, f"seed {seed}"
+        verdicts[expected is None] += 1
+    assert len(widened) >= 20, widened
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+@pytest.mark.parametrize("width", [64, 128, 256])
+def test_lane_fit_test_at_the_boundary(width):
+    """Entries fit a lane of width W iff they lie in [-2^(b-1), 2^(b-1))
+    for b = W/2, and every packed row decodes to its entries."""
+    edge = 1 << width // 2 - 1
+    lanes = 4
+    signs, bias, high, _ = lp._lane_masks(width, lanes)
+
+    def fits(values):
+        packed = lp._pack(values, width, signs)
+        assert lp._unpack(packed, width, lanes, signs) == values
+        return not (packed + bias) & high
+
+    assert fits([-edge, edge - 1, 0, -edge])
+    assert fits([edge - 1, -edge, -edge, edge - 1])
+    for at in range(lanes):
+        for value in (edge, -edge - 1, 2 * edge, -(1 << width - 1)):
+            values = [0, -edge, edge - 1, 0]
+            values[at] = value
+            assert not fits(values), (at, value)
+
+
+@pytest.mark.parametrize("b", [32, 64])
+def test_entries_on_a_lane_boundary_match_the_fraction_simplex(b):
+    edge = 1 << b - 1
+    values = (edge - 1, edge, edge + 1, -edge, -edge - 1, 1, -1, 0)
+    rng = random.Random(b)
+    for _ in range(200):
+        num_vars = rng.randint(1, 3)
+        rows = [
+            LinearConstraint(
+                tuple(rng.choice(values) for _ in range(num_vars)),
+                rng.choice(RELATIONS),
+                rng.choice(values),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert solve_feasibility(rows, num_vars) == reference(rows, num_vars)
+
+
+def test_int_coefficients_match_equal_fraction_rows():
+    rng = random.Random(3)
+    for _ in range(500):
+        num_vars = rng.randint(1, 6)
+        ints = [
+            LinearConstraint(
+                tuple(rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(num_vars)),
+                rng.choice(RELATIONS),
+                rng.randint(-3, 4),
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        fractions = [
+            LinearConstraint(tuple(map(F, c.coefficients)), c.relation, F(c.bound))
+            for c in ints
+        ]
+        # Int coefficients with Fraction bounds, as in the oracle's rows.
+        mixed = [
+            LinearConstraint(c.coefficients, c.relation, F(c.bound)) for c in ints
+        ]
+        expected = solve_feasibility(fractions, num_vars)
+        assert expected == reference(fractions, num_vars)
+        assert solve_feasibility(ints, num_vars) == expected
+        assert solve_feasibility(mixed, num_vars) == expected
 
 
 def test_arity_mismatch_raises():

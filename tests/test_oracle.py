@@ -35,7 +35,12 @@ from pbbobw import (
 
 from pbbobw.oracle import OUTCOME_CLASSES
 
-from conftest import random_feasible_p, random_instance, two_voter_example
+from conftest import (
+    random_feasible_p,
+    random_instance,
+    two_voter_example,
+    with_zero_cost_projects,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,50 @@ def test_enumerate_bfx_matches_pointwise_check():
         if is_bfx(inst, IntegralOutcome(subset))
     }
     assert set(outcomes) == expected
+
+
+def _bb1_fraction(inst, w):
+    """BB1 summed in Fractions, as it was before the integer costs."""
+    total = inst.total_cost(w.projects)
+    if total <= inst.budget and any(
+        total + inst.cost[c] >= inst.budget
+        for c in range(inst.m) if c not in w.projects
+    ):
+        return True
+    if total >= inst.budget and any(
+        total - inst.cost[c] <= inst.budget for c in w.projects
+    ):
+        return True
+    return total == inst.budget
+
+
+def _bfx_fraction(inst, w):
+    total = inst.total_cost(w.projects)
+    return all(total - inst.cost[c] <= inst.budget for c in w.projects)
+
+
+def test_integer_budget_tests_match_fractions():
+    """is_bb1, is_bfx and the budget cap sum scaled integer costs; on
+    every outcome they agree with the same tests over Fractions, with
+    zero-cost projects and costs over mixed denominators."""
+    rng = random.Random(17)
+    capped = predicate("within-budget")
+    seen = {"bb1": 0, "not bb1": 0, "bfx": 0, "not bfx": 0, "zero cost": 0}
+    for _ in range(60):
+        inst = random_instance(rng, n_max=2, m_max=6)
+        if rng.random() < 0.5:
+            inst = with_zero_cost_projects(rng, inst)
+        seen["zero cost"] += 0 in inst.cost
+        for r in range(inst.m + 1):
+            for subset in itertools.combinations(range(inst.m), r):
+                w = IntegralOutcome(subset)
+                bb1, bfx = _bb1_fraction(inst, w), _bfx_fraction(inst, w)
+                assert is_bb1(inst, w) == bb1, (inst, subset)
+                assert is_bfx(inst, w) == bfx, (inst, subset)
+                assert capped.evaluate(inst, w) == (w.cost(inst) <= inst.budget)
+                seen["bb1" if bb1 else "not bb1"] += 1
+                seen["bfx" if bfx else "not bfx"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_enumerate_respects_project_limit():

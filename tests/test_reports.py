@@ -70,6 +70,11 @@ CASES = {
     "oracle-implementable-bb1": ["oracle", "--instance", "binary.json", "--mode",
                                  "implementable", "--predicate", "bb1",
                                  "--fractional", "binary-p.json"],
+    # A wide LP (14 rows x 2,905 BB1 outcomes) whose entries outgrow
+    # 64-bit lanes, so `solve_feasibility` widens its tableau mid-solve.
+    "oracle-implementable-bb1-wide13": ["oracle", "--instance", "wide13.json",
+                                        "--mode", "implementable", "--predicate",
+                                        "bb1", "--fractional", "wide13-p.json"],
     "oracle-joint-fjr-ifs": ["oracle", "--instance", "binary.json", "--mode",
                              "joint", "--predicate", "fjr-binary", "--builtin", "ifs"],
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
