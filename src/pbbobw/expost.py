@@ -5,7 +5,10 @@ voters, all deprived in the axiom's sense, with |group|·B ≥ n·cost(T)?
 (Any subgroup of that size is itself cohesive.) `cohesive_groups` is the
 one search: it walks a source of project sets and keeps the voter groups
 an axiom's rule yields for each T that are large enough, and a checker's
-witness is the first of them. Three rules serve its six searches.
+witness is the first of them. A rule yields each group as a voter
+bitmask, built from ``PBInstance.approver_masks`` without a loop over
+the voters; only a reported witness or GCR step becomes a voter tuple.
+Three rules serve its six searches.
 `_common_rule`, the approvers of all of T who miss it, serves EJR with
 unit weights, EJR-x with the scaled costs and JR over single projects.
 `fjr_search`, the weakly cohesive groups, serves FJR, and GCR in `rules`
@@ -28,7 +31,10 @@ non-empty group (a count of 0 drops T too):
   and GCR's chosen voters win m projects.
 Each count only falls and cost(T) only rises along an extension, so the
 sets left keep their (size, lexicographic) order and the first witness,
-and GCR's choice, stay the same.
+and GCR's choice, stay the same. Every set the EJR and EJR-x walks keep
+has a common approver, so it lies inside some A_i: they visit at most
+n·2^k sets for k = max_i |A_i| and are gated on k; FJR and GCR are gated
+on m.
 
 The pruning is exact, not a polynomial algorithm: the searches stay
 exponential in the number of projects (one large cohesive group still
@@ -39,6 +45,7 @@ are exact; budget never appears as a divisor.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -105,23 +112,23 @@ def _require_binary(instance: PBInstance, checker: str) -> None:
 # (T, cost(T)·scale, T as a project bitmask, the voters approving all of
 # T as a voter bitmask): one project set of a walk.
 _Walked = tuple[tuple[int, ...], int, int, int]
-_Candidate = tuple[tuple[int, ...], int, Sequence[int], dict]
-_Rule = Callable[
-    [tuple[int, ...], int, int, int], Iterable[tuple[Sequence[int], dict]]
-]
+# (T, cost(T)·scale, the group as a voter bitmask, the witness's fields)
+_Candidate = tuple[tuple[int, ...], int, int, dict]
+_Rule = Callable[[tuple[int, ...], int, int, int], Iterable[tuple[int, dict]]]
 # The number of voters that can still join a group for T or for any
 # extension of T: called with T ∪ R as a project bitmask (R the pool
 # after T's last project) and the approvers of all of T as a voter mask.
 _Reach = Callable[[int, int], int]
 
 
-def _approvers(instance: PBInstance) -> list[int]:
-    """For each project, the voters approving it as a bitmask."""
-    masks = instance.approval_masks
-    return [
-        sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1)
-        for j in range(instance.m)
-    ]
+def members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def within_budget(
@@ -130,48 +137,59 @@ def within_budget(
     limit: Optional[int],
     label: str,
     reach: _Reach,
+    widest: bool = False,
 ) -> Iterator[_Walked]:
     """The project sets T of the ascending ``pool`` with cost(T) <= B that
     some large enough group may still support, by size then
-    lexicographically; raises ``ScaleError`` at once above the limit.
+    lexicographically; raises ``ScaleError`` at once when m is above the
+    limit, or with ``widest`` when max_i |A_i| is (for a ``reach`` that is
+    0 once T has no common approver, so that T lies inside some A_i).
 
-    The walk sums integer ``scaled_costs`` and carries T's project mask and
-    the mask of T's common approvers. T is dropped with all its extensions
-    when ``reach`` counts no voter, or too few to afford T:
+    The walk sums integer ``scaled_costs`` and carries T's project mask,
+    the mask of T's common approvers and T's count. T is dropped with all
+    its extensions when ``reach`` counts no voter, or too few to afford T:
     count·B < n·cost(T). Extensions only add cost, and ``reach`` must not
-    grow along them, so no dropped set has a cohesive group.
+    grow along them, so no dropped set has a cohesive group, and a step
+    whose prefix's count cannot afford it is dropped before ``reach``.
     """
-    if instance.m > project_limit(limit):
-        raise ScaleError(f"{label} over 2^{instance.m} project sets")
+    if widest:
+        span = max(
+            (mask.bit_count() for mask in instance.approval_masks), default=0
+        )
+        sets = "subsets of the largest approval set"
+    else:
+        span, sets = instance.m, "project sets"
+    if span > project_limit(limit):
+        raise ScaleError(f"{label} over 2^{span} {sets}")
     pool = tuple(pool)
     cost, budget, n = instance.scaled_costs, instance.scaled_budget, instance.n
-    approvers = _approvers(instance)
+    approvers = instance.approver_masks
     # after[j]: the pool's projects after j, as a bitmask
     after, rest = {}, 0
     for j in reversed(pool):
         after[j], rest = rest, rest | 1 << j
 
     def extend(prefix, j):
-        total, mask, common = prefix
+        total, mask, common, count = prefix
         total += cost[j]
-        if total > budget:
+        if total > budget or count * budget < n * total:
             return None
         mask, common = mask | 1 << j, common & approvers[j]
         count = reach(mask | after[j], common)
         if not count or count * budget < n * total:
             return None
-        return total, mask, common
+        return total, mask, common, count
 
-    root = (0, 0, (1 << n) - 1)
+    root = (0, 0, (1 << n) - 1, n)
     return (
-        (group, *value) for group, value in subset_walk(pool, root, extend)
+        (group, *value[:3]) for group, value in subset_walk(pool, root, extend)
     )
 
 
 def _singles(instance: PBInstance) -> Iterator[_Walked]:
     """Each single project as a walked set, unpruned and ungated."""
     cost = instance.scaled_costs
-    for j, common in enumerate(_approvers(instance)):
+    for j, common in enumerate(instance.approver_masks):
         yield (j,), cost[j], 1 << j, common
 
 
@@ -185,14 +203,16 @@ def cohesive_groups(
 ) -> Iterator[_Candidate]:
     """``(T, cost, voters, fields)`` for each walked ``(T, cost, mask,
     common)`` of ``groups``, in order, and each ``(voters, fields)`` that
-    ``rule(T, cost, mask, common)`` yields whose non-empty ``voters`` are
-    enough to afford T: |voters|·B ≥ n·cost(T), on the scaled costs.
-    ``fields`` are the witness's extra fields (``beta`` or ``alpha``)."""
+    ``rule(T, cost, mask, common)`` yields whose non-empty ``voters`` (a
+    voter bitmask) are enough to afford T: |voters|·B ≥ n·cost(T), on the
+    scaled costs. ``fields`` are the witness's extra fields (``beta`` or
+    ``alpha``)."""
     budget, n = instance.scaled_budget, instance.n
     for walked in groups:
         group, cost = walked[:2]
         for voters, fields in rule(*walked):
-            if voters and len(voters) * budget >= n * cost:
+            count = voters.bit_count()
+            if count and count * budget >= n * cost:
                 yield group, cost, voters, fields
 
 
@@ -206,7 +226,7 @@ def _first(
     """The report whose witness is the first of the cohesive groups, if any."""
     for group, _, voters, fields in cohesive_groups(instance, groups, rule):
         witness = CohesivenessWitness(
-            projects=group, voters=tuple(voters), note=note, **fields
+            projects=group, voters=members(voters), note=note, **fields
         )
         return ExPostReport(axiom=axiom, holds=False, witness=witness)
     return ExPostReport(axiom=axiom, holds=True)
@@ -228,19 +248,27 @@ def _common_rule(
     """Voters who approve all of T and stay deprived up to any project of
     T they miss: base_i ≤ weight(T) − min{weight_c : c ∈ T ∖ W}, base_i the
     weight of the funded projects i approves; no group when T ⊆ W. Unit
-    weights give EJR's won_i < |T|, the scaled costs EJR-x's test."""
-    funded, base = outcome.projects, _won(instance, outcome, weight)
+    weights give EJR's won_i < |T|, the scaled costs EJR-x's test.
+
+    The group is T's common approvers masked by the voters with base_i ≤
+    bound, one prefix mask of the voters sorted by base_i."""
+    funded = outcome.projects
+    base = _won(instance, outcome, weight)
+    levels = sorted(set(base))
+    # at_most[k]: the voters whose base is at most levels[k]
+    at_most, seen = [], 0
+    for level in levels:
+        seen |= sum(1 << i for i, b in enumerate(base) if b == level)
+        at_most.append(seen)
 
     def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
         missing = [weight[c] for c in projects if c not in funded]
         if not missing:
             return
         bound = sum(weight[c] for c in projects) - min(missing)
-        yield [
-            i
-            for i in range(instance.n)
-            if common >> i & 1 and base[i] <= bound
-        ], {}
+        k = bisect_right(levels, bound)
+        if k:
+            yield common & at_most[k - 1], {}
 
     return rule
 
@@ -249,28 +277,58 @@ def fjr_search(instance: PBInstance, won: Sequence[int]) -> tuple[_Reach, _Rule]
     """FJR's reach and rule when voter i wins ``won_i`` approved projects:
     the groups for (T, β) are the voters with |A_i ∩ T| ≥ β > won_i.
 
-    Only voters with |A_i| > won_i can join any group, and β stops at the
-    largest |A_i ∩ T| > won_i; the reach counts won_i < |A_i ∩ (T ∪ R)|."""
-    voters = [
-        (i, approved, w)
-        for i, (approved, w) in enumerate(zip(instance.approval_masks, won))
-        if approved.bit_count() > w
+    The reach counts the voters with won_i < |A_i ∩ (T ∪ R)|, on packed
+    lanes: lane i of ``counts(X)`` holds |A_i ∩ X|, summed from one table
+    per byte of X, and adding ``bias`` sets the top bit of lane i iff that
+    count exceeds won_i. The rule counts each voter's approved projects
+    of T on voter bitmasks: ``least[b]`` holds the voters approving at
+    least b of them, and β runs up while it is non-empty."""
+    m, n, budget = instance.m, instance.n, instance.scaled_budget
+    approvers = instance.approver_masks
+    # Lanes of ``width`` bits hold any count up to m and won_i up to m
+    # below their top bit, so no lane carries into the next.
+    width = (m + 1).bit_length() + 1
+    top = 1 << width - 1
+    lane = [
+        sum(1 << i * width for i in members(approving))
+        for approving in approvers
     ]
-    masks = [(approved, w) for _, approved, w in voters]
+    tables = []
+    for first in range(0, m, 8):
+        table = [0]
+        for byte in range(1, 1 << min(8, m - first)):
+            low = byte & -byte
+            table.append(table[byte ^ low] + lane[first + low.bit_length() - 1])
+        tables.append((first, table))
+    bias = sum(top - 1 - w << i * width for i, w in enumerate(won))
+    high = sum(top << i * width for i in range(n))
+    # below[b]: the voters with won_i < b
+    below, seen = [], 0
+    for b in range(m + 1):
+        below.append(seen)
+        seen |= sum(1 << i for i, w in enumerate(won) if w == b)
+    everyone = (1 << n) - 1
 
     def reach(within: int, common: int) -> int:
-        return len([a for a, w in masks if (a & within).bit_count() > w])
+        counts = bias
+        for first, table in tables:
+            counts += table[within >> first & 0xFF]
+        return (counts & high).bit_count()
 
     def rule(projects: tuple[int, ...], cost: int, mask: int, common: int):
-        candidates = [
-            (i, have, w)
-            for i, approved, w in voters
-            if (have := (approved & mask).bit_count()) > w
-        ]
-        if not candidates:
+        # Every group lies among the voters with |A_i ∩ T| > won_i.
+        if reach(mask, common) * budget < n * cost:
             return
-        for beta in range(1, max([have for _, have, _ in candidates]) + 1):
-            yield [i for i, have, w in candidates if w < beta <= have], {"beta": beta}
+        least = [everyone]
+        for c in projects:
+            approving = approvers[c]
+            least.append(least[-1] & approving)
+            for b in range(len(least) - 2, 0, -1):
+                least[b] |= least[b - 1] & approving
+        for beta in range(1, len(least)):
+            if not least[beta]:
+                return
+            yield least[beta] & below[beta], {"beta": beta}
 
     return reach, rule
 
@@ -292,7 +350,8 @@ def check_ejr_binary(
     """Extended justified representation for binary utilities."""
     _require_binary(instance, "check_ejr_binary")
     groups = within_budget(
-        instance, range(instance.m), limit, "EJR enumeration", _common_approvers
+        instance, range(instance.m), limit, "EJR enumeration",
+        _common_approvers, widest=True,
     )
     rule = _common_rule(instance, outcome, [1] * instance.m)
     return _first(
@@ -333,11 +392,11 @@ def check_jr_general(instance: PBInstance, outcome: IntegralOutcome) -> ExPostRe
             if instance.utilities[i][j] > 0
         }
         for alpha in sorted(thresholds):
-            yield [
-                i
+            yield sum(
+                1 << i
                 for i in range(instance.n)
                 if instance.utilities[i][j] >= alpha and sat[i] < alpha
-            ], {"alpha": alpha}
+            ), {"alpha": alpha}
 
     return _first(
         instance, "jr-general", _singles(instance), rule,
@@ -353,7 +412,7 @@ def check_ejrx_cost(
         raise SettingError("check_ejrx_cost requires cost utilities")
     groups = within_budget(
         instance, range(instance.m), limit, "EJR-x enumeration",
-        _common_approvers,
+        _common_approvers, widest=True,
     )
     rule = _common_rule(instance, outcome, instance.scaled_costs)
     return _first(

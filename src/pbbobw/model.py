@@ -149,6 +149,17 @@ class PBInstance:
             for row in self.utilities
         )
 
+    @cached_property
+    def approver_masks(self) -> tuple[int, ...]:
+        """Each project's approvers (u_ij > 0) as a bitmask over voter
+        indices: the transpose of ``approval_masks``."""
+        masks = [0] * self.m
+        for i, row in enumerate(self.utilities):
+            for j, u in enumerate(row):
+                if u > 0:
+                    masks[j] |= 1 << i
+        return tuple(masks)
+
     def subsets(
         self, pool: Iterable[int], ceiling: Optional[Fraction] = None
     ) -> Iterator[tuple[int, ...]]:

@@ -3,8 +3,11 @@
 ``FRACTIONAL_AXIOMS`` and ``INTEGRAL_AXIOMS`` map each axiom name (and
 alias) to one checker ``check(instance, target, limit)`` whose result has
 ``.holds`` and ``.to_dict(instance)``; ``verify``, ``run`` and the
-oracle's outcome classes all read them. ``limit`` bounds every 2^m or 2^n
-enumeration a checker runs (see ``limits``).
+oracle's outcome classes all read them, through the dict at call time.
+``limit`` bounds every 2^m or 2^n enumeration a checker runs (see
+``limits``). ``UPWARD_CLOSED`` names the integral axioms whose classes
+are upward-closed, which the outcome enumeration decides on the subset
+lattice (see ``enumerate_outcomes``).
 
 The oracles are reference procedures, exponential in the number of
 projects (and, for group fairness rows, in the number of voters). They
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .expost import (
@@ -98,6 +102,11 @@ INTEGRAL_AXIOMS: dict[str, Check] = {
     "bfx": _no_limit(lambda instance, w: Verdict("bfx", is_bfx(instance, w))),
 }
 
+# Adding a project never makes a voter worse off, so an outcome that
+# satisfies one of these axioms still does with any project added. Each
+# fails with a ``CohesivenessWitness`` (T, S): T the projects, S the group.
+UPWARD_CLOSED = frozenset({"jr", "jr-general", "ejr", "fjr", "ejrx"})
+
 
 # ---------------------------------------------------------------------------
 # Outcome predicates
@@ -172,6 +181,50 @@ def predicate(name: str) -> OutcomePredicate:
     return result
 
 
+def _lattice_check(
+    instance: PBInstance, axiom: str, limit: Optional[int]
+) -> Callable[[tuple[int, ...]], bool]:
+    """``holds(W)`` for an ``UPWARD_CLOSED`` axiom, called on outcomes W
+    by size, then lexicographically, that decides W from the verdicts on
+    its immediate subsets W ∖ {j} before it calls the checker:
+    - if some W ∖ {j} holds, W holds;
+    - if some W ∖ {j} fails with witness (T, S), j ∉ T and no voter of S
+      approves j, then W fails with the same witness: T, each voter's
+      utility and the group's size are as they were.
+    Only verdicts of outcomes ``holds`` was called on are read. Each is 0
+    when W holds, else the projects j that its witness rules out: T and
+    every project some voter of S approves.
+    """
+    approvals = instance.approval_masks
+    # size -> {W as a project mask: its verdict}, for W's size and the one
+    # below it
+    verdicts: dict[int, dict[int, int]] = {}
+
+    def holds(group: tuple[int, ...]) -> bool:
+        size = len(group)
+        verdicts.pop(size - 2, None)
+        below = verdicts.get(size - 1, {})
+        mask = sum(1 << j for j in group)
+        verdict = None
+        for j in group:
+            known = below.get(mask ^ 1 << j)
+            if known == 0 or (known and not known >> j & 1):
+                verdict = known
+                break
+        if verdict is None:
+            report = INTEGRAL_AXIOMS[axiom](instance, IntegralOutcome(group), limit)
+            verdict = 0
+            if not report.holds:
+                witness = report.witness
+                verdict = sum(1 << c for c in witness.projects)
+                for i in witness.voters:
+                    verdict |= approvals[i]
+        verdicts.setdefault(size, {})[mask] = verdict
+        return verdict == 0
+
+    return holds
+
+
 def enumerate_outcomes(
     instance: PBInstance,
     pred: OutcomePredicate,
@@ -184,6 +237,12 @@ def enumerate_outcomes(
     capped at the budget when the predicate is budget-capped; the ones
     ``pred`` accepts are sorted. ``limit`` caps m and is passed on to the
     checks of ``pred``'s axioms.
+
+    The candidates come by size, then lexicographically, and every subset
+    of a candidate is one (costs are non-negative), so the immediate
+    subsets of W are decided before W. ``pred``'s ``UPWARD_CLOSED`` axioms
+    are decided from them where they can be (``_lattice_check``), and
+    the checker runs on the rest: the accepted outcomes are the same.
     """
     m = instance.m
     cap = project_limit(limit)
@@ -191,10 +250,21 @@ def enumerate_outcomes(
         raise ScaleError(f"{m} projects exceeds enumeration limit {cap}")
     ceiling = instance.budget if pred.budget_capped else None
     candidates = chain([()], instance.subsets(range(m), ceiling))
+    lattice = {
+        a: _lattice_check(instance, a, limit)
+        for a in pred.axioms
+        if a in UPWARD_CLOSED
+    }
+
+    def holds(axiom: str, group: tuple[int, ...]) -> bool:
+        if axiom in lattice:
+            return lattice[axiom](group)
+        return INTEGRAL_AXIOMS[axiom](instance, IntegralOutcome(group), limit).holds
+
     accepted = [
         group
         for group in candidates
-        if pred.evaluate(instance, IntegralOutcome(group), limit)
+        if all(holds(a, group) for a in pred.axioms)
     ]
     return [IntegralOutcome(group) for group in sorted(accepted)]
 
@@ -281,9 +351,14 @@ def lottery_feasible(
         for con in extra:
             if len(con.coefficients) != m:
                 raise ValidationError("extra constraint has wrong arity")
-            # Each outcome's column is 0/1: sum the coefficients of W.
+            # Each outcome's column is 0/1: sum the coefficients of W, as
+            # integers over the row's common denominator d. The row stays
+            # the same rationals: a multiple of it would weigh its
+            # artificial differently in the simplex's phase one.
+            d = lcm(*(c.denominator for c in con.coefficients))
+            scaled = [c.numerator * (d // c.denominator) for c in con.coefficients]
             substituted = tuple(
-                sum((con.coefficients[j] for j in w.projects), Fraction(0))
+                Fraction(sum(scaled[j] for j in w.projects), d)
                 for w in outcomes
             )
             rows.append(

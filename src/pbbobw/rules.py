@@ -10,7 +10,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .exante import optimal_fractional_outcome, unanimous_partition
-from .expost import SettingError, cohesive_groups, fjr_search, within_budget
+from .expost import (
+    SettingError,
+    cohesive_groups,
+    fjr_search,
+    members,
+    within_budget,
+)
 from .model import (
     FractionalOutcome,
     IntegralOutcome,
@@ -97,13 +103,14 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
         groups = within_budget(instance, remaining, limit, "GCR search", reach)
         best = min(
             cohesive_groups(instance, groups, rule),
-            key=lambda c: (-c[3]["beta"], c[1], -len(c[2]), c[0]),
+            key=lambda c: (-c[3]["beta"], c[1], -c[2].bit_count(), c[0]),
             default=None,
         )
         if best is None:
             break
-        group, _, voters, fields = best
-        steps.append(GCRStep(fields["beta"], group, tuple(voters)))
+        group, _, mask, fields = best
+        voters = members(mask)
+        steps.append(GCRStep(fields["beta"], group, voters))
         chosen.update(group)
         for i in voters:
             won[i] = instance.m

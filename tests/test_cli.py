@@ -460,12 +460,14 @@ def test_overwritten_out_is_a_new_file_with_the_same_bytes(capsys, tmp_path):
 
 
 def _wide_binary_file(tmp_path, m):
+    """m unit-cost projects, B = 3: v1 approves all of them, so the EJR
+    gate, on the largest approval set, meets m as the FJR and GCR gates do."""
     ids = [f"p{j:02d}" for j in range(m)]
     doc = {
         "budget": "3",
         "projects": [{"id": pid, "cost": "1"} for pid in ids],
         "voters": [
-            {"id": "v1", "utilities": {pid: "1" for pid in ids[0::2]}},
+            {"id": "v1", "utilities": {pid: "1" for pid in ids}},
             {"id": "v2", "utilities": {pid: "1" for pid in ids[1::3]}},
         ],
     }
@@ -481,7 +483,7 @@ def test_run_mes_above_the_limit_skips_the_ex_post_checks(capsys, tmp_path):
     report = json.loads(out)
     assert len(report["outcome"]) == 3
     assert report["axioms"]["ejr"] == {
-        "skipped": "EJR enumeration over 2^21 project sets"
+        "skipped": "EJR enumeration over 2^21 subsets of the largest approval set"
     }
     code, out, _ = run_cli(
         capsys, "run", "--instance", path, "--rule", "bw-mes", "--samples", "3"
@@ -490,7 +492,7 @@ def test_run_mes_above_the_limit_skips_the_ex_post_checks(capsys, tmp_path):
     for entry in json.loads(out)["axioms"]["sampled_outcomes"]:
         assert entry["bb1"] is True
         assert entry["ejr"] == {
-            "skipped": "EJR enumeration over 2^21 project sets"
+            "skipped": "EJR enumeration over 2^21 subsets of the largest approval set"
         }
     for rule in ("gcr", "bw-gcr"):
         code, _, err = run_cli(
@@ -500,6 +502,65 @@ def test_run_mes_above_the_limit_skips_the_ex_post_checks(capsys, tmp_path):
         assert "GCR search over 2^21" in err
 
 
+def _m24_file(path, utility, widest):
+    """12 voters over 24 projects of cost ``utility`` (1: binary, 2: cost
+    utilities) and B = 12·utility; voter i approves projects 2i, 2i+1 and
+    2i+2 (mod 24), each worth ``utility``, and v01 also the first
+    ``widest`` projects."""
+    ids = [f"p{j:02d}" for j in range(24)]
+    voters = []
+    for i in range(12):
+        approved = {ids[2 * i], ids[2 * i + 1], ids[(2 * i + 2) % 24]}
+        if i == 0:
+            approved.update(ids[:widest])
+        voters.append({"id": f"v{i + 1:02d}",
+                       "utilities": {pid: utility for pid in sorted(approved)}})
+    path.write_text(json.dumps({
+        "budget": str(12 * int(utility)),
+        "projects": [{"id": pid, "cost": utility} for pid in ids],
+        "voters": voters,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("utility, axiom, label", [
+    ("1", "ejr", "EJR enumeration"), ("2", "ejrx", "EJR-x enumeration"),
+])
+def test_ejr_and_ejrx_gate_on_the_largest_approval_set(
+    capsys, monkeypatch, tmp_path, utility, axiom, label
+):
+    """At m = 24 > 20 EJR and EJR-x are answered while every approval set
+    is small, and skipped once one holds more than 20 projects; FJR keeps
+    the gate on m."""
+    monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
+    narrow = _m24_file(tmp_path / "narrow.json", utility, 3)
+    code, out, _ = run_cli(capsys, "run", "--instance", narrow, "--rule", "mes")
+    assert code == 0
+    entry = json.loads(out)["axioms"][axiom]
+    assert entry["holds"] is True and entry["witness"] is None
+    wide = _m24_file(tmp_path / "wide.json", utility, 21)
+    code, out, _ = run_cli(capsys, "run", "--instance", wide, "--rule", "mes")
+    assert code == 0
+    assert json.loads(out)["axioms"][axiom] == {
+        "skipped": f"{label} over 2^21 subsets of the largest approval set"
+    }
+    if axiom == "ejr":
+        target = tmp_path / "w.json"
+        target.write_text(json.dumps(["p00", "p01"]))
+        code, _, err = run_cli(
+            capsys, "verify", "--instance", narrow, "--target", str(target),
+            "--axioms", "ejr,fjr",
+        )
+        assert code == 2
+        assert err == "error: FJR enumeration over 2^24 project sets\n"
+        code, out, _ = run_cli(
+            capsys, "verify", "--instance", narrow, "--target", str(target),
+            "--axioms", "ejr",
+        )
+        assert code == 1
+        assert json.loads(out)["axioms"]["ejr"]["holds"] is False
+
+
 def test_limit_exp_caps_the_ex_post_checks(capsys, tmp_path):
     path = _wide_binary_file(tmp_path, 5)
     code, out, _ = run_cli(
@@ -507,7 +568,7 @@ def test_limit_exp_caps_the_ex_post_checks(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["axioms"]["ejr"] == {
-        "skipped": "EJR enumeration over 2^5 project sets"
+        "skipped": "EJR enumeration over 2^5 subsets of the largest approval set"
     }
     target = tmp_path / "w.json"
     target.write_text(json.dumps(["p00", "p01", "p02"]))
@@ -594,7 +655,7 @@ def test_negative_env_limit_exits_2_before_any_work(
     code, stdout, _ = run_cli(capsys, *_limited_commands(instance_file, tmp_path)[0])
     assert code == 0
     assert json.loads(stdout)["axioms"]["ejr"] == {
-        "skipped": "EJR enumeration over 2^3 project sets"
+        "skipped": "EJR enumeration over 2^2 subsets of the largest approval set"
     }
 
 
@@ -612,7 +673,7 @@ def test_limit_exp_must_be_non_negative(
     code, out, _ = run_cli(capsys, *commands[0], "--limit-exp", "0")
     assert code == 0
     assert json.loads(out)["axioms"]["ejr"] == {
-        "skipped": "EJR enumeration over 2^3 project sets"
+        "skipped": "EJR enumeration over 2^2 subsets of the largest approval set"
     }
 
 

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,3 +220,20 @@ def test_subsets_match_a_filter_over_combinations():
                 assert list(inst.subsets(pool, ceiling)) == expected
                 pruned += 2 ** len(pool) - 1 - len(expected)
     assert pruned > 0
+
+
+def test_approver_masks_transpose_the_approval_masks():
+    """Each project's approvers as a voter bitmask: the per-project loop
+    over the voters, on the committed 14-project instance and on seeded
+    general instances, half with zero-cost projects."""
+    unit14 = Path(__file__).resolve().parent / "data" / "reports" / "unit14.json"
+    rng = random.Random(73)
+    instances = [parse_instance(unit14.read_text()), two_voter_example()]
+    for case in range(30):
+        inst = random_instance(rng)
+        instances.append(with_zero_cost_projects(rng, inst) if case % 2 else inst)
+    for inst in instances:
+        assert inst.approver_masks == tuple(
+            sum(1 << i for i in range(inst.n) if inst.utilities[i][j] > 0)
+            for j in range(inst.m)
+        )

@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +31,14 @@ from pbbobw import (
     is_bb1,
     is_bfx,
     lottery_feasible,
+    parse_instance,
     predicate,
     solve_feasibility,
+    utility,
 )
 
-from pbbobw.oracle import OUTCOME_CLASSES
+from pbbobw import oracle
+from pbbobw.oracle import INTEGRAL_AXIOMS, OUTCOME_CLASSES, UPWARD_CLOSED
 
 from conftest import (
     random_feasible_p,
@@ -242,9 +247,14 @@ def _brute_force(inst, names):
 def test_enumerate_every_class_matches_brute_force():
     assert set(_REFERENCE_CLASSES) == set(OUTCOME_CLASSES)
     rng = random.Random(61)
+    # The conjunctions with bb1 or bfx decide the closed class only on
+    # the outcomes the other class accepts.
     queries = [name for name in OUTCOME_CLASSES] + [
         "within-budget,jr-binary",
         "bb1,ejrx-cost",
+        "fjr-binary,bb1",
+        "bfx,jr-binary",
+        "ejrx-cost,bb1",
     ]
     # two_voter_example has outcomes that cost exactly the budget; on
     # ejr_not_fjr the ejr-binary and fjr-binary classes differ.
@@ -264,6 +274,15 @@ def test_enumerate_every_class_matches_brute_force():
         for kind in ("binary", "cost")
         for _ in range(12)
     ]
+    instances += [
+        with_zero_cost_projects(rng, inst, utility)
+        for inst, utility in [
+            (random_instance(rng, n_max=4, m_max=5, utilities="binary"), Fraction(1)),
+            (random_instance(rng, n_max=4, m_max=5, utilities="cost"), Fraction(0)),
+            (random_instance(rng, n_max=4, m_max=5), Fraction(3, 2)),
+        ]
+        for _ in range(3)
+    ]
     checked = 0
     for inst in instances:
         for query in queries:
@@ -276,7 +295,7 @@ def test_enumerate_every_class_matches_brute_force():
                 continue
             assert enumerate_outcomes(inst, predicate(query)) == expected
             checked += 1
-    assert checked > 150
+    assert checked > 250
 
 
 def test_enumerate_passes_its_limit_to_the_class_checks(monkeypatch):
@@ -287,6 +306,166 @@ def test_enumerate_passes_its_limit_to_the_class_checks(monkeypatch):
         w for w in enumerate_outcomes(inst, predicate("within-budget"), 3)
         if check_fjr_binary(inst, w, 3).holds
     ]
+
+
+# ---------------------------------------------------------------------------
+# The subset lattice of the upward-closed classes
+
+
+def _refutes(inst, axiom, w, witness):
+    """Whether the witness's group S for its projects T shows, by the
+    axiom's definition, that outcome w violates the axiom."""
+    projects, voters = frozenset(witness.projects), witness.voters
+    if not voters or len(voters) * inst.budget < inst.n * inst.total_cost(projects):
+        return False
+    funded = w.projects
+    approvals = [inst.approval_set(i) for i in voters]
+    if axiom == "jr":
+        return not projects & funded and all(
+            projects <= a and not a & funded for a in approvals
+        )
+    if axiom == "jr-general":
+        (c,) = witness.projects
+        return all(
+            inst.utilities[i][c] >= witness.alpha > utility(inst, i, w)
+            for i in voters
+        )
+    if axiom == "ejr":
+        return all(
+            projects <= a and len(a & funded) < len(projects) for a in approvals
+        )
+    if axiom == "fjr":
+        return all(
+            len(a & projects) >= witness.beta > len(a & funded) for a in approvals
+        )
+    assert axiom == "ejrx"
+    return all(
+        projects <= inst.approval_set(i)
+        and any(
+            utility(inst, i, w) + inst.utilities[i][c]
+            <= sum(inst.utilities[i][t] for t in projects)
+            for c in projects - funded
+        )
+        for i in voters
+    )
+
+
+# Utilities -> (the closed axioms that apply, a zero-cost project's utility)
+_LATTICE_SETTINGS = {
+    "binary": (("jr", "jr-general", "ejr", "fjr"), Fraction(1)),
+    "cost": (("ejrx", "jr-general"), Fraction(0)),
+    "general": (("jr-general",), Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("utilities", sorted(_LATTICE_SETTINGS))
+def test_closed_axioms_hold_upward_and_keep_their_witnesses(utilities):
+    """The two facts ``enumerate_outcomes`` decides by, on every outcome W
+    and project j not in W of seeded instances, half with zero-cost
+    projects: if W satisfies the axiom, W + j does; if W fails with
+    witness (T, S), j is not in T and no voter of S approves j, then the
+    same witness refutes W + j."""
+    assert UPWARD_CLOSED == {
+        a for axioms, _ in _LATTICE_SETTINGS.values() for a in axioms
+    }
+    axioms, zero_utility = _LATTICE_SETTINGS[utilities]
+    rng = random.Random(67)
+    kept = Counter()
+    for case in range(40):
+        inst = random_instance(rng, n_max=5, m_max=6, utilities=utilities)
+        if case % 2:
+            inst = with_zero_cost_projects(rng, inst, zero_utility)
+        outcomes = [
+            frozenset(w)
+            for r in range(inst.m + 1)
+            for w in itertools.combinations(range(inst.m), r)
+        ]
+        for axiom in axioms:
+            reports = {
+                w: INTEGRAL_AXIOMS[axiom](inst, IntegralOutcome(w), None)
+                for w in outcomes
+            }
+            for w, report in reports.items():
+                witness = report.witness
+                if not report.holds:
+                    assert _refutes(inst, axiom, IntegralOutcome(w), witness)
+                for j in set(range(inst.m)) - w:
+                    bigger = w | {j}
+                    if report.holds:
+                        assert reports[bigger].holds
+                    elif j not in witness.projects and all(
+                        inst.utilities[i][j] == 0 for i in witness.voters
+                    ):
+                        assert _refutes(inst, axiom, IntegralOutcome(bigger), witness)
+                        assert not reports[bigger].holds
+                        kept[axiom] += 1
+    assert all(kept[axiom] > 50 for axiom in axioms), kept
+
+
+UNIT14 = Path(__file__).resolve().parent / "data" / "reports" / "unit14.json"
+
+
+def test_enumeration_on_the_committed_14_project_instance_makes_pinned_checks(
+    monkeypatch,
+):
+    """A machine-independent work guard: on the committed unit14.json
+    (n = 10, m = 14, unit costs, B = 6), 6,476 outcomes fit the budget and
+    2,998 of them satisfy each of JR, EJR and FJR. The lattice decides all
+    but 305 of them from their immediate subsets, for each axiom."""
+    inst = parse_instance(UNIT14.read_text())
+    calls = Counter()
+    for axiom in ("jr", "ejr", "fjr"):
+
+        def counted(instance, w, limit, axiom=axiom, check=INTEGRAL_AXIOMS[axiom]):
+            calls[axiom] += 1
+            return check(instance, w, limit)
+
+        monkeypatch.setitem(INTEGRAL_AXIOMS, axiom, counted)
+    fitting = enumerate_outcomes(inst, predicate("within-budget"))
+    assert len(fitting) == 6476
+    found = {
+        name: enumerate_outcomes(inst, predicate(name))
+        for name in ("jr-binary", "ejr-binary", "fjr-binary")
+    }
+    assert calls == {"jr": 305, "ejr": 305, "fjr": 305}
+    assert {name: len(ws) for name, ws in found.items()} == {
+        "jr-binary": 2998, "ejr-binary": 2998, "fjr-binary": 2998,
+    }
+    monkeypatch.undo()
+    assert found["jr-binary"] == [w for w in fitting if check_jr_binary(inst, w).holds]
+    assert found["ejr-binary"] == [w for w in fitting if check_ejr_binary(inst, w).holds]
+
+
+def test_free_marginal_rows_are_the_substituted_fractions(monkeypatch):
+    """Each extra row over p reaches the simplex as the same rationals:
+    the sum of its coefficients over each outcome's projects."""
+    seen = []
+
+    def solve(rows, num_vars):
+        seen.append(list(rows))
+        return solve_feasibility(rows, num_vars)
+
+    monkeypatch.setattr(oracle, "solve_feasibility", solve)
+    rng = random.Random(71)
+    for _ in range(10):
+        inst = random_instance(rng, n_max=4, m_max=5)
+        extra = ifs_rows(inst) + [
+            LinearConstraint(
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(inst.m)),
+                rng.choice(["<=", ">="]),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            )
+        ]
+        outcomes = enumerate_outcomes(inst, predicate("bb1"))
+        seen.clear()
+        lottery_feasible(inst, predicate("bb1"), None, extra)
+        (rows,) = seen
+        for con, row in zip(extra, rows[2:]):
+            assert row.relation == con.relation and row.bound == con.bound
+            assert row.coefficients == tuple(
+                sum((con.coefficients[j] for j in w.projects), Fraction(0))
+                for w in outcomes
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,10 @@ CASES = {
                                         "bb1", "--fractional", "wide13-p.json"],
     "oracle-joint-fjr-ifs": ["oracle", "--instance", "binary.json", "--mode",
                              "joint", "--predicate", "fjr-binary", "--builtin", "ifs"],
+    # 14 unit-cost projects, B = 6: 6,476 within-budget outcomes, most of
+    # whose FJR verdicts follow from their immediate subsets.
+    "oracle-joint-fjr-unit14": ["oracle", "--instance", "unit14.json", "--mode",
+                                "joint", "--predicate", "fjr-binary"],
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
     "gen-gfs-jr": ["gen", "--family", "gfs-jr", "--n", "6"],
     "gen-ifs-jr": ["gen", "--family", "ifs-jr", "--n", "4"],
