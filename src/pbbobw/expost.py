@@ -25,16 +25,16 @@ extensions, exactly, when no extension can have a large enough
 non-empty group (a count of 0 drops T too):
 - cost(T) > B (a group has at most n voters);
 - for EJR and EJR-x, #{i : T ⊆ A_i}·B < n·cost(T), since every deprived
-  voter approves all of T;
+  voter approves all of T (the walk's default reach);
 - for FJR and GCR, #{i : won_i < |A_i ∩ (T ∪ R)|}·B < n·cost(T), where R
   is the pool after T's last project (any extension lies within T ∪ R)
   and GCR's chosen voters win m projects.
 Each count only falls and cost(T) only rises along an extension, so the
 sets left keep their (size, lexicographic) order and the first witness,
-and GCR's choice, stay the same. Every set the EJR and EJR-x walks keep
-has a common approver, so it lies inside some A_i: they visit at most
-n·2^k sets for k = max_i |A_i| and are gated on k; FJR and GCR are gated
-on m.
+and GCR's choice, stay the same. Every set the default reach keeps has a
+common approver, so it lies inside some A_i: EJR and EJR-x visit at most
+n·2^k sets for k = max_i |A_i| and are gated on k; FJR and GCR, which
+pass their own reach, are gated on m.
 
 The pruning is exact, not a polynomial algorithm: the searches stay
 exponential in the number of projects (one large cohesive group still
@@ -104,7 +104,8 @@ class ExPostReport:
         }
 
 
-def _require_binary(instance: PBInstance, checker: str) -> None:
+def require_binary(instance: PBInstance, checker: str) -> None:
+    """Raise ``SettingError`` unless the instance has binary utilities."""
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError(f"{checker} requires binary utilities")
 
@@ -136,14 +137,16 @@ def within_budget(
     pool: Iterable[int],
     limit: Optional[int],
     label: str,
-    reach: _Reach,
-    widest: bool = False,
+    reach: Optional[_Reach] = None,
 ) -> Iterator[_Walked]:
     """The project sets T of the ascending ``pool`` with cost(T) <= B that
     some large enough group may still support, by size then
     lexicographically; raises ``ScaleError`` at once when m is above the
-    limit, or with ``widest`` when max_i |A_i| is (for a ``reach`` that is
-    0 once T has no common approver, so that T lies inside some A_i).
+    limit.
+
+    Without a ``reach``, the voters approving all of T are counted, so
+    every set kept lies inside some A_i, and the gate is max_i |A_i|
+    instead of m.
 
     The walk sums integer ``scaled_costs`` and carries T's project mask,
     the mask of T's common approvers and T's count. T is dropped with all
@@ -152,11 +155,14 @@ def within_budget(
     grow along them, so no dropped set has a cohesive group, and a step
     whose prefix's count cannot afford it is dropped before ``reach``.
     """
-    if widest:
+    if reach is None:
         span = max(
             (mask.bit_count() for mask in instance.approval_masks), default=0
         )
         sets = "subsets of the largest approval set"
+
+        def reach(within: int, common: int) -> int:
+            return common.bit_count()
     else:
         span, sets = instance.m, "project sets"
     if span > project_limit(limit):
@@ -191,11 +197,6 @@ def _singles(instance: PBInstance) -> Iterator[_Walked]:
     cost = instance.scaled_costs
     for j, common in enumerate(instance.approver_masks):
         yield (j,), cost[j], 1 << j, common
-
-
-def _common_approvers(within: int, common: int) -> int:
-    """EJR's and EJR-x's reach: the voters approving all of T."""
-    return common.bit_count()
 
 
 def cohesive_groups(
@@ -277,31 +278,17 @@ def fjr_search(instance: PBInstance, won: Sequence[int]) -> tuple[_Reach, _Rule]
     """FJR's reach and rule when voter i wins ``won_i`` approved projects:
     the groups for (T, β) are the voters with |A_i ∩ T| ≥ β > won_i.
 
-    The reach counts the voters with won_i < |A_i ∩ (T ∪ R)|, on packed
-    lanes: lane i of ``counts(X)`` holds |A_i ∩ X|, summed from one table
-    per byte of X, and adding ``bias`` sets the top bit of lane i iff that
-    count exceeds won_i. The rule counts each voter's approved projects
-    of T on voter bitmasks: ``least[b]`` holds the voters approving at
-    least b of them, and β runs up while it is non-empty."""
+    The reach counts the voters with won_i < |A_i ∩ (T ∪ R)| on the
+    instance's ``approval_count_lanes``: adding ``bias`` to the lanes'
+    counts sets the top bit of lane i iff that count exceeds won_i. The
+    rule counts each voter's approved projects of T on voter bitmasks:
+    ``least[b]`` holds the voters approving at least b of them, and β runs
+    up while it is non-empty."""
     m, n, budget = instance.m, instance.n, instance.scaled_budget
     approvers = instance.approver_masks
-    # Lanes of ``width`` bits hold any count up to m and won_i up to m
-    # below their top bit, so no lane carries into the next.
-    width = (m + 1).bit_length() + 1
+    width, tables, high = instance.approval_count_lanes
     top = 1 << width - 1
-    lane = [
-        sum(1 << i * width for i in members(approving))
-        for approving in approvers
-    ]
-    tables = []
-    for first in range(0, m, 8):
-        table = [0]
-        for byte in range(1, 1 << min(8, m - first)):
-            low = byte & -byte
-            table.append(table[byte ^ low] + lane[first + low.bit_length() - 1])
-        tables.append((first, table))
     bias = sum(top - 1 - w << i * width for i, w in enumerate(won))
-    high = sum(top << i * width for i in range(n))
     # below[b]: the voters with won_i < b
     below, seen = [], 0
     for b in range(m + 1):
@@ -336,7 +323,7 @@ def fjr_search(instance: PBInstance, won: Sequence[int]) -> tuple[_Reach, _Rule]
 def check_jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> ExPostReport:
     """Justified representation for binary utilities (polynomial check):
     EJR's rule over the single projects."""
-    _require_binary(instance, "check_jr_binary")
+    require_binary(instance, "check_jr_binary")
     rule = _common_rule(instance, outcome, [1] * instance.m)
     return _first(
         instance, "jr", _singles(instance), rule,
@@ -348,10 +335,9 @@ def check_ejr_binary(
     instance: PBInstance, outcome: IntegralOutcome, limit: Optional[int] = None
 ) -> ExPostReport:
     """Extended justified representation for binary utilities."""
-    _require_binary(instance, "check_ejr_binary")
+    require_binary(instance, "check_ejr_binary")
     groups = within_budget(
-        instance, range(instance.m), limit, "EJR enumeration",
-        _common_approvers, widest=True,
+        instance, range(instance.m), limit, "EJR enumeration"
     )
     rule = _common_rule(instance, outcome, [1] * instance.m)
     return _first(
@@ -364,7 +350,7 @@ def check_fjr_binary(
     instance: PBInstance, outcome: IntegralOutcome, limit: Optional[int] = None
 ) -> ExPostReport:
     """Full justified representation for binary utilities."""
-    _require_binary(instance, "check_fjr_binary")
+    require_binary(instance, "check_fjr_binary")
     reach, rule = fjr_search(instance, _won(instance, outcome, [1] * instance.m))
     groups = within_budget(
         instance, range(instance.m), limit, "FJR enumeration", reach
@@ -411,8 +397,7 @@ def check_ejrx_cost(
     if not has_cost_utilities(instance):
         raise SettingError("check_ejrx_cost requires cost utilities")
     groups = within_budget(
-        instance, range(instance.m), limit, "EJR-x enumeration",
-        _common_approvers, widest=True,
+        instance, range(instance.m), limit, "EJR-x enumeration"
     )
     rule = _common_rule(instance, outcome, instance.scaled_costs)
     return _first(

@@ -160,6 +160,31 @@ class PBInstance:
                     masks[j] |= 1 << i
         return tuple(masks)
 
+    @cached_property
+    def approval_count_lanes(
+        self,
+    ) -> tuple[int, tuple[tuple[int, list[int]], ...], int]:
+        """``(width, tables, high)``: each voter's count of approved
+        projects in a project mask X on packed lanes of ``width`` bits.
+        Summing ``table[X >> first & 0xFF]`` over ``(first, table)`` in
+        ``tables`` puts |A_i ∩ X| in lane i; ``high`` holds each lane's
+        top bit. Lanes hold any count up to m, and a won_i up to m for FJR's
+        bias, below their top bit, so no lane carries into the next."""
+        width = (self.m + 1).bit_length() + 1
+        lane = [
+            sum(1 << i * width for i, row in enumerate(self.utilities) if row[j] > 0)
+            for j in range(self.m)
+        ]
+        tables = []
+        for first in range(0, self.m, 8):
+            table = [0]
+            for byte in range(1, 1 << min(8, self.m - first)):
+                low = byte & -byte
+                table.append(table[byte ^ low] + lane[first + low.bit_length() - 1])
+            tables.append((first, table))
+        high = sum(1 << width - 1 << i * width for i in range(self.n))
+        return width, tuple(tables), high
+
     def subsets(
         self, pool: Iterable[int], ceiling: Optional[Fraction] = None
     ) -> Iterator[tuple[int, ...]]:

@@ -114,14 +114,13 @@ UPWARD_CLOSED = frozenset({"jr", "jr-general", "ejr", "fjr", "ejrx"})
 
 @dataclass(frozen=True)
 class OutcomePredicate:
-    """A named class of integral outcomes: those that satisfy every
+    """A class of integral outcomes: those that satisfy every
     ``INTEGRAL_AXIOMS`` entry named in ``axioms``.
 
     ``budget_capped`` marks classes that only admit within-budget
     outcomes, which lets the enumerator prune by running cost.
     """
 
-    name: str
     budget_capped: bool
     axioms: tuple[str, ...] = ()
 
@@ -139,13 +138,6 @@ class OutcomePredicate:
         return all(
             INTEGRAL_AXIOMS[a](instance, outcome, limit).holds
             for a in self.axioms
-        )
-
-    def conjoin(self, other: "OutcomePredicate") -> "OutcomePredicate":
-        return OutcomePredicate(
-            name=f"{self.name}&{other.name}",
-            budget_capped=self.budget_capped or other.budget_capped,
-            axioms=self.axioms + other.axioms,
         )
 
 
@@ -171,14 +163,14 @@ def predicate(name: str) -> OutcomePredicate:
     parts = [p.strip() for p in name.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty predicate name")
-    result: Optional[OutcomePredicate] = None
     for part in parts:
         if part not in OUTCOME_CLASSES:
             raise ValidationError(f"unknown predicate {part!r}")
-        nxt = OutcomePredicate(part, *OUTCOME_CLASSES[part])
-        result = nxt if result is None else result.conjoin(nxt)
-    assert result is not None
-    return result
+    classes = [OUTCOME_CLASSES[part] for part in parts]
+    return OutcomePredicate(
+        budget_capped=any(capped for capped, _ in classes),
+        axioms=tuple(a for _, axioms in classes for a in axioms),
+    )
 
 
 def _lattice_check(

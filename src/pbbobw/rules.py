@@ -15,6 +15,7 @@ from .expost import (
     cohesive_groups,
     fjr_search,
     members,
+    require_binary,
     within_budget,
 )
 from .model import (
@@ -92,8 +93,7 @@ def gcr(instance: PBInstance, limit: Optional[int] = None) -> GCRTrace:
     active voters approving at least beta projects of T; chosen voters
     win m, so they are served and join no later group.
     """
-    if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
-        raise SettingError("gcr requires binary utilities")
+    require_binary(instance, "gcr")
     won = [0] * instance.n
     chosen: set[int] = set()
     steps: list[GCRStep] = []
@@ -203,7 +203,7 @@ def mes(instance: PBInstance) -> MESResult:
 
 
 # ---------------------------------------------------------------------------
-# Group ladders (shared by both best-of-both-worlds algorithms)
+# Group ladders (BW-GCR's per-cell optimum)
 
 
 @dataclass(frozen=True)
@@ -221,27 +221,23 @@ class GroupLadder:
 
 
 def group_ladder(instance: PBInstance, cell: tuple[int, ...]) -> GroupLadder:
-    group_budget = len(cell) * instance.budget / instance.n
+    """The cell's optimal fractional outcome under |S| * B / n, read as a
+    ladder: the approved projects it funds fully, cheapest first, then the
+    first approved project it does not, with that project's share. For
+    binary utilities only, where the optimum funds the approved projects
+    cheapest first."""
+    require_binary(instance, "group_ladder")
+    shares = optimal_fractional_outcome(
+        instance, cell[0], len(cell) * instance.budget / instance.n
+    )
     approved = sorted(
         instance.approval_set(cell[0]), key=lambda j: (instance.cost[j], j)
     )
-    prefix: list[int] = []
-    spent = Fraction(0)
-    nxt = None
-    for pos, j in enumerate(approved):
-        if spent + instance.cost[j] <= group_budget:
-            prefix.append(j)
-            spent += instance.cost[j]
-        else:
-            nxt = j
-            break
-    delta = Fraction(0)
-    if nxt is not None:
-        delta = (group_budget - spent) / instance.cost[nxt]
-        if delta >= 1:
-            raise InvariantViolation("ladder fraction must be below 1")
+    projects = tuple(j for j in approved if shares[j] == 1)
+    nxt = next((j for j in approved if shares[j] < 1), None)
+    delta = Fraction(0) if nxt is None else shares[nxt]
     return GroupLadder(
-        cell=tuple(cell), projects=tuple(prefix), next_project=nxt, delta=delta
+        cell=tuple(cell), projects=projects, next_project=nxt, delta=delta
     )
 
 

@@ -17,6 +17,7 @@ from pbbobw import (
     check_fjr_binary,
     check_jr_binary,
     check_jr_general,
+    gcr,
     gen_gfs_jr_family,
     mes,
     utility,
@@ -429,3 +430,24 @@ def test_walks_on_the_committed_20_project_instance_visit_pinned_counts(
     assert check_fjr_binary(inst, w).holds
     assert visited == [19, 3952]
     assert sum(1 for _ in inst.subsets(range(inst.m), inst.budget)) == 89644
+
+
+def test_gcr_on_the_committed_20_project_instance_visits_pinned_counts(
+    monkeypatch,
+):
+    """GCR on ``binary20.json`` walks 57,962, 6,236, 617 and 63 sets for
+    its four steps and 15 for the search that finds nothing, and builds
+    the instance's FJR lane tables once for all five searches."""
+    inst = parse_instance(BINARY20.read_text())
+    lanes = PBInstance.__dict__["approval_count_lanes"]
+    build, builds = lanes.func, []
+
+    def counted(instance):
+        builds.append(instance)
+        return build(instance)
+
+    monkeypatch.setattr(lanes, "func", counted)
+    visited = count_walks(monkeypatch)
+    assert len(gcr(inst).steps) == 4
+    assert visited == [57962, 6236, 617, 63, 15]
+    assert builds == [inst]

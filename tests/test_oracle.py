@@ -10,6 +10,7 @@ from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
     LinearConstraint,
+    OutcomePredicate,
     PBInstance,
     ScaleError,
     SettingError,
@@ -209,6 +210,12 @@ def test_conjunction_predicate():
     for w in enumerate_outcomes(inst, both):
         assert w.cost(inst) <= inst.budget
         assert check_jr_binary(inst, w).holds
+    for a, b in itertools.product(oracle.OUTCOME_CLASSES, repeat=2):
+        cap_a, axioms_a = oracle.OUTCOME_CLASSES[a]
+        cap_b, axioms_b = oracle.OUTCOME_CLASSES[b]
+        assert predicate(f"{a},{b}") == OutcomePredicate(
+            cap_a or cap_b, axioms_a + axioms_b
+        )
 
 
 # Each class as a budget cap and a membership test written against the

@@ -267,6 +267,57 @@ def test_group_ladder_prefix():
     assert 0 < ladder.delta < 1
 
 
+def _ladder_reference(inst, cell):
+    """The fit loop: the cell's approved projects, cheapest first, while
+    they fit |S| * B / n, then the first that does not with the fraction
+    of it that the rest buys."""
+    group_budget = len(cell) * inst.budget / inst.n
+    approved = sorted(inst.approval_set(cell[0]), key=lambda j: (inst.cost[j], j))
+    prefix, spent, nxt = [], Fraction(0), None
+    for j in approved:
+        if spent + inst.cost[j] <= group_budget:
+            prefix.append(j)
+            spent += inst.cost[j]
+        else:
+            nxt = j
+            break
+    delta = Fraction(0)
+    if nxt is not None:
+        delta = (group_budget - spent) / inst.cost[nxt]
+        assert delta < 1
+    return tuple(cell), tuple(prefix), nxt, delta
+
+
+def test_group_ladder_matches_the_fit_loop():
+    """The ladder read from the cell's optimal fractional outcome equals
+    the fit loop on every unanimous cell of seeded binary instances, a
+    third of them with zero-cost projects."""
+    rng = random.Random(17)
+    cells = 0
+    for k in range(300):
+        inst = random_instance(rng, n_max=6, m_max=7, utilities="binary")
+        if k % 3 == 0:
+            inst = with_zero_cost_projects(rng, inst)
+        for cell in unanimous_partition(inst).cells:
+            ladder = group_ladder(inst, cell)
+            got = (ladder.cell, ladder.projects, ladder.next_project, ladder.delta)
+            assert got == _ladder_reference(inst, cell)
+            cells += 1
+    assert cells > 800
+
+
+def test_group_ladder_rejects_general_utilities():
+    inst = PBInstance(
+        budget=Fraction(1),
+        cost=(Fraction(1),),
+        utilities=((Fraction(1, 2),),),
+        project_ids=("a",),
+        voter_ids=("v1",),
+    )
+    with pytest.raises(SettingError, match="group_ladder requires binary utilities"):
+        group_ladder(inst, (0,))
+
+
 # ---------------------------------------------------------------------------
 # best-of-both-worlds algorithms
 
