@@ -14,9 +14,17 @@ IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
 per maximal unanimous cell; both bounds are monotone in the group size, so
 any unanimous subgroup's bound is implied by its cell's. GFS has one row
 per non-empty voter group S, ``sum_j p_j max_{i in S} u_ij >= sum_{i in S}
-opt_i(B) / n`` (Fain, Goel, Munagala, WINE 2016); the groups come from
-``subset_walk``, each row extended from its prefix's by one elementwise
-integer ``max``. The check stays exponential in n: 2^n - 1 rows.
+opt_i(B) / n`` (Fain, Goel, Munagala, WINE 2016). Each project gets one
+bit per distinct positive utility level, and a voter's bitmask sets the
+levels the voter reaches, so the union of a group's masks encodes its
+``max`` row: one bit per project for binary and cost utilities. The
+unions of every group, and its sum of opt_i/n, are built by doubling over
+the voters into lists indexed by the group's bitmask, one byte of the
+masks at a time; ``check_gfs`` reads each group's lhs from a 256-entry
+table of sum step·p_j per byte, with no loop over projects per group.
+``gfs_rows`` builds the rows themselves by doubling, each the elementwise
+``max`` of a smaller group's row and one voter's, in the same order. The
+check stays exponential in n: 2^n - 1 rows.
 """
 
 from __future__ import annotations
@@ -24,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, compress, islice
+from operator import add, mul, or_
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
-from .model import FractionalOutcome, PBInstance, rational_str, subset_walk
+from .model import FractionalOutcome, PBInstance, rational_str
 
 # (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound,
 # in integers on the common denominator of its ``Rows``.
@@ -168,11 +176,12 @@ def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
     ])
 
 
-def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
-    """One GFS row per non-empty voter group, by size, then
-    lexicographically. The utilities and each opt_i/n are scaled once to
-    integers on their common denominator; a group's max row and its sum
-    of opt_i/n extend its prefix's by one voter."""
+def _group_shares(
+    instance: PBInstance, limit: Optional[int]
+) -> tuple[int, list[int]]:
+    """The common denominator d of the utilities and every opt_i/n, and
+    each voter's opt_i/n·d, once n is within the limit of the GFS
+    enumeration."""
     n = instance.n
     limit = exponential_limit(limit)
     if n > limit:
@@ -186,50 +195,89 @@ def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
     d = _lcm_of_denominators(
         chain(shares, chain.from_iterable(instance.utilities))
     )
+    return d, [int(x * d) for x in shares]
+
+
+def _voter_bits(
+    instance: PBInstance, d: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """One ``(project, step)`` per bit, and each voter's bitmask, on the
+    denominator d.
+
+    Project j gets one bit per distinct positive utility level v, lowest
+    first, whose step is v less the level below it; voter i's mask sets
+    the bit when u_ij >= v. The steps of j's bits in the union of a
+    group's masks add up to max_{i in S} u_ij."""
+    bits: list[tuple[int, int]] = []
+    masks = [0] * instance.n
+    for j, column in enumerate(zip(*instance.utilities)):
+        column = [int(u * d) for u in column]
+        below = 0
+        for level in sorted(set(column) - {0}):
+            bit = 1 << len(bits)
+            for i, u in enumerate(column):
+                if u >= level:
+                    masks[i] |= bit
+            bits.append((j, level - below))
+            below = level
+    return bits, masks
+
+
+def _doubled(values: Sequence, combine: Callable, zero) -> list:
+    """Entry g combines ``zero`` with the values at the set bits of g: the
+    list is doubled once per value v, ``out += [combine(x, v) for x in
+    out]``."""
+    out = [zero]
+    for v in values:
+        out += [combine(x, v) for x in out]
+    return out
+
+
+def _members(group: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if group >> i & 1)
+
+
+def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
+    """One GFS row per non-empty voter group, in bitmask order: the row of
+    group g, the voters at the set bits of g, comes (g - 1)-th. The rows
+    and the bounds are built by doubling over the voters."""
+    d, share = _group_shares(instance, limit)
+    n = instance.n
     utilities = [tuple(int(u * d) for u in row) for row in instance.utilities]
-    share = [int(x * d) for x in shares]
-
-    def extend(prefix, i):
-        top, total = prefix
-        return tuple(map(max, top, utilities[i])), total + share[i]
-
-    root = ((0,) * instance.m, 0)
+    tops = _doubled(
+        utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
+    )
+    totals = _doubled(share, add, 0)
     return Rows(d, (
-        (group, top, total)
-        for group, (top, total) in subset_walk(range(n), root, extend)
+        (_members(g, n), tops[g], totals[g]) for g in range(1, 1 << n)
     ))
 
 
-def _report(
-    axiom: str, rows: Rows, p: FractionalOutcome, worst: bool = False
-) -> ExAnteReport:
-    """Every violated row is a witness. With ``worst``, a report that holds
-    names the row of least lhs - rhs instead, the first one on ties.
+def _scaled(p: FractionalOutcome) -> tuple[int, list[int]]:
+    """p on its common denominator q: q and every q·p_j as an integer."""
+    q = _lcm_of_denominators(p.shares)
+    return q, [int(x * q) for x in p.shares]
+
+
+def _witness(voters, lhs: int, bound: int, d: int, q: int) -> Witness:
+    """A row's witness from its integers: lhs on d·q, bound on d."""
+    return Witness(voters, Fraction(lhs, d * q), Fraction(bound, d))
+
+
+def _report(axiom: str, rows: Rows, p: FractionalOutcome) -> ExAnteReport:
+    """Every violated row is a witness.
 
     p is scaled once to integers on its common denominator q, so each row
     costs m integer products: lhs·d·q against bound·q. Only the reported
     rows are turned back into fractions."""
-    q = _lcm_of_denominators(p.shares)
-    scaled = [int(x * q) for x in p.shares]
-    violations = []
-    least = None
+    q, scaled = _scaled(p)
+    d = rows.denominator
+    witnesses = []
     for voters, coefficients, bound in rows:
         lhs = sum(map(mul, coefficients, scaled))
-        slack = lhs - bound * q
-        if slack < 0:
-            violations.append((voters, lhs, bound))
-        elif worst and (least is None or slack < least[0]):
-            least = (slack, voters, lhs, bound)
-    if violations or least is None:
-        reported = violations
-    else:
-        reported = [least[1:]]
-    d = rows.denominator
-    witnesses = tuple(
-        Witness(voters, Fraction(lhs, d * q), Fraction(bound, d))
-        for voters, lhs, bound in reported
-    )
-    return ExAnteReport(axiom, not violations, witnesses)
+        if lhs < bound * q:
+            witnesses.append(_witness(voters, lhs, bound, d, q))
+    return ExAnteReport(axiom, not witnesses, tuple(witnesses))
 
 
 def check_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
@@ -252,8 +300,43 @@ def check_gfs(
     instance: PBInstance, p: FractionalOutcome, limit: Optional[int] = None
 ) -> ExAnteReport:
     """Group fair share over all non-empty voter groups: every violating
-    group, or the worst group when none violates."""
-    return _report("gfs", _group_rows(instance, limit), p, worst=True)
+    group, or else the group of least slack (the first one on ties), by
+    size, then lexicographically.
+
+    Each group's slack lhs·d·q - bound·q starts at -bound·q, summed by
+    doubling over the voters. Then, per byte of the masks, every group's
+    union of that byte is built by doubling over the voters, and the group
+    adds its union's entry in a table of the byte's sums of step·q·p_j."""
+    d, share = _group_shares(instance, limit)
+    bits, masks = _voter_bits(instance, d)
+    n = instance.n
+    q, scaled = _scaled(p)
+    slack = _doubled([-x * q for x in share], add, 0)
+    weights = [step * scaled[j] for j, step in bits]
+    for low in range(0, len(weights), 8):
+        unions = _doubled([mask >> low & 255 for mask in masks], or_, 0)
+        table = _doubled(weights[low:low + 8], add, 0)
+        slack = list(map(add, slack, map(table.__getitem__, unions)))
+    groups = range(1, 1 << n)
+
+    def order(g: int) -> tuple[int, tuple[int, ...]]:
+        voters = _members(g, n)
+        return len(voters), voters
+
+    least = min(islice(slack, 1, None), default=0)
+    if least < 0:
+        # Every group whose slack is below 0.
+        below = map((0).__gt__, islice(slack, 1, None))
+        reported = sorted(compress(groups, below), key=order)
+    else:
+        ties = map(least.__eq__, islice(slack, 1, None))
+        reported = sorted(compress(groups, ties), key=order)[:1]
+    witnesses = []
+    for g in reported:
+        voters = _members(g, n)
+        bound = sum(share[i] for i in voters)
+        witnesses.append(_witness(voters, slack[g] + bound * q, bound, d, q))
+    return ExAnteReport("gfs", least >= 0, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +362,4 @@ def gfs_rows(
     """One GFS row per non-empty voter group S, in bitmask order: the row
     of S is number sum_{i in S} 2^i - 1. With 0/1 utilities a row's
     coefficients mark the union of the group's approval sets."""
-    rows = _group_rows(instance, limit)
-    return _constraints(Rows(rows.denominator, sorted(
-        rows, key=lambda row: sum(1 << i for i in row[0])
-    )))
+    return _constraints(_group_rows(instance, limit))

@@ -287,6 +287,103 @@ def test_checkers_match_the_loops_with_large_denominators():
     assert violated > 1000 and holds == 40
 
 
+def _with_duplicated_voters(rng, inst):
+    """Each voter repeated one to three times, then two voters with no
+    positive utility, at most 8 voters in all."""
+    rows = [
+        row for row in inst.utilities for _ in range(rng.randint(1, 3))
+    ][:6]
+    rows += [(Fraction(0),) * inst.m] * 2
+    return PBInstance(
+        budget=inst.budget,
+        cost=inst.cost,
+        utilities=tuple(rows),
+        project_ids=inst.project_ids,
+        voter_ids=tuple(f"v{i + 1}" for i in range(len(rows))),
+    )
+
+
+def _slacks(rows, p):
+    """lhs - rhs of every row at p."""
+    return [
+        sum(c * x for c, x in zip(row.coefficients, p.shares)) - row.bound
+        for row in rows
+    ]
+
+
+def _tightened(rows, p):
+    """p scaled so that its tightest rows hold with equality, or None when
+    no scale meets every row or a share would pass 1."""
+    ratios = []
+    for row in rows:
+        lhs = sum(c * x for c, x in zip(row.coefficients, p.shares))
+        if lhs == 0 and row.bound > 0:
+            return None
+        if lhs > 0:
+            ratios.append(row.bound / lhs)
+    scale = max(ratios, default=Fraction(1))
+    if any(x * scale > 1 for x in p.shares):
+        return None
+    return FractionalOutcome(x * scale for x in p.shares)
+
+
+def test_gfs_least_slack_ties_go_to_the_first_group_by_size():
+    """A voter with no positive utility adds nothing to either side of a
+    group's row, so when GFS holds the least slack is 0: both such voters
+    alone and together share it, and so does every group that p meets
+    with equality, with or without them. A duplicated voter adds nothing
+    to a group's lhs, so violations share their slacks too. The report
+    names the groups by size, then lexicographically, as the loop over
+    combinations does, where the first tied group in bitmask order is
+    often a larger one."""
+    tied = reordered = 0
+    for rng, inst in sweep(87, 60, n_max=4):
+        inst = _with_duplicated_voters(rng, inst)
+        rows = ref_gfs_rows(inst)
+        assert gfs_rows(inst) == rows
+        drawn = random_feasible_p(rng, inst)
+        tight = _tightened(rows, drawn)
+        for p in (fractional_random_dictator(inst), drawn, tight):
+            if p is None:
+                continue
+            report = check_gfs(inst, p)
+            assert report.to_dict(inst) == ref_check_gfs(inst, p).to_dict(inst)
+            slacks = _slacks(rows, p)
+            least = min(slacks)
+            if report.holds and slacks.count(least) > 1:
+                tied += 1
+                mask = sum(1 << i for i in report.witnesses[0].voters)
+                reordered += slacks.index(least) != mask - 1
+    assert tied > 100 and reordered > 20
+
+
+def test_gfs_lists_hundreds_of_violations_by_size_then_lexicographically():
+    """A starved p at n = 9 to 11 violates most of the 2^n - 1 groups;
+    the witnesses come by size, then lexicographically."""
+    rng = random.Random(88)
+    for n in (9, 10, 11):
+        inst = random_instance(rng, n_max=1, m_max=5, utilities="general")
+        inst = PBInstance(
+            budget=inst.budget,
+            cost=inst.cost,
+            utilities=tuple(
+                tuple(Fraction(rng.randint(0, 4)) for _ in range(inst.m))
+                for _ in range(n)
+            ),
+            project_ids=inst.project_ids,
+            voter_ids=tuple(f"v{i + 1:02d}" for i in range(n)),
+        )
+        starved = FractionalOutcome(
+            Fraction(1, rng.randint(20, 40)) for _ in range(inst.m)
+        )
+        report = check_gfs(inst, starved)
+        groups = [w.voters for w in report.witnesses]
+        assert len(groups) > 300
+        assert groups == sorted(groups, key=lambda S: (len(S), S))
+        expected = ref_check_gfs(inst, starved)
+        assert report.to_dict(inst) == expected.to_dict(inst)
+
+
 def test_oracle_rows_match_the_voter_and_mask_loops():
     for _, inst in sweep(82, 90):
         assert ifs_rows(inst) == ref_ifs_rows(inst)

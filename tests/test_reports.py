@@ -89,6 +89,10 @@ CASES = {
     "run-gcr-binary20": ["run", "--instance", "binary20.json", "--rule", "gcr"],
     "verify-binary20-mes": ["verify", "--instance", "binary20.json", "--target",
                             "binary20-mes.json", "--axioms", "ejr,fjr"],
+    # GFS over 2^18 - 1 voter groups against an FRD p that meets them all,
+    # so the report names the least-slack group.
+    "verify-gfs18": ["verify", "--instance", "gfs18.json", "--target",
+                     "gfs18-p.json", "--axioms", "gfs", "--limit-exp", "18"],
     "gate-verify-ejr": ["verify", "--instance", "binary.json", "--target",
                         "binary-a.json", "--axioms", "ejr", "--limit-exp", "3"],
     "gate-run-gcr": ["run", "--instance", "binary.json", "--rule", "gcr",
