@@ -47,7 +47,7 @@ from .oracle import (
     lottery_feasible,
     predicate,
 )
-from .rounding import RoundingSampler, derive_seeds, is_bb1
+from .rounding import RoundingSampler, is_bb1
 from .rules import (
     InvariantViolation,
     bw_gcr,
@@ -166,9 +166,7 @@ def _digest(instance: PBInstance) -> str:
 def _sample_block(
     instance: PBInstance, p: FractionalOutcome, seed: int, samples: int
 ) -> tuple[dict, list[IntegralOutcome]]:
-    counts = RoundingSampler(instance, p).sample_counts(
-        derive_seeds(seed, range(samples))
-    )
+    counts = RoundingSampler(instance, p).derived_counts(seed, samples)
     block: dict = {
         "samples": samples,
         "outcomes": [

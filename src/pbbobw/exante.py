@@ -103,42 +103,16 @@ class ExAnteReport:
         }
 
 
-def optimal_fractional_outcome(
-    instance: PBInstance, voter: int, budget: Fraction
-) -> list[Fraction]:
-    """A voter's optimal fractional outcome, spending exactly ``budget``.
-
-    Fractional knapsack: zero-cost approved projects first, then descending
-    utility per cost (ties: lower cost, then lower index), then the
-    zero-utility projects in index order, which pad the spend up to the
-    budget. Projects are funded fully while they fit; the first one that
-    does not gets what is left.
-    """
-    budget = Fraction(budget)
-    if not 0 <= budget <= instance.budget:
-        raise ValueError(f"budget {budget} outside [0, B]")
-    row, cost = instance.utilities[voter], instance.cost
-    free = [j for j in range(instance.m) if row[j] > 0 and cost[j] == 0]
-    priced = [j for j in range(instance.m) if row[j] > 0 and cost[j] > 0]
-    priced.sort(key=lambda j: (-row[j] / cost[j], cost[j], j))
-    padding = [j for j in range(instance.m) if row[j] == 0]
-    shares = [Fraction(0)] * instance.m
-    left = budget
-    for j in free + priced + padding:
-        if cost[j] > left:
-            shares[j] = left / cost[j]
-            break
-        shares[j] = Fraction(1)
-        left -= cost[j]
-    return shares
-
-
 def optimal_fractional_utility(
     instance: PBInstance, voter: int, budget: Fraction
 ) -> Fraction:
     """Best fractional-outcome utility for a voter under the given budget:
-    the utility of ``optimal_fractional_outcome``."""
-    shares = optimal_fractional_outcome(instance, voter, budget)
+    the utility of ``PBInstance.optimal_outcome``, read from the instance's
+    ``optimal_outcomes`` at B."""
+    if budget == instance.budget:
+        shares = instance.optimal_outcomes[voter]
+    else:
+        shares = instance.optimal_outcome(voter, budget)
     return sum(map(mul, instance.utilities[voter], shares), Fraction(0))
 
 

@@ -105,6 +105,42 @@ class PBInstance:
     def total_cost(self, projects: Iterable[int]) -> Fraction:
         return sum((self.cost[j] for j in projects), Fraction(0))
 
+    def optimal_outcome(
+        self, voter: int, budget: Fraction
+    ) -> tuple[Fraction, ...]:
+        """A voter's optimal fractional outcome, spending exactly ``budget``.
+
+        Fractional knapsack: zero-cost approved projects first, then
+        descending utility per cost (ties: lower cost, then lower index),
+        then the zero-utility projects in index order, which pad the spend
+        up to the budget. Projects are funded fully while they fit; the
+        first one that does not gets what is left. At B, read
+        ``optimal_outcomes`` instead.
+        """
+        budget = Fraction(budget)
+        if not 0 <= budget <= self.budget:
+            raise ValueError(f"budget {budget} outside [0, B]")
+        row, cost, m = self.utilities[voter], self.cost, self.m
+        free = [j for j in range(m) if row[j] > 0 and cost[j] == 0]
+        priced = [j for j in range(m) if row[j] > 0 and cost[j] > 0]
+        priced.sort(key=lambda j: (-row[j] / cost[j], cost[j], j))
+        padding = [j for j in range(m) if row[j] == 0]
+        shares = [Fraction(0)] * m
+        left = budget
+        for j in free + priced + padding:
+            if cost[j] > left:
+                shares[j] = left / cost[j]
+                break
+            shares[j] = Fraction(1)
+            left -= cost[j]
+        return tuple(shares)
+
+    @cached_property
+    def optimal_outcomes(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each voter's ``optimal_outcome`` at B, computed once per
+        instance: FRD and the GFS, IFS and UFS bounds all read it."""
+        return tuple(self.optimal_outcome(i, self.budget) for i in range(self.n))
+
     @cached_property
     def cost_scale(self) -> int:
         """The least common multiple of the denominators of the costs and

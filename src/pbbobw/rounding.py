@@ -18,22 +18,28 @@ spent projects.
 
 `dependent_round` follows one seed's path and records it. `RoundingSampler`
 replays the same draws over a DAG of spend states: a branch depends only
-on the state, so it holds at most one node per distinct state, made the
-first time a sample reaches it, and it grows with the states visited, not
-with 2^m. Each node keeps the integer threshold ceil(num * 2**64 / den),
-and a draw u < threshold exactly when u * den < num * 2**64, so the
-sampler returns the same outcome seed for seed. Callers that need only the
-outcome (the BW rules, `round_with_hard_cap`) draw through the sampler;
-`RoundingSampler.probabilities()` gives the exact distribution in one
-forward pass over the states.
+on the state, so it holds at most one state per distinct spend tuple,
+stepped the first time a sample reaches it, and it grows with the states
+visited, not with 2^m. The DAG is flat int tables indexed by state id:
+each state's integer threshold ceil(num * 2**64 / den) and its two
+children's ids, and a draw u < threshold exactly when u * den < num *
+2**64, so the sampler returns the same outcome seed for seed. A leaf, and
+a state with an id but no step yet, has threshold 0 and is its own two
+children, so a walk is one table step per draw and a seed that stops on
+an unmade state is walked again once that state is made. Callers that
+need only the outcome (the BW rules, `round_with_hard_cap`) draw through
+the sampler; `RoundingSampler.probabilities()` gives the exact
+distribution in one forward pass over the same tables.
 
 The sampler and `derive_seeds` draw for a block of up to `_BLOCK` seeds at
 once (`_draw_rows`): the block's 64-bit states are packed into one Python
 int, one 128-bit lane per seed, and splitmix64's add, xor-shift and
 multiply steps run on the packed int, masked back to the low 64 bits of
-every lane after each shift and multiply so that no bit crosses a lane.
-One kernel call per depth gives that draw of every seed in the block; the
-draws are the scalar `splitmix64` ones, bit for bit.
+every lane wherever a bit could cross a lane. One kernel call per depth
+gives that draw of every seed in the block; the draws are the scalar
+`splitmix64` ones, bit for bit. `RoundingSampler.derived_counts` makes a
+block's per-sample seeds (`derive_seeds`) the same way, from one packed
+row of indices, and draws from them without unpacking.
 """
 
 from __future__ import annotations
@@ -71,11 +77,14 @@ def _mix(z: int, mask: int) -> int:
     """splitmix64's output function on every lane of `z`.
 
     `mask` keeps the low 64 bits of each lane: one lane of 64 bits for a
-    scalar state, 128-bit lanes for a packed block (`_draw_rows`).
+    scalar state, 128-bit lanes for a packed block (`_draw_rows`). The low
+    word of each lane is the output; the last xor-shift leaves the next
+    lane's low bits in a lane's high word, so a packed result feeds
+    another kernel step only after ``& mask``.
     """
     z = ((z ^ (z >> 30) & mask) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27) & mask) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31) & mask
+    return z ^ z >> 31
 
 
 def splitmix64(state: int) -> int:
@@ -89,10 +98,11 @@ def _threshold(num: int, den: int) -> int:
     return -(-num * _TWO64 // den)
 
 
-def _pack(words: Sequence[int]) -> int:
+def _pack(words: Iterable[int]) -> int:
     """The 64-bit `words` as one int, word k in the low half of lane k."""
+    words = array("Q", words)
     lanes = array("Q", bytes(16 * len(words)))
-    lanes[_LOW::2] = array("Q", words)
+    lanes[_LOW::2] = words
     return int.from_bytes(lanes, sys.byteorder)
 
 
@@ -103,28 +113,37 @@ def _unpack(packed: int, n: int) -> array:
     return lanes[_LOW::2]
 
 
-# All ones in, and GAMMA in, the low word of every lane of a full block;
-# shifted right by the lanes a smaller block leaves unused.
-_LANE_MASK = _pack((_MASK64,) * _BLOCK)
-_LANE_GAMMA = _pack((_GAMMA,) * _BLOCK)
+# A one in the low word of every lane of a full block; shifted right by
+# the lanes a smaller block leaves unused, and scaled to a word per lane.
+_LANE_ONE = _pack(repeat(1, _BLOCK))
+_LANE_MASK = _LANE_ONE * _MASK64
 
 
-def _draw_rows(states: Sequence[int], depth: int) -> list[array]:
+def _draw_rows(packed: int, n: int, depth: int) -> list[array]:
     """Row d holds draw d of each stream: splitmix64(state + d * GAMMA).
 
-    `states` are at most `_BLOCK` 64-bit words; each row costs one packed
-    kernel call for all of them.
+    `packed` holds the 64-bit states of `n` <= `_BLOCK` streams, one per
+    lane; each row costs one packed kernel call for all of them.
     """
-    n = len(states)
     unused = 128 * (_BLOCK - n)
-    mask, gamma = _LANE_MASK >> unused, _LANE_GAMMA >> unused
-    packed = _pack(states)
+    mask = _LANE_MASK >> unused
+    gamma = (_LANE_ONE >> unused) * _GAMMA
     rows = []
     for _ in range(depth):
         # splitmix64's add is also the step to the stream's next state.
         packed = (packed + gamma) & mask
         rows.append(_unpack(_mix(packed, mask), n))
     return rows
+
+
+def _derived_states(seed: int, indices: Sequence[int]) -> int:
+    """The per-sample seeds of at most `_BLOCK` 64-bit `indices` (see
+    `derive_seeds`), packed one per lane: the indices plus splitmix64(seed),
+    mixed in one kernel call."""
+    unused = 128 * (_BLOCK - len(indices))
+    mask = _LANE_MASK >> unused
+    base = (_LANE_ONE >> unused) * (splitmix64(seed) + _GAMMA)
+    return _mix((_pack(indices) + base) & mask, mask) & mask
 
 
 def _blocks(values: Iterable[int]) -> Iterator[list[int]]:
@@ -147,12 +166,14 @@ def derive_seeds(seed: int, indices: Iterable[int]) -> Iterator[int]:
 
     Scrambling `seed` before adding the index keeps the streams of nearby
     seeds apart; with splitmix64(seed + k), seed s + 1 would draw the
-    samples of seed s shifted by one. splitmix64(seed) is computed once,
-    and the seeds one block of indices at a time, as they are consumed.
+    samples of seed s shifted by one. The seeds are derived one packed
+    block of indices at a time, as they are consumed (`_derived_states`);
+    `RoundingSampler.derived_counts` draws from the seeds of indices
+    0 .. samples - 1 without unpacking them.
     """
-    base = splitmix64(seed)
     for block in _blocks(indices):
-        yield from _draw_rows([(base + k) & _MASK64 for k in block], 1)[0]
+        block = [k & _MASK64 for k in block]
+        yield from _unpack(_derived_states(seed, block), len(block))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -347,26 +368,31 @@ class RoundingSampler:
     A sample first draws each fractional zero-cost project's `_alone`
     round, in index order, one draw each, as `dependent_round` does. It
     then walks one DAG over spend states, shared by every pattern of those
-    draws: it starts from the state with each of them at spend 0, and the
-    drawn ones are added to the leaf. A node is ``[t, up, down, step]``,
-    where `step` is `_step`'s ``(indices, num, den, up, down)`` and the
-    threshold is ``t = ceil(num * 2**64 / den)``; the zero-cost rounds use
-    the same threshold. For an integer draw u, ``u < t`` holds exactly when
-    ``u * den < num * 2**64``, so each seed meets the same draws and the
-    same exact comparisons as in `dependent_round`: sampled outcomes agree
-    seed for seed.
+    draws: it starts from state 0, the state with each of them at spend 0,
+    and the drawn ones are added to the leaf. For an integer draw u, the
+    threshold ``t = ceil(num * 2**64 / den)`` of a `_step`
+    ``(indices, num, den, up, down)`` or of a zero-cost round gives
+    ``u < t`` exactly when ``u * den < num * 2**64``, so each seed meets
+    the same draws and the same exact comparisons as in `dependent_round`.
 
-    Nodes are memoised by spend tuple, so the sampler holds at most one
-    node per distinct state, and every path into a state shares it (a
-    branch depends only on the state). A child slot stays a bare spend
-    tuple until a sample or `probabilities()` first reaches it, so the
-    DAG grows with the states visited, not with 2^m.
+    The DAG is parallel tables indexed by state id: `_thr`, `_up` and
+    `_down` hold the threshold and the children's ids, and `_steps` the
+    state's `_step` tuple, its leaf outcome, or None while it is unmade.
+    Ids are memoised by spend tuple, so every path into a state shares
+    it. A state gets its id when its parent is made, and `_step` runs on
+    it once, the first time a sample or `probabilities()` reaches it. A
+    leaf and an unmade state have threshold 0 and are their own two
+    children.
 
     Seeds are drawn a block at a time: every `_step` makes a fractional
     project integral, so no walk takes more draws than the root has
     fractional projects, and `_draw_rows` computes that many draws of
-    every seed in the block before the walks read them. `sample` is the
-    same walk on a block of one seed.
+    every seed in the block. `_walk` takes every seed through all of them,
+    one table step each, ``i = up[i] if u < thr[i] else down[i]``; a seed
+    stays on a leaf or an unmade state it reaches. Each unmade state a
+    seed stopped on is then made, and unless it is a leaf, the seeds on it
+    are walked again by `_rewalk`, which makes the states it reaches.
+    `sample` is the same walk on a block of one seed.
     """
 
     def __init__(
@@ -385,31 +411,57 @@ class RoundingSampler:
         for j in zero:
             _, num, den, _, spends = _alone(costs, spends, j)
             self._zero.append((j, _threshold(num, den), Fraction(num, den)))
-        self._spends0 = spends
         # Draws per seed: the zero-cost rounds, then at most one per
         # fractional project of the root, and at least one, so that each
         # seed has a column of draws even when the root is a leaf.
         self._depth = len(zero) + max(
             1, sum(1 for s, c in zip(spends, costs) if 0 < s < c)
         )
-        self._nodes: dict[tuple[int, ...], object] = {}
-        # The leaf outcomes by id, for tallies keyed on the id.
-        self._leaves: dict[int, IntegralOutcome] = {}
-        self._root = self._node(spends)
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._spends: list[tuple[int, ...]] = []
+        self._steps: list = []
+        self._thr: list[int] = []
+        self._up: list[int] = []
+        self._down: list[int] = []
+        self._make(self._id(spends))
 
-    def _node(self, spends: tuple[int, ...]):
-        """The node or leaf outcome of a spend state, made once."""
-        node = self._nodes.get(spends)
-        if node is None:
-            step = _step(self._costs, spends)
-            if step is None:
-                node = _leaf(self._costs, spends)
-                self._leaves[id(node)] = node
-            else:
-                _, num, den, up, down = step
-                node = [_threshold(num, den), up, down, step]
-            self._nodes[spends] = node
-        return node
+    def _id(self, spends: tuple[int, ...]) -> int:
+        """The id of a spend state, given once as an unmade state."""
+        i = self._ids.get(spends)
+        if i is None:
+            i = self._ids[spends] = len(self._spends)
+            self._spends.append(spends)
+            self._steps.append(None)
+            self._thr.append(0)
+            self._up.append(i)
+            self._down.append(i)
+        return i
+
+    def _make(self, i: int) -> None:
+        """Run `_step` on unmade state `i`: a leaf keeps its self-loops."""
+        spends = self._spends[i]
+        step = _step(self._costs, spends)
+        if step is None:
+            self._steps[i] = _leaf(self._costs, spends)
+            return
+        _, num, den, up, down = step
+        self._steps[i] = step
+        self._thr[i] = _threshold(num, den)
+        self._up[i] = self._id(up)
+        self._down[i] = self._id(down)
+
+    def _rewalk(self, draws: Iterable[int]) -> int:
+        """The leaf one seed's priced `draws` reach, making every state on
+        the way."""
+        steps, thr, up, down = self._steps, self._thr, self._up, self._down
+        i = 0
+        for u in draws:
+            if steps[i] is None:
+                self._make(i)
+            i = up[i] if u < thr[i] else down[i]
+        if steps[i] is None:
+            self._make(i)
+        return i
 
     def probabilities(self) -> dict[IntegralOutcome, Fraction]:
         """Exact outcome distribution implied by the branch probabilities.
@@ -422,33 +474,34 @@ class RoundingSampler:
         the 2**-64 dyadic draw bias is below any statistical tolerance
         used in tests.
         """
-        costs = self._costs
-        levels: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        costs, spends = self._costs, self._spends
+        steps, thr, up, down = self._steps, self._thr, self._up, self._down
+        levels: dict[int, dict[int, Fraction]] = {}
 
-        def push(spends: tuple[int, ...], weight: Fraction) -> None:
+        def push(i: int, weight: Fraction) -> None:
             level = levels.setdefault(
-                sum(1 for s, c in zip(spends, costs) if 0 < s < c), {}
+                sum(1 for s, c in zip(spends[i], costs) if 0 < s < c), {}
             )
-            level[spends] = level.get(spends, 0) + weight
+            level[i] = level.get(i, 0) + weight
 
-        push(self._spends0, Fraction(1))
+        push(0, Fraction(1))
         probs: dict[IntegralOutcome, Fraction] = {}
         for fractional in range(max(levels), -1, -1):
-            for spends, weight in levels.pop(fractional, {}).items():
-                node = self._node(spends)
-                if type(node) is not list:
+            for i, weight in levels.pop(fractional, {}).items():
+                if steps[i] is None:
+                    self._make(i)
+                if not thr[i]:
                     # Distinct integral spend states are distinct outcomes.
-                    probs[node] = weight
+                    probs[steps[i]] = weight
                     continue
-                _, num, den, up, down = node[3]
-                q = Fraction(num, den)
-                push(up, weight * q)
-                push(down, weight * (1 - q))
+                q = Fraction(steps[i][1], steps[i][2])
+                push(up[i], weight * q)
+                push(down[i], weight * (1 - q))
         for j, _, share in self._zero:
             split: dict[IntegralOutcome, Fraction] = {}
             for w, weight in probs.items():
-                up = IntegralOutcome(w.projects | {j})
-                split[up] = split.get(up, Fraction(0)) + weight * share
+                up_w = IntegralOutcome(w.projects | {j})
+                split[up_w] = split.get(up_w, Fraction(0)) + weight * share
                 split[w] = split.get(w, Fraction(0)) + weight * (1 - share)
             probs = split
         return probs
@@ -458,39 +511,71 @@ class RoundingSampler:
         (outcome,) = self.sample_counts((seed,))
         return outcome
 
-    def sample_counts(self, seeds) -> dict[IntegralOutcome, int]:
+    def sample_counts(
+        self, seeds: Iterable[int]
+    ) -> dict[IntegralOutcome, int]:
         """Sample every seed and tally counts per distinct outcome, in the
         order the outcomes are first drawn."""
+        blocks = ([s & _MASK64 for s in block] for block in _blocks(seeds))
+        return self._counts((_pack(block), len(block)) for block in blocks)
+
+    def derived_counts(
+        self, seed: int, samples: int
+    ) -> dict[IntegralOutcome, int]:
+        """``sample_counts(derive_seeds(seed, range(samples)))``, with each
+        block's per-sample seeds derived and drawn in packed form."""
+        blocks = (
+            range(k, min(k + _BLOCK, samples)) for k in range(0, samples, _BLOCK)
+        )
+        return self._counts(
+            (_derived_states(seed, block), len(block)) for block in blocks
+        )
+
+    def _counts(
+        self, blocks: Iterable[tuple[int, int]]
+    ) -> dict[IntegralOutcome, int]:
+        """Walk every ``(packed seed states, n)`` block and tally the
+        outcomes in the order they are first drawn."""
+        tally: Counter = Counter()
+        for states, n in blocks:
+            tally.update(self._walk(states, n))
         zero = self._zero
         z = len(zero)
-        root, node_of = self._root, self._node
-        # Keyed on the leaf's id and the zero-cost draws, which is cheaper
-        # than hashing the outcome once per sample.
-        tally: Counter = Counter()
-        for block in _blocks(seeds):
-            rows = _draw_rows([s & _MASK64 for s in block], self._depth)
-            ends = []
-            for us in zip(*rows[z:]):
-                node = root
-                for u in us:
-                    if type(node) is not list:
-                        break
-                    k = 1 if u < node[0] else 2
-                    child = node[k]
-                    if type(child) is tuple:
-                        child = node[k] = node_of(child)
-                    node = child
-                ends.append(node)
-            # Which zero-cost rounds went up, per seed.
-            ups = zip(*(
-                [u < t for u in row] for row, (_, t, _) in zip(rows, zero)
-            )) if z else repeat(())
-            tally.update(zip(map(id, ends), ups))
         counts: dict[IntegralOutcome, int] = {}
-        for (leaf, up), count in tally.items():
-            w = self._leaves[leaf]
-            chosen = [j for (j, _, _), went_up in zip(zero, up) if went_up]
+        for key, count in tally.items():
+            w = self._steps[key >> z]
+            chosen = [
+                j for b, (j, _, _) in enumerate(zero) if key >> (z - 1 - b) & 1
+            ]
             if chosen:
                 w = IntegralOutcome(w.projects.union(chosen))
             counts[w] = count
         return counts
+
+    def _walk(self, states: int, n: int) -> list[int]:
+        """Each seed's key for the `n` packed seed `states` of one block:
+        its leaf's id, shifted left by one bit per zero-cost round, set
+        where the round went up (first round highest)."""
+        rows = _draw_rows(states, n, self._depth)
+        z = len(self._zero)
+        thr, up, down = self._thr, self._up, self._down
+        # Every seed starts at state 0.
+        t, up0, down0 = thr[0], up[0], down[0]
+        ends = [up0 if u < t else down0 for u in rows[z]]
+        for row in rows[z + 1:]:
+            ends = [
+                up[i] if u < thr[i] else down[i] for i, u in zip(ends, row)
+            ]
+        unmade = [i for i in set(ends) if self._steps[i] is None]
+        for i in unmade:
+            self._make(i)
+        # Seeds stopped on a state that is now an inner node have draws left.
+        stuck = {i for i in unmade if thr[i]}
+        if stuck:
+            priced = rows[z:]
+            for k, i in enumerate(ends):
+                if i in stuck:
+                    ends[k] = self._rewalk([row[k] for row in priced])
+        for row, (_, t, _) in zip(rows, self._zero):
+            ends = [i << 1 | (u < t) for i, u in zip(ends, row)]
+        return ends

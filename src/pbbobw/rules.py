@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exante import optimal_fractional_outcome, unanimous_partition
+from .exante import unanimous_partition
 from .expost import (
     SettingError,
     cohesive_groups,
@@ -44,8 +44,7 @@ class InvariantViolation(RuntimeError):
 def fractional_random_dictator(instance: PBInstance) -> FractionalOutcome:
     """Average of each voter's optimal fractional outcome, weight 1/n."""
     shares = [Fraction(0)] * instance.m
-    for i in range(instance.n):
-        best = optimal_fractional_outcome(instance, i, instance.budget)
+    for best in instance.optimal_outcomes:
         shares = [s + x for s, x in zip(shares, best)]
     p = FractionalOutcome(s / instance.n for s in shares)
     if not p.is_feasible(instance):
@@ -227,8 +226,8 @@ def group_ladder(instance: PBInstance, cell: tuple[int, ...]) -> GroupLadder:
     binary utilities only, where the optimum funds the approved projects
     cheapest first."""
     require_binary(instance, "group_ladder")
-    shares = optimal_fractional_outcome(
-        instance, cell[0], len(cell) * instance.budget / instance.n
+    shares = instance.optimal_outcome(
+        cell[0], len(cell) * instance.budget / instance.n
     )
     approved = sorted(
         instance.approval_set(cell[0]), key=lambda j: (instance.cost[j], j)

@@ -904,3 +904,29 @@ def test_successive_main_calls_share_no_parser_state(monkeypatch):
     finally:
         pbbobw.cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+def test_each_voters_optimum_at_b_is_computed_once_per_command(monkeypatch):
+    """FRD, GFS, IFS and UFS read every voter's optimum at B from the
+    instance: an FRD run (FRD, its GFS and IFS checks) and a verify of
+    every fractional axiom each compute it n times, and their reports
+    equal the committed ones."""
+    from test_reports import CASES, DATA, EXPECTED, _report
+
+    at_b = []
+    optimum = PBInstance.optimal_outcome
+
+    def counting(instance, voter, budget):
+        if budget == instance.budget:
+            at_b.append(voter)
+        return optimum(instance, voter, budget)
+
+    monkeypatch.setattr(PBInstance, "optimal_outcome", counting)
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
+    n = len(json.loads((DATA / "general.json").read_text())["voters"])
+    for name in ("run-frd-general", "verify-fractional-general"):
+        at_b.clear()
+        expected = json.loads((EXPECTED / f"{name}.json").read_text())
+        assert _report(CASES[name]) == expected, name
+        assert sorted(at_b) == list(range(n)), name

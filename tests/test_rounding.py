@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -77,7 +78,7 @@ def test_draws_at_the_threshold_branch_like_dependent_round():
         (two_voter_example(), FractionalOutcome([1, "1/3", "2/3"])),
     ]:
         sampler = RoundingSampler(inst, p)
-        t = sampler._zero[0][1] if sampler._zero else sampler._root[0]
+        t = sampler._zero[0][1] if sampler._zero else sampler._thr[0]
         seeds = [_seed_with_first_draw(t - 1), _seed_with_first_draw(t)]
         assert [splitmix64(s) for s in seeds] == [t - 1, t]
         up, down = (dependent_round(inst, p, s)[0] for s in seeds)
@@ -128,7 +129,7 @@ def test_packed_kernel_matches_scalar_splitmix64():
     )
     assert list(rounding._unpack(rounding._pack(states), len(states))) == states
     for block in (states, states[:1], states[2:3]):
-        rows = rounding._draw_rows(block, 4)
+        rows = rounding._draw_rows(rounding._pack(block), len(block), 4)
         assert len(rows) == 4
         for d, row in enumerate(rows):
             assert list(row) == [
@@ -340,6 +341,141 @@ def test_sampler_makes_one_node_per_spend_state(monkeypatch):
     assert len(calls) <= 46
     assert sampler.probabilities() == probs
     assert len(calls) == len(set(calls)) == 46
+
+
+def _fourteen_fractional_projects(seed):
+    """14 projects of cost 1-4 with shares k/8 and B = cost(p): over 1,500
+    outcomes at seeds 0 and 1, so 1,024 seeds leave states unmade."""
+    rng = random.Random(seed)
+    m = 14
+    cost = tuple(Fraction(rng.randint(1, 4)) for _ in range(m))
+    shares = [Fraction(rng.randint(1, 7), 8) for _ in range(m)]
+    inst = PBInstance(
+        budget=sum(s * c for s, c in zip(shares, cost)),
+        cost=cost,
+        utilities=((Fraction(1),) * m,),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=("v1",),
+    )
+    return inst, FractionalOutcome(shares)
+
+
+def test_later_blocks_grow_the_dag_and_agree_with_dependent_round(monkeypatch):
+    """Blocks after the first still reach unmade states, which the
+    re-walk makes; every block's counts equal `dependent_round`'s over the
+    same seeds, each state is stepped once, and `probabilities()` on the
+    used sampler equals a fresh sampler's."""
+    inst, p = _fourteen_fractional_projects(0)
+    seeds = list(derive_seeds(14, range(3 * rounding._BLOCK)))
+    blocks = [
+        seeds[k * rounding._BLOCK:(k + 1) * rounding._BLOCK] for k in range(3)
+    ]
+    expected = [
+        Counter(dependent_round(inst, p, s)[0] for s in block)
+        for block in blocks
+    ]
+    calls = []
+    step = rounding._step
+
+    def counting(costs, spends):
+        calls.append(spends)
+        return step(costs, spends)
+
+    monkeypatch.setattr(rounding, "_step", counting)
+    rewalks = []
+    rewalk = RoundingSampler._rewalk
+
+    def counting_rewalk(self, draws):
+        rewalks.append(1)
+        return rewalk(self, draws)
+
+    monkeypatch.setattr(RoundingSampler, "_rewalk", counting_rewalk)
+    sampler = RoundingSampler(inst, p)
+    per_block = []
+    for block, reference in zip(blocks, expected):
+        before = len(calls), len(rewalks)
+        assert sampler.sample_counts(block) == reference
+        per_block.append((len(calls) - before[0], len(rewalks) - before[1]))
+    # Every block steps new states and walks some seeds again.
+    assert all(made > 0 and walked > 0 for made, walked in per_block)
+    assert len(calls) == len(set(calls))
+    probs = sampler.probabilities()
+    assert len(calls) == len(set(calls))
+    assert probs == RoundingSampler(inst, p).probabilities()
+
+
+@pytest.mark.parametrize("zero_cost", [False, True])
+def test_counts_come_in_the_order_outcomes_are_first_drawn(zero_cost):
+    """`sample_counts` and `derived_counts` list outcomes in the order
+    `sample` first meets them, over three blocks of seeds."""
+    rng = random.Random(21 + zero_cost)
+    inst, p = _fourteen_fractional_projects(int(zero_cost))
+    if zero_cost:
+        inst, p = with_zero_cost_projects(rng, inst, p)
+    count = 3 * rounding._BLOCK - 5
+    seeds = list(derive_seeds(5, range(count)))
+    single = RoundingSampler(inst, p)
+    first = list(dict.fromkeys(single.sample(s) for s in seeds))
+    counts = RoundingSampler(inst, p).sample_counts(seeds)
+    assert list(counts) == first
+    derived = RoundingSampler(inst, p).derived_counts(5, count)
+    assert list(derived.items()) == list(counts.items())
+    assert len(first) > 100
+
+
+def test_dropped_sampler_leaves_no_cyclic_garbage():
+    """The DAG's tables hold ints, not nodes that refer to each other, so
+    refcounting alone frees a used sampler."""
+    inst, p = _fourteen_fractional_projects(1)
+    inst, p = with_zero_cost_projects(random.Random(3), inst, p)
+    sampler = RoundingSampler(inst, p)
+    sampler.sample_counts(derive_seeds(2, range(2 * rounding._BLOCK)))
+    sampler.derived_counts(3, 100)
+    sampler.probabilities()
+    gc.collect()
+    gc.disable()
+    try:
+        del sampler
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, rounding._BLOCK - 1, rounding._BLOCK, rounding._BLOCK + 1],
+)
+def test_derived_counts_equal_sample_counts_of_derived_seeds(count):
+    """The seeds derived inside the packed block are `derive_seeds`', so
+    both entry points give the same counts in the same order."""
+    rng = random.Random(500 + count)
+    inst = random_instance(rng)
+    p = random_feasible_p(rng, inst)
+    inst, p = with_zero_cost_projects(rng, inst, p)
+    for seed in (count, -1, 2**64 - 1):
+        expected = RoundingSampler(inst, p).sample_counts(
+            derive_seeds(seed, range(count))
+        )
+        got = RoundingSampler(inst, p).derived_counts(seed, count)
+        assert list(got.items()) == list(expected.items())
+        assert sum(got.values()) == count
+
+
+def test_derived_states_are_the_derived_seeds():
+    """Each lane of a derived block is `derive_seed` of its index, in a
+    full block and a partial one, also where splitmix64(seed) + k wraps
+    past 2**64."""
+    base = splitmix64(5)
+    for seed, indices in [
+        (0, range(rounding._BLOCK)),
+        (9, range(3 * rounding._BLOCK, 3 * rounding._BLOCK + 7)),
+        (-5, [2**64 - 1, 0, 17]),
+        (5, range(2**64 - base - 3, 2**64 - base + 3)),
+    ]:
+        lanes = rounding._unpack(
+            rounding._derived_states(seed, indices), len(indices)
+        )
+        assert list(lanes) == [derive_seed(seed, k) for k in indices]
 
 
 def test_zero_cost_states_do_not_split_the_spend_dag(monkeypatch):
