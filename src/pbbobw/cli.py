@@ -30,6 +30,7 @@ from .model import (
     Setting,
     ValidationError,
     classify,
+    marginals,
     parse_instance,
     parse_rational,
     rational_str,
@@ -143,12 +144,7 @@ def parse_integral(instance: PBInstance, document) -> IntegralOutcome:
 
 
 def fractional_to_dict(instance: PBInstance, p: FractionalOutcome) -> dict:
-    return {
-        "shares": {
-            instance.project_ids[j]: rational_str(s)
-            for j, s in enumerate(p.shares)
-        }
-    }
+    return {"shares": instance.share_map(p.shares)}
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -170,25 +166,15 @@ def _sample_block(
     block: dict = {
         "samples": samples,
         "outcomes": [
-            {
-                "count": counts[w],
-                "projects": sorted(
-                    instance.project_ids[j] for j in w.projects
-                ),
-            }
+            {"count": counts[w], "projects": instance.sorted_ids(w.projects)}
             for w in sorted(counts, key=lambda w: sorted(w.projects))
         ],
     }
     if samples > 1:
-        block["empirical_marginals"] = {
-            instance.project_ids[j]: rational_str(
-                Fraction(
-                    sum(c for w, c in counts.items() if j in w.projects),
-                    samples,
-                )
-            )
-            for j in range(instance.m)
-        }
+        funded = marginals(instance.m, ((c, w) for w, c in counts.items()))
+        block["empirical_marginals"] = instance.share_map(
+            Fraction(k, samples) for k in funded
+        )
     return block, list(counts)
 
 
@@ -236,9 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.rule == "mes":
         result = mes(instance)
         outcome = result.outcome
-        report["outcome"] = sorted(
-            instance.project_ids[j] for j in outcome.projects
-        )
+        report["outcome"] = instance.sorted_ids(outcome.projects)
         report["selection"] = [
             {"project": instance.project_ids[j], "rho": rational_str(r)}
             for j, r in result.rho
@@ -256,9 +240,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         per_outcome = []
         for w in distinct:
             entry = {
-                "projects": sorted(
-                    instance.project_ids[j] for j in w.projects
-                ),
+                "projects": instance.sorted_ids(w.projects),
                 "bb1": is_bb1(instance, w),
                 ex_post: _unless_skipped(
                     lambda: check(instance, w, args.limit_exp).holds

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
-from .model import FractionalOutcome, PBInstance, rational_str
+from .model import FractionalOutcome, PBInstance, members, rational_str
 
 # (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound,
 # in integers on the common denominator of its ``Rows``.
@@ -207,23 +207,18 @@ def _doubled(values: Sequence, combine: Callable, zero) -> list:
     return out
 
 
-def _members(group: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if group >> i & 1)
-
-
 def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
     """One GFS row per non-empty voter group, in bitmask order: the row of
     group g, the voters at the set bits of g, comes (g - 1)-th. The rows
     and the bounds are built by doubling over the voters."""
     d, share = _group_shares(instance, limit)
-    n = instance.n
     utilities = [tuple(int(u * d) for u in row) for row in instance.utilities]
     tops = _doubled(
         utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
     )
     totals = _doubled(share, add, 0)
     return Rows(d, (
-        (_members(g, n), tops[g], totals[g]) for g in range(1, 1 << n)
+        (members(g), tops[g], totals[g]) for g in range(1, 1 << instance.n)
     ))
 
 
@@ -294,7 +289,7 @@ def check_gfs(
     groups = range(1, 1 << n)
 
     def order(g: int) -> tuple[int, tuple[int, ...]]:
-        voters = _members(g, n)
+        voters = members(g)
         return len(voters), voters
 
     least = min(islice(slack, 1, None), default=0)
@@ -307,7 +302,7 @@ def check_gfs(
         reported = sorted(compress(groups, ties), key=order)[:1]
     witnesses = []
     for g in reported:
-        voters = _members(g, n)
+        voters = members(g)
         bound = sum(share[i] for i in voters)
         witnesses.append(_witness(voters, slack[g] + bound * q, bound, d, q))
     return ExAnteReport("gfs", least >= 0, tuple(witnesses))

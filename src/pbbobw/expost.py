@@ -57,6 +57,7 @@ from .model import (
     Setting,
     classify,
     has_cost_utilities,
+    members,
     rational_str,
     subset_walk,
     utility,
@@ -120,16 +121,6 @@ _Rule = Callable[[tuple[int, ...], int, int, int], Iterable[tuple[int, dict]]]
 # extension of T: called with T ∪ R as a project bitmask (R the pool
 # after T's last project) and the approvers of all of T as a voter mask.
 _Reach = Callable[[int, int], int]
-
-
-def members(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def within_budget(

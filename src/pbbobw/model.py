@@ -246,6 +246,27 @@ class PBInstance:
         except ValueError:
             raise ValidationError(f"unknown project id: {pid!r}") from None
 
+    def sorted_ids(self, projects: Iterable[int]) -> list[str]:
+        """The ids of ``projects``, sorted: how reports name an outcome."""
+        return sorted(self.project_ids[j] for j in projects)
+
+    def share_map(self, shares: Iterable[Fraction]) -> dict[str, str]:
+        """{project id: rational-string} of one value per project, in
+        index order: how reports write marginals."""
+        return {
+            pid: rational_str(s) for pid, s in zip(self.project_ids, shares)
+        }
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
 
 def subset_walk(
     pool: Iterable[int],
@@ -383,13 +404,21 @@ def utility(
     return sum((p * u for p, u in zip(target.shares, row)), Fraction(0))
 
 
+def marginals(m: int, weighted: Iterable[tuple[Any, IntegralOutcome]]) -> tuple:
+    """Each of the m projects' total weight over the ``(weight, outcome)``
+    pairs that fund it: a lottery's marginals from its support, or sample
+    counts per project from ``(count, outcome)``. Sums keep the weights'
+    type; a project no outcome funds gets 0."""
+    totals = [0] * m
+    for weight, outcome in weighted:
+        for j in outcome.projects:
+            totals[j] += weight
+    return tuple(totals)
+
+
 def implements(instance: PBInstance, lottery: Lottery, p: FractionalOutcome) -> bool:
     """True iff the lottery's per-project marginals equal p exactly."""
-    marginals = [Fraction(0)] * instance.m
-    for weight, outcome in lottery.support:
-        for j in outcome.projects:
-            marginals[j] += weight
-    return tuple(marginals) == p.shares
+    return marginals(instance.m, lottery.support) == p.shares
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .model import (
     Lottery,
     PBInstance,
     ValidationError,
-    implements,
+    marginals,
     rational_str,
 )
 from .rounding import is_bb1, is_bfx
@@ -275,17 +275,12 @@ class FeasibilityVerdict:
     def to_dict(self, instance: PBInstance) -> dict:
         out: dict = {"feasible": self.feasible, "note": self.note}
         if self.fractional is not None:
-            out["fractional"] = {
-                instance.project_ids[j]: rational_str(s)
-                for j, s in enumerate(self.fractional.shares)
-            }
+            out["fractional"] = instance.share_map(self.fractional.shares)
         if self.certificate is not None:
             out["lottery"] = [
                 {
                     "probability": rational_str(weight),
-                    "outcome": sorted(
-                        instance.project_ids[j] for j in outcome.projects
-                    ),
+                    "outcome": instance.sorted_ids(outcome.projects),
                 }
                 for weight, outcome in self.certificate.support
             ]
@@ -307,20 +302,23 @@ def lottery_feasible(
     (free-marginal mode) the marginals p are eliminated by substitution:
     each extra row over p becomes a row over the lottery weights, and the
     expected cost is constrained to equal the budget.
+
+    The arity of ``fractional`` and of every extra row is checked first,
+    before any outcome is enumerated or any row is read.
     """
+    m = instance.m
+    if fractional is not None and len(fractional.shares) != m:
+        raise ValidationError("fractional outcome has wrong arity")
+    if any(len(con.coefficients) != m for con in extra):
+        raise ValidationError("extra constraint has wrong arity")
     outcomes = enumerate_outcomes(instance, pred, limit)
     if not outcomes:
         return FeasibilityVerdict(False, None, None, "empty outcome class")
-    m = instance.m
     rows: list[LinearConstraint] = [
         LinearConstraint((1,) * len(outcomes), "=", Fraction(1))
     ]
     if fractional is not None:
-        if len(fractional.shares) != m:
-            raise ValidationError("fractional outcome has wrong arity")
         for con in extra:
-            if len(con.coefficients) != m:
-                raise ValidationError("extra constraint has wrong arity")
             value = sum(
                 c * s for c, s in zip(con.coefficients, fractional.shares)
             )
@@ -341,8 +339,6 @@ def lottery_feasible(
         cost_row = tuple(w.cost(instance) for w in outcomes)
         rows.append(LinearConstraint(cost_row, "=", instance.budget))
         for con in extra:
-            if len(con.coefficients) != m:
-                raise ValidationError("extra constraint has wrong arity")
             # Each outcome's column is 0/1: sum the coefficients of W, as
             # integers over the row's common denominator d. The row stays
             # the same rationals: a multiple of it would weigh its
@@ -370,15 +366,11 @@ def lottery_feasible(
     lottery = Lottery(entries)
     for _, w in lottery.support:
         assert pred.evaluate(instance, w, limit)
-    marginals = fractional
-    if marginals is None:
-        shares = tuple(
-            sum(lam for lam, w in lottery.support if j in w.projects)
-            for j in range(m)
-        )
-        marginals = FractionalOutcome(shares)
-    assert implements(instance, lottery, marginals)
-    return FeasibilityVerdict(True, lottery, marginals, "certificate found")
+    shares = marginals(m, lottery.support)
+    if fractional is None:
+        fractional = FractionalOutcome(shares)
+    assert shares == fractional.shares
+    return FeasibilityVerdict(True, lottery, fractional, "certificate found")
 
 
 # ---------------------------------------------------------------------------

@@ -312,16 +312,15 @@ def dependent_round(
             break
         indices, num, den, up, down = step
         go_up = next(draws) * den < num * _TWO64
-        i = indices[0]
-        alpha = Fraction(up[i] - spends[i], costs[i])
-        beta = Fraction(spends[i] - down[i], costs[i])
         spends = up if go_up else down
+        # The first project moves up by den - num or down by num.
+        i = indices[0]
         rounds.append(
             RoundingRound(
                 t=t,
                 indices=indices,
-                alpha=alpha,
-                beta=beta,
+                alpha=Fraction(den - num, costs[i]),
+                beta=Fraction(num, costs[i]),
                 branch="up" if go_up else "down",
                 q=tuple(Fraction(s, c) for s, c in zip(spends, costs)),
             )
@@ -377,7 +376,8 @@ class RoundingSampler:
 
     The DAG is parallel tables indexed by state id: `_thr`, `_up` and
     `_down` hold the threshold and the children's ids, and `_steps` the
-    state's `_step` tuple, its leaf outcome, or None while it is unmade.
+    state's branch probability ``(num, den)``, its leaf outcome, or None
+    while it is unmade.
     Ids are memoised by spend tuple, so every path into a state shares
     it. A state gets its id when its parent is made, and `_step` runs on
     it once, the first time a sample or `probabilities()` reaches it. A
@@ -445,7 +445,7 @@ class RoundingSampler:
             self._steps[i] = _leaf(self._costs, spends)
             return
         _, num, den, up, down = step
-        self._steps[i] = step
+        self._steps[i] = num, den
         self._thr[i] = _threshold(num, den)
         self._up[i] = self._id(up)
         self._down[i] = self._id(down)
@@ -494,7 +494,7 @@ class RoundingSampler:
                     # Distinct integral spend states are distinct outcomes.
                     probs[steps[i]] = weight
                     continue
-                q = Fraction(steps[i][1], steps[i][2])
+                q = Fraction(*steps[i])
                 push(up[i], weight * q)
                 push(down[i], weight * (1 - q))
         for j, _, share in self._zero:

@@ -14,7 +14,6 @@ from .expost import (
     SettingError,
     cohesive_groups,
     fjr_search,
-    members,
     require_binary,
     within_budget,
 )
@@ -25,6 +24,7 @@ from .model import (
     PBInstance,
     Setting,
     classify,
+    members,
 )
 from .rounding import RoundingSampler
 
@@ -78,7 +78,7 @@ class GCRTrace:
                 }
                 for s in self.steps
             ],
-            "outcome": sorted(instance.project_ids[j] for j in self.outcome.projects),
+            "outcome": instance.sorted_ids(self.outcome.projects),
         }
 
 

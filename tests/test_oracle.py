@@ -574,6 +574,23 @@ def test_ifs_jr_joint_infeasibility():
     assert not verdict.feasible
 
 
+BINARY = UNIT14.with_name("binary.json")
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+@pytest.mark.parametrize("violated_first", [True, False])
+def test_wrong_arity_is_rejected_before_any_row_is_read(fixed, violated_first):
+    """A wrong-length extra row is a ValidationError in both modes, also
+    when a full-length row before it is violated by the fixed p."""
+    inst = parse_instance(BINARY.read_text())
+    p = fractional_random_dictator(inst)
+    violated = LinearConstraint((Fraction(0),) * inst.m, ">=", Fraction(1))
+    short = LinearConstraint((Fraction(1),) * (inst.m - 1), ">=", Fraction(0))
+    extra = [violated, short] if violated_first else [short, violated]
+    with pytest.raises(ValidationError, match="wrong arity"):
+        lottery_feasible(inst, predicate("bb1"), p if fixed else None, extra)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

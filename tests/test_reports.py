@@ -77,6 +77,10 @@ CASES = {
                                         "bb1", "--fractional", "wide13-p.json"],
     "oracle-joint-fjr-ifs": ["oracle", "--instance", "binary.json", "--mode",
                              "joint", "--predicate", "fjr-binary", "--builtin", "ifs"],
+    # A certificate that depends on how `gfs_rows` scales each GFS row.
+    "oracle-joint-gfs-general": ["oracle", "--instance", "general.json", "--mode",
+                                 "joint", "--predicate", "within-budget",
+                                 "--builtin", "gfs"],
     # 14 unit-cost projects, B = 6: 6,476 within-budget outcomes, most of
     # whose FJR verdicts follow from their immediate subsets.
     "oracle-joint-fjr-unit14": ["oracle", "--instance", "unit14.json", "--mode",
