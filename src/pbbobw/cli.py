@@ -2,14 +2,15 @@
 counterexample instances.
 
 Exit codes: 0 success / axiom holds / feasible; 1 axiom fails / infeasible;
-2 usage, parse, or validation error. All file outputs are canonical JSON
-(sorted keys) with rationals as strings, so reports are byte-stable modulo
-the timing field.
+2 usage, parse, or validation error, or out of memory. All file outputs are
+canonical JSON (sorted keys) with rationals as strings, so reports are
+byte-stable modulo the timing field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -481,6 +482,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         InvariantViolation,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # Exit 1 is kept for a failing axiom. The work's memory is normally
+        # freed once the stack has unwound to here; if the line still
+        # cannot be written, the exit code alone tells.
+        with contextlib.suppress(MemoryError):
+            print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -66,11 +66,7 @@ class UnanimousPartition:
 
 
 def unanimous_partition(instance: PBInstance) -> UnanimousPartition:
-    groups: dict[tuple, list[int]] = {}
-    for i in range(instance.n):
-        groups.setdefault(instance.utilities[i], []).append(i)
-    cells = sorted(tuple(v) for v in groups.values())
-    return UnanimousPartition(cells=tuple(cells))
+    return UnanimousPartition(cells=instance.unanimous_cells)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,12 @@ def optimal_fractional_utility(
         shares = instance.optimal_outcomes[voter]
     else:
         shares = instance.optimal_outcome(voter, budget)
-    return sum(map(mul, instance.utilities[voter], shares), Fraction(0))
+    row = instance.utilities[voter]
+    return sum(
+        (row[j] * shares[j] for j in members(instance.approval_masks[voter])
+         if shares[j]),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +141,21 @@ def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
             bound = optimal_fractional_utility(instance, i, share * budget)
         else:
             bound = share * optimal_fractional_utility(instance, i, budget)
-        rows.append((cell, instance.utilities[i], bound))
-    d = _lcm_of_denominators(
-        chain.from_iterable((*c, b) for _, c, b in rows)
-    )
-    return Rows(d, [
-        (cell, tuple(int(c * d) for c in coefficients), int(bound * d))
-        for cell, coefficients, bound in rows
-    ])
+        rows.append((cell, i, bound))
+    # Zero utilities add nothing to d and scale to 0, so only each
+    # voter's approved projects are read.
+    utilities, masks = instance.utilities, instance.approval_masks
+    d = _lcm_of_denominators(chain(
+        (bound for _, _, bound in rows),
+        (utilities[i][j] for _, i, _ in rows for j in members(masks[i])),
+    ))
+    scaled = []
+    for cell, i, bound in rows:
+        coefficients = [0] * instance.m
+        for j in members(masks[i]):
+            coefficients[j] = int(utilities[i][j] * d)
+        scaled.append((cell, tuple(coefficients), int(bound * d)))
+    return Rows(d, scaled)
 
 
 def _group_shares(

@@ -18,9 +18,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 )
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ValidationError(ValueError):
@@ -39,7 +43,8 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Canonical rational-string: integer when possible, else 'p/q'."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -87,7 +92,7 @@ class PBInstance:
             if len(row) != len(self.cost):
                 raise ValidationError(f"utilities[{vid}]: wrong length")
             for pid, u in zip(self.project_ids, row):
-                if u < 0:
+                if u.numerator < 0:
                     raise ValidationError(f"utilities[{vid}][{pid}]: negative")
 
     @property
@@ -100,7 +105,7 @@ class PBInstance:
 
     def approval_set(self, voter: int) -> frozenset[int]:
         """Projects the voter assigns positive utility (derived, not stored)."""
-        return frozenset(j for j, u in enumerate(self.utilities[voter]) if u > 0)
+        return frozenset(members(self.approval_masks[voter]))
 
     def total_cost(self, projects: Iterable[int]) -> Fraction:
         return sum((self.cost[j] for j in projects), Fraction(0))
@@ -110,30 +115,48 @@ class PBInstance:
     ) -> tuple[Fraction, ...]:
         """A voter's optimal fractional outcome, spending exactly ``budget``.
 
-        Fractional knapsack: zero-cost approved projects first, then
-        descending utility per cost (ties: lower cost, then lower index),
-        then the zero-utility projects in index order, which pad the spend
-        up to the budget. Projects are funded fully while they fit; the
-        first one that does not gets what is left. At B, read
-        ``optimal_outcomes`` instead.
+        Fractional knapsack along the voter's ``greedy_orders`` entry:
+        projects are funded fully while they fit; the first one that does
+        not gets what is left. The spend is counted in integers: costs and
+        budget times ``cost_scale``, and times the denominator the scaled
+        budget still has. At B, read ``optimal_outcomes`` instead.
         """
         budget = Fraction(budget)
         if not 0 <= budget <= self.budget:
             raise ValueError(f"budget {budget} outside [0, B]")
-        row, cost, m = self.utilities[voter], self.cost, self.m
-        free = [j for j in range(m) if row[j] > 0 and cost[j] == 0]
-        priced = [j for j in range(m) if row[j] > 0 and cost[j] > 0]
-        priced.sort(key=lambda j: (-row[j] / cost[j], cost[j], j))
-        padding = [j for j in range(m) if row[j] == 0]
-        shares = [Fraction(0)] * m
-        left = budget
-        for j in free + priced + padding:
-            if cost[j] > left:
-                shares[j] = left / cost[j]
+        scaled = budget * self.cost_scale
+        left, unit, cost = scaled.numerator, scaled.denominator, self.scaled_costs
+        shares = [_ZERO] * self.m
+        for j in self.greedy_orders[voter]:
+            c = cost[j] * unit
+            if c > left:
+                shares[j] = Fraction(left, c)
                 break
-            shares[j] = Fraction(1)
-            left -= cost[j]
+            shares[j] = _ONE
+            left -= c
         return tuple(shares)
+
+    @cached_property
+    def greedy_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Each voter's order of ``optimal_outcome``, computed once per
+        instance: the zero-cost approved projects, then the priced ones by
+        descending utility per cost (ties: lower cost, then lower index),
+        then the zero-utility projects in index order, which pad the spend
+        up to the budget."""
+        cost, everything = self.cost, (1 << self.m) - 1
+        orders = []
+        for row, mask in zip(self.utilities, self.approval_masks):
+            approved = members(mask)
+            priced = sorted(
+                (j for j in approved if cost[j]),
+                key=lambda j: (-row[j] / cost[j], cost[j], j),
+            )
+            orders.append((
+                *(j for j in approved if not cost[j]),
+                *priced,
+                *members(everything ^ mask),
+            ))
+        return tuple(orders)
 
     @cached_property
     def optimal_outcomes(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -179,9 +202,10 @@ class PBInstance:
 
     @cached_property
     def approval_masks(self) -> tuple[int, ...]:
-        """Each voter's approval set as a bitmask over project indices."""
+        """Each voter's approval set as a bitmask over project indices.
+        Utilities are validated non-negative, so u_ij > 0 is a truth test."""
         return tuple(
-            sum(1 << j for j, u in enumerate(row) if u > 0)
+            sum(1 << j for j, u in enumerate(row) if u)
             for row in self.utilities
         )
 
@@ -190,11 +214,19 @@ class PBInstance:
         """Each project's approvers (u_ij > 0) as a bitmask over voter
         indices: the transpose of ``approval_masks``."""
         masks = [0] * self.m
-        for i, row in enumerate(self.utilities):
-            for j, u in enumerate(row):
-                if u > 0:
-                    masks[j] |= 1 << i
+        for i, mask in enumerate(self.approval_masks):
+            for j in members(mask):
+                masks[j] |= 1 << i
         return tuple(masks)
+
+    @cached_property
+    def unanimous_cells(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal groups of voters with identical utility vectors,
+        sorted, computed once per instance."""
+        groups: dict[tuple, list[int]] = {}
+        for i, row in enumerate(self.utilities):
+            groups.setdefault(row, []).append(i)
+        return tuple(sorted(tuple(v) for v in groups.values()))
 
     @cached_property
     def approval_count_lanes(
@@ -208,8 +240,8 @@ class PBInstance:
         bias, below their top bit, so no lane carries into the next."""
         width = (self.m + 1).bit_length() + 1
         lane = [
-            sum(1 << i * width for i, row in enumerate(self.utilities) if row[j] > 0)
-            for j in range(self.m)
+            sum(1 << i * width for i in members(approvers))
+            for approvers in self.approver_masks
         ]
         tables = []
         for first in range(0, self.m, 8):
@@ -362,18 +394,27 @@ class PaymentMatrix:
     y: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
 
+    def paid(self, m: int) -> list[Fraction]:
+        """Each of the m projects' total payment, summed over the non-zero
+        entries of y."""
+        totals = [_ZERO] * m
+        for row in self.y:
+            for j, x in enumerate(row):
+                if x:
+                    totals[j] += x
+        return totals
+
     def validate(self, instance: PBInstance) -> None:
         share = instance.budget / instance.n
         for i in range(instance.n):
-            spent = sum(self.y[i], Fraction(0))
+            spent = sum((x for x in self.y[i] if x), _ZERO)
             if spent > share:
                 raise ValidationError(f"voter {i} spends {spent} > B/n")
             if self.b[i] != share - spent:
                 raise ValidationError(f"voter {i} remaining budget inconsistent")
             if self.b[i] < 0:
                 raise ValidationError(f"voter {i} negative remaining budget")
-        for j in range(instance.m):
-            total = sum((self.y[i][j] for i in range(instance.n)), Fraction(0))
+        for j, total in enumerate(self.paid(instance.m)):
             if total > instance.cost[j]:
                 raise ValidationError(f"project {j} overpaid: {total}")
 
@@ -452,8 +493,17 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
         data = document
     if not isinstance(data, Mapping):
         raise ValidationError("instance document must be a JSON object")
+    parsed: dict[str, Fraction] = {}
+
+    def rational(text: Any, field: str) -> Fraction:
+        """``parse_rational``, once per distinct string of the document."""
+        value = parsed.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = parsed[text] = parse_rational(text, field)
+        return value
+
     try:
-        budget = parse_rational(data["budget"], "budget")
+        budget = rational(data["budget"], "budget")
     except KeyError:
         raise ValidationError("missing field: budget") from None
 
@@ -462,7 +512,7 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
         pid = entry.get("id")
         if not isinstance(pid, str):
             raise ValidationError("projects[].id: missing or not a string")
-        entries.append((pid, parse_rational(entry.get("cost"), f"cost[{pid}]")))
+        entries.append((pid, rational(entry.get("cost"), f"cost[{pid}]")))
     entries.sort(key=lambda e: e[0])
     project_ids = tuple(pid for pid, _ in entries)
     if len(set(project_ids)) != len(project_ids):
@@ -475,7 +525,7 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
         vid = entry.get("id")
         if not isinstance(vid, str):
             raise ValidationError("voters[].id: missing or not a string")
-        row = [Fraction(0)] * len(project_ids)
+        row = [_ZERO] * len(project_ids)
         utilities = entry.get("utilities")
         if utilities is None:
             utilities = {}
@@ -486,7 +536,7 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
                 raise ValidationError(
                     f"utilities[{vid}]: unknown project id {pid!r}"
                 )
-            row[index_of[pid]] = parse_rational(text, f"utilities[{vid}][{pid}]")
+            row[index_of[pid]] = rational(text, f"utilities[{vid}][{pid}]")
         voter_entries.append((vid, tuple(row)))
     voter_entries.sort(key=lambda e: e[0])
     voter_ids = tuple(vid for vid, _ in voter_entries)
@@ -525,5 +575,42 @@ def instance_to_dict(instance: PBInstance) -> dict:
 
 
 def serialize_instance(instance: PBInstance) -> str:
-    """Canonical JSON: keys sorted, projects and voters sorted by id."""
-    return json.dumps(instance_to_dict(instance), sort_keys=True, indent=2)
+    """Canonical JSON: ``json.dumps(instance_to_dict(instance),
+    sort_keys=True, indent=2)``, written directly for this fixed schema.
+
+    Ids are quoted by ``json``'s own ASCII string encoder, and each voter's
+    utilities are keyed by project id in sorted order, as ``sort_keys``
+    does; rational-strings need no escapes."""
+    ids = instance.project_ids
+    projects = [
+        f'    {{\n      "cost": "{rational_str(c)}",\n'
+        f'      "id": {_quote(pid)}\n    }}'
+        for pid, c in zip(ids, instance.cost)
+    ]
+    voters = []
+    for vid, row, mask in zip(
+        instance.voter_ids, instance.utilities, instance.approval_masks
+    ):
+        # A dict first, so a repeated project id keeps its last value.
+        named = sorted({ids[j]: j for j in members(mask)}.items())
+        utilities = _indented(
+            [f'        {_quote(pid)}: "{rational_str(row[j])}"' for pid, j in named],
+            "{}", "      ",
+        )
+        voters.append(
+            f'    {{\n      "id": {_quote(vid)},\n'
+            f'      "utilities": {utilities}\n    }}'
+        )
+    return (
+        f'{{\n  "budget": "{rational_str(instance.budget)}",\n'
+        f'  "projects": {_indented(projects, "[]", "  ")},\n'
+        f'  "voters": {_indented(voters, "[]", "  ")}\n}}'
+    )
+
+
+def _indented(items: list[str], brackets: str, indent: str) -> str:
+    """A JSON container of the already indented ``items``, closed at
+    ``indent``, as ``json.dumps`` with ``indent=2`` writes it."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"

@@ -133,13 +133,14 @@ def _min_rho(
     """Smallest rho at which project j is rho-affordable, or None.
 
     Solves sum_i min(b_i, u_ij * rho) = cost(j) on the correct segment of
-    the piecewise-linear, non-decreasing left-hand side.
+    the piecewise-linear, non-decreasing left-hand side. Only j's
+    approvers with budget left pay, so only they are read.
     """
-    cost = instance.cost[j]
+    cost, utilities = instance.cost[j], instance.utilities
     supporters = [
-        (budgets[i] / instance.utilities[i][j], budgets[i], instance.utilities[i][j])
-        for i in range(instance.n)
-        if instance.utilities[i][j] > 0 and budgets[i] > 0
+        (budgets[i] / utilities[i][j], budgets[i], utilities[i][j])
+        for i in members(instance.approver_masks[j])
+        if budgets[i]
     ]
     saturation = sum((b for _, b, _ in supporters), Fraction(0))
     if saturation < cost:
@@ -159,34 +160,44 @@ def _min_rho(
 
 
 def mes(instance: PBInstance) -> MESResult:
-    """Method of equal shares with exact rational rho computation."""
+    """Method of equal shares with exact rational rho computation.
+
+    A project's rho depends only on its approvers' budgets, so it is
+    computed again only after one of them paid for the last selection."""
     n = instance.n
     share = instance.budget / n
     budgets = [share] * n
     y = [[Fraction(0)] * instance.m for _ in range(n)]
     chosen: set[int] = set()
     rho_log: list[tuple[int, Fraction]] = []
+    rhos: dict[int, Optional[Fraction]] = {}
+    payers = 0  # bitmask of the voters who paid in the last round
     while True:
         best: Optional[tuple[Fraction, int]] = None
         for j in range(instance.m):
             if j in chosen:
                 continue
-            if instance.cost[j] == 0:
+            if not instance.cost[j]:
                 rho = Fraction(0)
             else:
-                rho = _min_rho(instance, j, budgets)
+                if j not in rhos or instance.approver_masks[j] & payers:
+                    rhos[j] = _min_rho(instance, j, budgets)
+                rho = rhos[j]
                 if rho is None:
                     continue
-            if best is None or (rho, j) < best:
+            # j ascends, so a tie keeps the lower index.
+            if best is None or rho < best[0]:
                 best = (rho, j)
         if best is None:
             break
         rho, j = best
-        for i in range(n):
+        payers = 0
+        for i in members(instance.approver_masks[j]):
             pay = min(budgets[i], instance.utilities[i][j] * rho)
-            if pay > 0:
+            if pay:
                 y[i][j] = pay
                 budgets[i] -= pay
+                payers |= 1 << i
         chosen.add(j)
         rho_log.append((j, rho))
     payments = PaymentMatrix(
@@ -194,9 +205,9 @@ def mes(instance: PBInstance) -> MESResult:
     )
     payments.validate(instance)
     outcome = IntegralOutcome(chosen)
+    paid = payments.paid(instance.m)
     for j in chosen:
-        total = sum((y[i][j] for i in range(n)), Fraction(0))
-        if total != instance.cost[j]:
+        if paid[j] != instance.cost[j]:
             raise InvariantViolation(f"MES payments for project {j} miss cost")
     return MESResult(outcome=outcome, payments=payments, rho=tuple(rho_log))
 
@@ -219,6 +230,13 @@ class GroupLadder:
         return len(self.projects)
 
 
+def _cheapest_first(instance: PBInstance, voter: int) -> tuple[int, ...]:
+    """A binary voter's approved projects by (cost, index): with 0/1
+    utilities, the approved prefix of the voter's greedy order."""
+    order = instance.greedy_orders[voter]
+    return order[:instance.approval_masks[voter].bit_count()]
+
+
 def group_ladder(instance: PBInstance, cell: tuple[int, ...]) -> GroupLadder:
     """The cell's optimal fractional outcome under |S| * B / n, read as a
     ladder: the approved projects it funds fully, cheapest first, then the
@@ -229,9 +247,7 @@ def group_ladder(instance: PBInstance, cell: tuple[int, ...]) -> GroupLadder:
     shares = instance.optimal_outcome(
         cell[0], len(cell) * instance.budget / instance.n
     )
-    approved = sorted(
-        instance.approval_set(cell[0]), key=lambda j: (instance.cost[j], j)
-    )
+    approved = _cheapest_first(instance, cell[0])
     projects = tuple(j for j in approved if shares[j] == 1)
     nxt = next((j for j in approved if shares[j] < 1), None)
     delta = Fraction(0) if nxt is None else shares[nxt]
@@ -292,7 +308,7 @@ def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGC
             budgets[i] = per_voter
         # Spend on the cheapest approved project, capped at p_c = 1;
         # overflow continues to the next cheapest, residue joins the fill.
-        spend(sorted(approved, key=lambda j: (instance.cost[j], j)), group_budget)
+        spend(_cheapest_first(instance, cell[0]), group_budget)
 
     leftover = instance.budget - instance.total_cost(core)
     total_budget = sum(budgets, Fraction(0))
@@ -355,9 +371,7 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
     n = instance.n
     y = [list(row) for row in result.payments.y]
     budgets = list(result.payments.b)
-    paid = [
-        sum((y[i][j] for i in range(n)), Fraction(0)) for j in range(instance.m)
-    ]
+    paid = result.payments.paid(instance.m)
 
     for i in range(n):
         unfunded = instance.approval_set(i) - core

@@ -77,6 +77,19 @@ def test_run_bw_mes_empirical_marginals(capsys, instance_file):
         assert entry["ejr"] is True
 
 
+def test_out_of_memory_exits_2_with_an_error_line(capsys, monkeypatch, instance_file):
+    """Running out of memory is not a failing axiom (exit 1): it exits 2
+    with an ``error:`` line and writes no report."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pbbobw.cli, "gcr", exhausted)
+    code, out, err = run_cli(
+        capsys, "run", "--instance", instance_file, "--rule", "gcr"
+    )
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_run_gcr_on_general_utilities_exits_2(capsys, tmp_path):
     doc = {
         "budget": "1",

@@ -15,7 +15,11 @@ from pbbobw import (
     Setting,
     ValidationError,
     classify,
+    gen_bfx_family,
+    gen_gfs_jr_family,
+    gen_ifs_jr_family,
     implements,
+    instance_to_dict,
     parse_instance,
     parse_rational,
     rational_str,
@@ -73,6 +77,74 @@ def test_serialize_parse_identity():
         assert again == inst
         # Canonical form is a fixed point.
         assert serialize_instance(again) == serialize_instance(inst)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _canonical_dump(inst: PBInstance) -> str:
+    """The reference for `serialize_instance`: the generic JSON encoder
+    on `instance_to_dict`."""
+    return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2)
+
+
+# Ids that need JSON escapes (quote, backslash, control and non-ASCII
+# characters, one outside the BMP) and sort differently once escaped.
+_ID_CHARS = [
+    '"', "\\", "\n", "\t", "\x7f", "é", "Ω", "中", "\U0001f600",
+    "a", "b", "Z", "0", " ", "/",
+]
+
+
+def _escaped_instance(rng: random.Random) -> PBInstance:
+    """A random instance with unsorted ids that need escapes, some voters
+    without utilities, and zero-cost projects."""
+    def ids(count):
+        chosen = set()
+        while len(chosen) < count:
+            chosen.add("".join(rng.choice(_ID_CHARS) for _ in range(rng.randint(0, 4))))
+        chosen = list(chosen)
+        rng.shuffle(chosen)
+        return tuple(chosen)
+
+    inst = random_instance(rng, utilities=rng.choice(["general", "binary", "cost"]))
+    if rng.random() < 0.5:
+        inst = with_zero_cost_projects(rng, inst)
+    rows = tuple(
+        (Fraction(0),) * inst.m if rng.random() < 0.3 else row
+        for row in inst.utilities
+    )
+    return PBInstance(
+        budget=inst.budget,
+        cost=inst.cost,
+        utilities=rows,
+        project_ids=ids(inst.m),
+        voter_ids=ids(inst.n),
+    )
+
+
+def test_serialize_instance_is_the_canonical_dump():
+    """`serialize_instance` writes the fixed schema directly; its text must
+    be the generic encoder's, key order and escapes included, on every
+    committed instance, the three `gen` families (whose project ids are
+    not sorted) and seeded instances with ids that need escapes."""
+    instances = [
+        parse_instance(path.read_text())
+        for path in sorted(DATA.rglob("*.json"))
+        if "budget" in json.loads(path.read_text())
+    ]
+    assert len(instances) >= 8
+    for n in (6, 7, 9, 10, 16):
+        instances.append(gen_gfs_jr_family(n, Fraction(1), Fraction(1, 12)))
+        instances.append(gen_ifs_jr_family(n - 2, Fraction(n + 2)))
+    for budget in ("1", "2", "7/3"):
+        instances.append(gen_bfx_family(Fraction(budget), Fraction(budget) / 10)[0])
+    rng = random.Random(97)
+    instances += [_escaped_instance(rng) for _ in range(200)]
+    assert any(inst.project_ids != tuple(sorted(inst.project_ids)) for inst in instances)
+    assert any(not any(row) for inst in instances for row in inst.utilities)
+    for inst in instances:
+        assert serialize_instance(inst) == _canonical_dump(inst)
 
 
 def test_serialize_is_sorted_json():
@@ -222,18 +294,71 @@ def test_subsets_match_a_filter_over_combinations():
     assert pruned > 0
 
 
+def _swept_instances(seed: int, count: int = 60) -> list[PBInstance]:
+    """Seeded binary, cost and general instances, every other one with
+    zero-cost projects."""
+    rng = random.Random(seed)
+    instances = []
+    for case in range(count):
+        inst = random_instance(rng, utilities=("binary", "cost", "general")[case % 3])
+        instances.append(with_zero_cost_projects(rng, inst) if case % 2 else inst)
+    return instances
+
+
 def test_approver_masks_transpose_the_approval_masks():
     """Each project's approvers as a voter bitmask: the per-project loop
     over the voters, on the committed 14-project instance and on seeded
-    general instances, half with zero-cost projects."""
-    unit14 = Path(__file__).resolve().parent / "data" / "reports" / "unit14.json"
-    rng = random.Random(73)
+    binary, cost and general instances, half with zero-cost projects."""
+    unit14 = DATA / "reports" / "unit14.json"
     instances = [parse_instance(unit14.read_text()), two_voter_example()]
-    for case in range(30):
-        inst = random_instance(rng)
-        instances.append(with_zero_cost_projects(rng, inst) if case % 2 else inst)
-    for inst in instances:
+    for inst in instances + _swept_instances(73):
         assert inst.approver_masks == tuple(
             sum(1 << i for i in range(inst.n) if inst.utilities[i][j] > 0)
             for j in range(inst.m)
         )
+
+
+def test_approval_masks_and_sets_match_their_definitions():
+    """Each voter's approval mask and set, read by truth tests, against
+    the u_ij > 0 definition."""
+    for inst in _swept_instances(79):
+        for i, row in enumerate(inst.utilities):
+            approved = frozenset(j for j, u in enumerate(row) if u > 0)
+            assert inst.approval_set(i) == approved
+            assert inst.approval_masks[i] == sum(1 << j for j in approved)
+
+
+def _optimal_outcome_reference(inst: PBInstance, voter: int, budget: Fraction):
+    """`PBInstance.optimal_outcome` with its order sorted on every call."""
+    row, cost, m = inst.utilities[voter], inst.cost, inst.m
+    free = [j for j in range(m) if row[j] > 0 and cost[j] == 0]
+    priced = [j for j in range(m) if row[j] > 0 and cost[j] > 0]
+    priced.sort(key=lambda j: (-row[j] / cost[j], cost[j], j))
+    padding = [j for j in range(m) if row[j] == 0]
+    shares = [Fraction(0)] * m
+    left = budget
+    for j in free + priced + padding:
+        if cost[j] > left:
+            shares[j] = left / cost[j]
+            break
+        shares[j] = Fraction(1)
+        left -= cost[j]
+    return tuple(shares)
+
+
+def test_optimal_outcome_matches_the_per_call_sort():
+    """The cached greedy orders give each voter's optimum at budgets
+    0, B and random budgets in between."""
+    rng = random.Random(83)
+    for inst in _swept_instances(83):
+        budgets = [Fraction(0), inst.budget] + [
+            inst.budget * Fraction(rng.randint(0, 24), 24) for _ in range(4)
+        ]
+        for i in range(inst.n):
+            for budget in budgets:
+                assert inst.optimal_outcome(i, budget) == (
+                    _optimal_outcome_reference(inst, i, budget)
+                )
+            assert inst.optimal_outcomes[i] == (
+                _optimal_outcome_reference(inst, i, inst.budget)
+            )

@@ -2,9 +2,11 @@
 the committed exit code, stderr and stdout documents.
 
 Inputs and expected reports live in ``tests/data/reports``. The timing
-field ``elapsed_seconds`` is dropped before comparing. A refactor that
-claims byte-identical output must leave every case unchanged. To rewrite
-the expected reports (only when a change of output is intended), run
+field ``elapsed_seconds`` is dropped before comparing. ``gen`` writes the
+canonical instance text, so its cases also compare stdout as raw text,
+key order and layout included. A refactor that claims byte-identical
+output must leave every case unchanged. To rewrite the expected reports
+(only when a change of output is intended), run
 
     PYTHONPATH=src python tests/test_reports.py
 """
@@ -15,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 from pathlib import Path
 
@@ -101,7 +104,26 @@ CASES = {
                         "binary-a.json", "--axioms", "ejr", "--limit-exp", "3"],
     "gate-run-gcr": ["run", "--instance", "binary.json", "--rule", "gcr",
                      "--limit-exp", "3"],
+    # MES and its EJR check at n = m = 200 on sparse approvals
+    # (`sparse_document(200)`): a guard on MES's per-project work.
+    "run-mes-sparse200": ["run", "--instance", "sparse200.json", "--rule", "mes"],
 }
+
+
+def sparse_document(m: int) -> dict:
+    """The recipe of ``sparse200.json`` (m = 200): n = m voters and m
+    projects of cost 1 or 2, each voter approving 3 to 7 random projects,
+    and B = m // 2, all drawn from ``random.Random(m)``. The file is
+    ``json.dumps(sparse_document(200), indent=2, sort_keys=True)`` and a
+    newline."""
+    rng = random.Random(m)
+    pid = [f"p{j:03d}" for j in range(m)]
+    projects = [{"id": pid[j], "cost": str(rng.randint(1, 2))} for j in range(m)]
+    voters = []
+    for i in range(m):
+        approved = rng.sample(range(m), rng.randint(3, 7))
+        voters.append({"id": f"v{i:03d}", "utilities": {pid[j]: "1" for j in approved}})
+    return {"budget": str(m // 2), "projects": projects, "voters": voters}
 
 
 def _documents(text: str) -> list:
@@ -118,11 +140,17 @@ def _documents(text: str) -> list:
     return docs
 
 
-def _report(argv: list[str]) -> dict:
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "stderr": err.getvalue(), "stdout": _documents(out.getvalue())}
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report(argv: list[str]) -> dict:
+    code, out, err = _run(argv)
+    return {"exit": code, "stderr": err, "stdout": _documents(out)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -130,7 +158,18 @@ def test_report_matches_the_committed_one(name, monkeypatch):
     monkeypatch.chdir(DATA)
     monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
     expected = json.loads((EXPECTED / f"{name}.json").read_text())
-    assert _report(CASES[name]) == expected
+    code, out, err = _run(CASES[name])
+    assert {"exit": code, "stderr": err, "stdout": _documents(out)} == expected
+    if name.startswith("gen-"):
+        assert out == "".join(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            for doc in expected["stdout"]
+        )
+
+
+def test_sparse200_is_its_recipe():
+    text = (DATA / "sparse200.json").read_text()
+    assert text == json.dumps(sparse_document(200), indent=2, sort_keys=True) + "\n"
 
 
 def test_every_expected_report_has_a_case():

@@ -24,6 +24,7 @@ from pbbobw import (
     mes,
     unanimous_partition,
 )
+from pbbobw.rules import _min_rho
 
 from conftest import (
     count_walks,
@@ -251,6 +252,87 @@ def test_mes_payments_validate():
         for j in result.outcome.projects:
             paid = sum(result.payments.y[i][j] for i in range(inst.n))
             assert paid == inst.cost[j]
+
+
+def _min_rho_reference(inst, j, budgets):
+    """The least rho with sum_i min(b_i, u_ij * rho) = cost(j), or None,
+    scanning all n voters: every candidate (a voter's b_i / u_ij, or the
+    solution on a segment where the first k voters by b_i / u_ij are
+    saturated) is evaluated, and the least that meets the cost wins."""
+    cost, column = inst.cost[j], [row[j] for row in inst.utilities]
+
+    def paid(rho):
+        return sum(min(b, u * rho) for b, u in zip(budgets, column))
+
+    voters = sorted(
+        (b / u, b, u) for b, u in zip(budgets, column) if u > 0
+    )
+    candidates = {Fraction(0)} | {t for t, _, _ in voters}
+    for k in range(len(voters)):
+        slope = sum(u for _, _, u in voters[k:])
+        candidates.add((cost - sum(b for _, b, _ in voters[:k])) / slope)
+    return min((r for r in candidates if r >= 0 and paid(r) == cost), default=None)
+
+
+def test_min_rho_matches_an_all_voter_scan():
+    """`_min_rho` reads only the project's approvers with budget left;
+    swept over binary, cost and general utilities, zero-cost projects and
+    random budgets in [0, B/n], some of them 0."""
+    rng = random.Random(89)
+    for case in range(90):
+        inst = random_instance(rng, utilities=("binary", "cost", "general")[case % 3])
+        if case % 2:
+            inst = with_zero_cost_projects(rng, inst)
+        share = inst.budget / inst.n
+        for _ in range(3):
+            budgets = [
+                share * Fraction(rng.choice([0, rng.randint(0, 12)]), 12)
+                for _ in range(inst.n)
+            ]
+            for j in range(inst.m):
+                assert _min_rho(inst, j, budgets) == (
+                    _min_rho_reference(inst, j, budgets)
+                )
+
+
+def _mes_reference(inst):
+    """MES with every project's rho found again in every round, by the
+    all-voter scan."""
+    budgets = [inst.budget / inst.n] * inst.n
+    y = [[Fraction(0)] * inst.m for _ in range(inst.n)]
+    log = []
+    while True:
+        rhos = [
+            (Fraction(0) if inst.cost[j] == 0 else _min_rho_reference(inst, j, budgets), j)
+            for j in range(inst.m)
+            if j not in {k for k, _ in log}
+        ]
+        rhos = [(rho, j) for rho, j in rhos if rho is not None]
+        if not rhos:
+            return log, y, budgets
+        rho, j = min(rhos)
+        for i in range(inst.n):
+            pay = min(budgets[i], inst.utilities[i][j] * rho)
+            if pay > 0:
+                y[i][j] = pay
+                budgets[i] -= pay
+        log.append((j, rho))
+
+
+def test_mes_matches_the_recomputing_reference():
+    """MES finds a project's rho again only after one of its approvers
+    paid; the selection order, rho values and payments equal a loop that
+    finds every rho again in every round."""
+    rng = random.Random(97)
+    for case in range(60):
+        inst = random_instance(rng, n_max=8, m_max=8, utilities=("binary", "cost")[case % 2])
+        if case % 3 == 0:
+            inst = with_zero_cost_projects(rng, inst)
+        result = mes(inst)
+        log, y, budgets = _mes_reference(inst)
+        assert result.rho == tuple(log)
+        assert result.payments.y == tuple(map(tuple, y))
+        assert result.payments.b == tuple(budgets)
 
 
 # ---------------------------------------------------------------------------
