@@ -4,11 +4,13 @@ Each axiom is written once, as ``Rows``: integer rows ``(voters,
 coefficients, bound)`` on one common denominator d per axiom, each the
 exact linear inequality ``sum_j coefficients[j]/d * p_j >= bound/d`` over
 the marginals p, whose bound comes from the voters' optimal fractional
-utilities opt_i. ``verify`` reads the rows through the ``check_*``
-functions, which scale p once to integers on its own denominator q and
-evaluate every row with integer products and compares; only the reported
-witnesses become fractions again. ``oracle --builtin`` reads the same rows
-through ``ifs_rows`` and ``gfs_rows``, which divide them by d for the LP.
+utilities opt_i (below B walked on the instance's scaled costs and
+utilities, with one fraction per bound). ``verify`` reads the rows
+through the ``check_*`` functions, which scale p once to integers on its
+own denominator q and evaluate every row with integer products and
+compares; only the reported witnesses become fractions again. ``oracle
+--builtin`` reads the same rows through ``ifs_rows`` and ``gfs_rows``,
+which divide them by d for the LP.
 
 IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
 per maximal unanimous cell; both bounds are monotone in the group size, so
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -104,17 +106,24 @@ def optimal_fractional_utility(
 ) -> Fraction:
     """Best fractional-outcome utility for a voter under the given budget:
     the utility of ``PBInstance.optimal_outcome``, read from the instance's
-    ``optimal_outcomes`` at B."""
+    ``optimal_outcomes`` at B.
+
+    Below B it is summed from the voter's ``greedy_spend`` on the scaled
+    utilities, so only the result is a fraction."""
     if budget == instance.budget:
         shares = instance.optimal_outcomes[voter]
-    else:
-        shares = instance.optimal_outcome(voter, budget)
-    row = instance.utilities[voter]
-    return sum(
-        (row[j] * shares[j] for j in members(instance.approval_masks[voter])
-         if shares[j]),
-        Fraction(0),
-    )
+        row = instance.utilities[voter]
+        return sum(
+            (row[j] * shares[j] for j in members(instance.approval_masks[voter])
+             if shares[j]),
+            Fraction(0),
+        )
+    k, left, c = instance.greedy_spend(voter, budget)
+    order, row = instance.greedy_orders[voter], instance.scaled_utilities[voter]
+    total = sum(row[j] for j in order[:k]) * c
+    if k < instance.m:
+        total += row[order[k]] * left
+    return Fraction(total, c * instance.utility_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +151,14 @@ def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
         else:
             bound = share * optimal_fractional_utility(instance, i, budget)
         rows.append((cell, i, bound))
-    # Zero utilities add nothing to d and scale to 0, so only each
-    # voter's approved projects are read.
-    utilities, masks = instance.utilities, instance.approval_masks
-    d = _lcm_of_denominators(chain(
-        (bound for _, _, bound in rows),
-        (utilities[i][j] for _, i, _ in rows for j in members(masks[i])),
-    ))
-    scaled = []
-    for cell, i, bound in rows:
-        coefficients = [0] * instance.m
-        for j in members(masks[i]):
-            coefficients[j] = int(utilities[i][j] * d)
-        scaled.append((cell, tuple(coefficients), int(bound * d)))
-    return Rows(d, scaled)
+    # Every voter's utilities are some row's, so d is a multiple of
+    # utility_scale and each row is a scaled utility row times d/v.
+    d = math.lcm(instance.utility_scale, *(b.denominator for _, _, b in rows))
+    up, utilities = d // instance.utility_scale, instance.scaled_utilities
+    return Rows(d, [
+        (cell, tuple(u * up for u in utilities[i]), int(bound * d))
+        for cell, i, bound in rows
+    ])
 
 
 def _group_shares(
@@ -174,9 +177,7 @@ def _group_shares(
         optimal_fractional_utility(instance, i, instance.budget) / n
         for i in range(n)
     ]
-    d = _lcm_of_denominators(
-        chain(shares, chain.from_iterable(instance.utilities))
-    )
+    d = math.lcm(instance.utility_scale, *(x.denominator for x in shares))
     return d, [int(x * d) for x in shares]
 
 
@@ -192,8 +193,9 @@ def _voter_bits(
     group's masks add up to max_{i in S} u_ij."""
     bits: list[tuple[int, int]] = []
     masks = [0] * instance.n
-    for j, column in enumerate(zip(*instance.utilities)):
-        column = [int(u * d) for u in column]
+    up = d // instance.utility_scale
+    for j, column in enumerate(zip(*instance.scaled_utilities)):
+        column = [u * up for u in column]
         below = 0
         for level in sorted(set(column) - {0}):
             bit = 1 << len(bits)
@@ -220,7 +222,8 @@ def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
     group g, the voters at the set bits of g, comes (g - 1)-th. The rows
     and the bounds are built by doubling over the voters."""
     d, share = _group_shares(instance, limit)
-    utilities = [tuple(int(u * d) for u in row) for row in instance.utilities]
+    up = d // instance.utility_scale
+    utilities = [tuple(u * up for u in row) for row in instance.scaled_utilities]
     tops = _doubled(
         utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
     )

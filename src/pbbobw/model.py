@@ -6,7 +6,10 @@ exponential walks over project sets work on the same values scaled to
 integers: costs and B times ``PBInstance.cost_scale``, the least common
 multiple of their denominators, and approval sets as bitmasks. That keeps
 them exact while a step costs a few integer operations; the walks are
-still exponential in the number of projects.
+still exponential in the number of projects. Utilities are scaled the same
+way, by ``PBInstance.utility_scale``: the setting tags, the unanimous
+cells, the greedy orders, MES and the fair-share bounds read
+``scaled_utilities``.
 """
 
 from __future__ import annotations
@@ -113,28 +116,37 @@ class PBInstance:
     def optimal_outcome(
         self, voter: int, budget: Fraction
     ) -> tuple[Fraction, ...]:
-        """A voter's optimal fractional outcome, spending exactly ``budget``.
+        """A voter's optimal fractional outcome, spending exactly ``budget``:
+        the ``greedy_spend`` of the voter's ``greedy_orders`` entry. At B,
+        read ``optimal_outcomes`` instead."""
+        k, left, c = self.greedy_spend(voter, budget)
+        order = self.greedy_orders[voter]
+        shares = [_ZERO] * self.m
+        for j in order[:k]:
+            shares[j] = _ONE
+        if k < self.m:
+            shares[order[k]] = Fraction(left, c)
+        return tuple(shares)
 
-        Fractional knapsack along the voter's ``greedy_orders`` entry:
-        projects are funded fully while they fit; the first one that does
-        not gets what is left. The spend is counted in integers: costs and
-        budget times ``cost_scale``, and times the denominator the scaled
-        budget still has. At B, read ``optimal_outcomes`` instead.
-        """
+    def greedy_spend(self, voter: int, budget: Fraction) -> tuple[int, int, int]:
+        """Fractional knapsack along the voter's ``greedy_orders`` entry,
+        as ``(k, left, c)``: the first k projects are funded fully while
+        they fit, and when k < m the next one, of cost c, gets left/c.
+
+        The spend is counted in integers: costs and budget times
+        ``cost_scale``, and times the denominator the scaled budget still
+        has."""
         budget = Fraction(budget)
         if not 0 <= budget <= self.budget:
             raise ValueError(f"budget {budget} outside [0, B]")
         scaled = budget * self.cost_scale
         left, unit, cost = scaled.numerator, scaled.denominator, self.scaled_costs
-        shares = [_ZERO] * self.m
-        for j in self.greedy_orders[voter]:
+        for k, j in enumerate(self.greedy_orders[voter]):
             c = cost[j] * unit
             if c > left:
-                shares[j] = Fraction(left, c)
-                break
-            shares[j] = _ONE
+                return k, left, c
             left -= c
-        return tuple(shares)
+        return self.m, left, 1
 
     @cached_property
     def greedy_orders(self) -> tuple[tuple[int, ...], ...]:
@@ -142,15 +154,18 @@ class PBInstance:
         instance: the zero-cost approved projects, then the priced ones by
         descending utility per cost (ties: lower cost, then lower index),
         then the zero-utility projects in index order, which pad the spend
-        up to the budget."""
-        cost, everything = self.cost, (1 << self.m) - 1
+        up to the budget.
+
+        The priced projects are keyed by the integer U_ij·(L_i/C_j) on the
+        scaled utilities U and costs C, with L_i the lcm of the voter's
+        priced C_j: it orders them as u_ij/c_j does."""
+        cost, everything = self.scaled_costs, (1 << self.m) - 1
         orders = []
-        for row, mask in zip(self.utilities, self.approval_masks):
+        for row, mask in zip(self.scaled_utilities, self.approval_masks):
             approved = members(mask)
-            priced = sorted(
-                (j for j in approved if cost[j]),
-                key=lambda j: (-row[j] / cost[j], cost[j], j),
-            )
+            priced = [j for j in approved if cost[j]]
+            common = math.lcm(*(cost[j] for j in priced))
+            priced.sort(key=lambda j: (-row[j] * (common // cost[j]), cost[j], j))
             orders.append((
                 *(j for j in approved if not cost[j]),
                 *priced,
@@ -174,7 +189,8 @@ class PBInstance:
 
     @cached_property
     def scaled_costs(self) -> tuple[int, ...]:
-        return tuple(int(c * self.cost_scale) for c in self.cost)
+        scale = self.cost_scale
+        return tuple([c.numerator * (scale // c.denominator) for c in self.cost])
 
     @cached_property
     def scaled_budget(self) -> int:
@@ -186,10 +202,28 @@ class PBInstance:
         return sum(cost[j] for j in projects)
 
     @cached_property
+    def utility_scale(self) -> int:
+        """The least common multiple of the denominators of the non-zero
+        utilities (a zero's is 1), computed once per instance: scaled by
+        it, all are integers."""
+        return math.lcm(*{u.denominator for row in self.utilities for u in row})
+
+    @cached_property
+    def scaled_utilities(self) -> tuple[tuple[int, ...], ...]:
+        """Each voter's utilities times ``utility_scale``."""
+        scale = self.utility_scale
+        return tuple(
+            tuple([u.numerator * (scale // u.denominator) for u in row])
+            for row in self.utilities
+        )
+
+    @cached_property
     def setting(self) -> Setting:
         """The most specific setting tag, computed once per instance."""
-        binary = all(u == 0 or u == 1 for row in self.utilities for u in row)
-        unit = all(c == 1 for c in self.cost)
+        binary = self.utility_scale == 1 and all(
+            u <= 1 for row in self.scaled_utilities for u in row
+        )
+        unit = all(c == self.cost_scale for c in self.scaled_costs)
         if binary and unit:
             return Setting.COMMITTEE
         if binary:
@@ -224,7 +258,7 @@ class PBInstance:
         """The maximal groups of voters with identical utility vectors,
         sorted, computed once per instance."""
         groups: dict[tuple, list[int]] = {}
-        for i, row in enumerate(self.utilities):
+        for i, row in enumerate(self.scaled_utilities):
             groups.setdefault(row, []).append(i)
         return tuple(sorted(tuple(v) for v in groups.values()))
 
@@ -394,16 +428,6 @@ class PaymentMatrix:
     y: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
 
-    def paid(self, m: int) -> list[Fraction]:
-        """Each of the m projects' total payment, summed over the non-zero
-        entries of y."""
-        totals = [_ZERO] * m
-        for row in self.y:
-            for j, x in enumerate(row):
-                if x:
-                    totals[j] += x
-        return totals
-
     def validate(self, instance: PBInstance) -> None:
         share = instance.budget / instance.n
         for i in range(instance.n):
@@ -414,17 +438,21 @@ class PaymentMatrix:
                 raise ValidationError(f"voter {i} remaining budget inconsistent")
             if self.b[i] < 0:
                 raise ValidationError(f"voter {i} negative remaining budget")
-        for j, total in enumerate(self.paid(instance.m)):
+        for j, column in enumerate(zip(*self.y)):
+            total = sum((x for x in column if x), _ZERO)
             if total > instance.cost[j]:
                 raise ValidationError(f"project {j} overpaid: {total}")
 
 
 def has_cost_utilities(instance: PBInstance) -> bool:
-    """True iff every utility is 0 or the project's cost."""
+    """True iff every utility is 0 or the project's cost: on the scaled
+    values, U_ij·cost_scale == C_j·utility_scale."""
+    cost, u_scale = instance.scaled_costs, instance.utility_scale
+    c_scale = instance.cost_scale
     return all(
-        u == 0 or u == instance.cost[j]
-        for row in instance.utilities
-        for j, u in enumerate(row)
+        row[j] * c_scale == cost[j] * u_scale
+        for row, mask in zip(instance.scaled_utilities, instance.approval_masks)
+        for j in members(mask)
     )
 
 

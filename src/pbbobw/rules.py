@@ -1,10 +1,18 @@
 """PB rules: fractional random dictator, greedy cohesive rule, method of
 equal shares, and the two randomized best-of-both-worlds algorithms that
 combine a deterministic core outcome with dependent rounding.
+
+MES and BW-MES count money in integers of 1/q on the instance's scaled
+costs and utilities. q starts as the lcm of the denominators of B/n and
+the costs, and each selection multiplies it by the least factor that
+makes its payments whole; ρ is an integer pair compared by
+cross-multiplication. ρ, the payments and p become fractions once, for
+the result types.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +31,7 @@ from .model import (
     PaymentMatrix,
     PBInstance,
     Setting,
+    ValidationError,
     classify,
     members,
 )
@@ -128,88 +137,168 @@ class MESResult:
 
 
 def _min_rho(
-    instance: PBInstance, j: int, budgets: list[Fraction]
-) -> Optional[Fraction]:
+    instance: PBInstance, j: int, budgets: list[int], q: int
+) -> Optional[tuple[int, int]]:
     """Smallest rho at which project j is rho-affordable, or None.
 
-    Solves sum_i min(b_i, u_ij * rho) = cost(j) on the correct segment of
-    the piecewise-linear, non-decreasing left-hand side. Only j's
+    Money is counted in integers of 1/q: the ``budgets`` b_i and the cost
+    C_j = cost(j)·q, with q a multiple of ``cost_scale``. rho is returned
+    as the pair (num, den) at which each approver pays min(b_i,
+    U_ij·num/den) on the scaled utilities U, so rho =
+    num·utility_scale/(q·den). It solves sum_i min(b_i, U_ij·num/den) =
+    C_j on the correct segment of the
+    piecewise-linear, non-decreasing left-hand side, which the approvers
+    leave in order of b_i/U_ij, compared by cross-multiplication. Only j's
     approvers with budget left pay, so only they are read.
     """
-    cost, utilities = instance.cost[j], instance.utilities
+    cost = instance.scaled_costs[j] * (q // instance.cost_scale)
+    utilities = instance.scaled_utilities
     supporters = [
-        (budgets[i] / utilities[i][j], budgets[i], utilities[i][j])
+        (budgets[i], utilities[i][j])
         for i in members(instance.approver_masks[j])
         if budgets[i]
     ]
-    saturation = sum((b for _, b, _ in supporters), Fraction(0))
+    saturation = sum(b for b, _ in supporters)
     if saturation < cost:
         return None
+    if not supporters:
+        return 0, 1
+    # b_i/U_ij orders as the integer b_i·(L/U_ij), L the lcm of the U_ij.
+    common = math.lcm(*(u for _, u in supporters))
+    supporters = sorted((b * (common // u), b, u) for b, u in supporters)
     if saturation == cost:
-        return max(t for t, _, _ in supporters) if supporters else Fraction(0)
-    supporters.sort()
-    paid = Fraction(0)
-    slope = sum((u for _, _, u in supporters), Fraction(0))
-    for k, (threshold, b, u) in enumerate(supporters):
-        candidate = (cost - paid) / slope
-        if candidate <= threshold:
-            return candidate
+        # Everyone pays all they have: rho is the largest b_i/U_ij.
+        _, b, u = supporters[-1]
+        return b, u
+    paid, slope = 0, sum(u for _, _, u in supporters)
+    for _, b, u in supporters:
+        left = cost - paid
+        if left * u <= b * slope:
+            return left, slope
         paid += b
         slope -= u
     raise AssertionError("unreachable: saturation exceeds cost")
 
 
-def mes(instance: PBInstance) -> MESResult:
-    """Method of equal shares with exact rational rho computation.
+def _equal_shares(
+    instance: PBInstance,
+) -> tuple[int, list[list[int]], list[int], list[tuple[int, Fraction]]]:
+    """MES on integers: ``(q, y, b, rho)``, the payments y and the budgets
+    left b in integers of 1/q, and the selection order with each rho.
 
-    A project's rho depends only on its approvers' budgets, so it is
-    computed again only after one of them paid for the last selection."""
-    n = instance.n
+    q starts as the lcm of the denominators of B/n and ``cost_scale``. A
+    selection at rho = (num, den) of ``_min_rho`` makes each approver who
+    is not drained pay U_ij·num/den; before it pays, q, every budget and
+    every cached rho grow by the least s with every such payment whole, a
+    divisor of den. A project's rho depends only on its approvers' budgets,
+    so it is computed again only after one of them paid for the last
+    selection."""
+    n, m = instance.n, instance.m
+    cost, utilities = instance.scaled_costs, instance.scaled_utilities
+    approvers = instance.approver_masks
     share = instance.budget / n
-    budgets = [share] * n
-    y = [[Fraction(0)] * instance.m for _ in range(n)]
+    q = math.lcm(share.denominator, instance.cost_scale)
+    budgets = [share.numerator * (q // share.denominator)] * n
     chosen: set[int] = set()
-    rho_log: list[tuple[int, Fraction]] = []
-    rhos: dict[int, Optional[Fraction]] = {}
+    log: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
+    rhos: dict[int, Optional[tuple[int, int]]] = {}
     payers = 0  # bitmask of the voters who paid in the last round
     while True:
-        best: Optional[tuple[Fraction, int]] = None
-        for j in range(instance.m):
+        best: Optional[tuple[int, int, int]] = None
+        for j in range(m):
             if j in chosen:
                 continue
-            if not instance.cost[j]:
-                rho = Fraction(0)
+            if not cost[j]:
+                rho = (0, 1)
             else:
-                if j not in rhos or instance.approver_masks[j] & payers:
-                    rhos[j] = _min_rho(instance, j, budgets)
+                if j not in rhos or approvers[j] & payers:
+                    rhos[j] = _min_rho(instance, j, budgets, q)
                 rho = rhos[j]
                 if rho is None:
                     continue
             # j ascends, so a tie keeps the lower index.
-            if best is None or rho < best[0]:
-                best = (rho, j)
+            if best is None or rho[0] * best[2] < best[1] * rho[1]:
+                best = (j, *rho)
         if best is None:
             break
-        rho, j = best
-        payers = 0
-        for i in members(instance.approver_masks[j]):
-            pay = min(budgets[i], instance.utilities[i][j] * rho)
-            if pay:
-                y[i][j] = pay
-                budgets[i] -= pay
-                payers |= 1 << i
-        chosen.add(j)
-        rho_log.append((j, rho))
-    payments = PaymentMatrix(
-        y=tuple(tuple(row) for row in y), b=tuple(budgets)
-    )
-    payments.validate(instance)
-    outcome = IntegralOutcome(chosen)
-    paid = payments.paid(instance.m)
-    for j in chosen:
-        if paid[j] != instance.cost[j]:
+        j, num, den = best
+        paying = [i for i in members(approvers[j]) if budgets[i]] if cost[j] else []
+        common = 0
+        for i in paying:
+            u = utilities[i][j]
+            if budgets[i] * den > u * num:
+                common = math.gcd(common, u)
+        grow = den // math.gcd(den, num * common)
+        if grow > 1:
+            q *= grow
+            num *= grow
+            budgets = [b * grow for b in budgets]
+            rhos = {
+                k: None if rho is None else (rho[0] * grow, rho[1])
+                for k, rho in rhos.items()
+            }
+        payments = []
+        for i in paying:
+            pay = min(budgets[i], utilities[i][j] * num // den)
+            payments.append((i, pay))
+            budgets[i] -= pay
+        payers = sum(1 << i for i in paying)
+        if sum(pay for _, pay in payments) != cost[j] * (q // instance.cost_scale):
             raise InvariantViolation(f"MES payments for project {j} miss cost")
-    return MESResult(outcome=outcome, payments=payments, rho=tuple(rho_log))
+        chosen.add(j)
+        log.append((j, num, den, q, payments))
+    rows = [[0] * m for _ in range(n)]
+    for j, _, _, at, payments in log:
+        for i, pay in payments:
+            rows[i][j] = pay * (q // at)
+    u_scale = instance.utility_scale
+    rho_log = [(j, Fraction(num * u_scale, at * den)) for j, num, den, at, _ in log]
+    return q, rows, budgets, rho_log
+
+
+def _payment_matrix(
+    instance: PBInstance, q: int, y: list[list[int]], b: list[int]
+) -> PaymentMatrix:
+    """y and b, in integers of 1/q, as a ``PaymentMatrix`` of fractions,
+    after the checks of ``PaymentMatrix.validate`` on the integers."""
+    share = int(instance.budget * q / instance.n)
+    for i, row in enumerate(y):
+        spent = sum(row)
+        if spent > share:
+            raise ValidationError(f"voter {i} spends {Fraction(spent, q)} > B/n")
+        if b[i] != share - spent:
+            raise ValidationError(f"voter {i} remaining budget inconsistent")
+        if b[i] < 0:
+            raise ValidationError(f"voter {i} negative remaining budget")
+    up = q // instance.cost_scale
+    for j, total in enumerate(map(sum, zip(*y))):
+        if total > instance.scaled_costs[j] * up:
+            raise ValidationError(f"project {j} overpaid: {Fraction(total, q)}")
+    zero = Fraction(0)
+    return PaymentMatrix(
+        y=tuple(tuple(Fraction(x, q) if x else zero for x in row) for row in y),
+        b=tuple(Fraction(x, q) for x in b),
+    )
+
+
+def _mes_result(
+    instance: PBInstance,
+    q: int,
+    y: list[list[int]],
+    b: list[int],
+    rho: list[tuple[int, Fraction]],
+) -> MESResult:
+    return MESResult(
+        outcome=IntegralOutcome(j for j, _ in rho),
+        payments=_payment_matrix(instance, q, y, b),
+        rho=tuple(rho),
+    )
+
+
+def mes(instance: PBInstance) -> MESResult:
+    """Method of equal shares with exact rho, computed on integers
+    (``_equal_shares``)."""
+    return _mes_result(instance, *_equal_shares(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +452,39 @@ class BWMESResult:
 
 
 def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
-    """Method-of-equal-shares core plus budget exhaustion, rounded to BB1."""
+    """Method-of-equal-shares core plus budget exhaustion, rounded to BB1.
+
+    The leftover budgets are spent on MES's integers of 1/q; p and the
+    payment matrix become fractions once, at the end."""
     if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE, Setting.COST):
         raise SettingError("bw_mes requires binary or cost utilities")
-    result = mes(instance)
+    q, y, budgets, rho = _equal_shares(instance)
+    result = _mes_result(instance, q, y, budgets, rho)
     core = result.outcome.projects
-    n = instance.n
-    y = [list(row) for row in result.payments.y]
-    budgets = list(result.payments.b)
-    paid = result.payments.paid(instance.m)
+    unfunded_mask = (1 << instance.m) - 1 - sum(1 << j for j in core)
+    up = q // instance.cost_scale
+    cost = [c * up for c in instance.scaled_costs]
+    # MES paid each core project exactly and nothing else.
+    paid = [cost[j] if j in core else 0 for j in range(instance.m)]
 
-    for i in range(n):
-        unfunded = instance.approval_set(i) - core
+    for i, mask in enumerate(instance.approval_masks):
+        unfunded = members(mask & unfunded_mask)
         if not unfunded or budgets[i] == 0:
             continue
-        kappa = min(unfunded, key=lambda j: (instance.cost[j], j))
+        kappa = min(unfunded, key=lambda j: (cost[j], j))
         y[i][kappa] += budgets[i]
         paid[kappa] += budgets[i]
-        budgets[i] = Fraction(0)
-        if paid[kappa] > instance.cost[kappa]:
+        budgets[i] = 0
+        if paid[kappa] > cost[kappa]:
             raise InvariantViolation(
                 f"spend on project {kappa} exceeds its cost"
             )
-    for i in range(n):
-        if budgets[i] == 0:
-            continue
-        if instance.approval_set(i) - core:
-            continue
+    # Whoever has budget left now approves no unfunded project.
+    for i in range(instance.n):
         for j in range(instance.m):
             if budgets[i] == 0:
                 break
-            room = instance.cost[j] - paid[j]
+            room = cost[j] - paid[j]
             if room <= 0:
                 continue
             amount = min(budgets[i], room)
@@ -405,24 +496,20 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
 
     shares = []
     for j in range(instance.m):
-        if instance.cost[j] == 0:
+        if cost[j] == 0:
             shares.append(Fraction(1) if j in core else Fraction(0))
             continue
-        share = paid[j] / instance.cost[j]
-        if share > 1:
+        if paid[j] > cost[j]:
             raise InvariantViolation(f"project {j} funded beyond 1")
-        shares.append(share)
-    p = FractionalOutcome(shares)
-    if not p.is_feasible(instance):
+        shares.append(Fraction(paid[j], cost[j]))
+    if sum(paid) != instance.budget * q:
         raise InvariantViolation("post-MES fractional outcome infeasible")
     for j in core:
-        if p.shares[j] != 1:
+        if paid[j] != cost[j]:
             raise InvariantViolation("core project lost full funding")
 
-    payments = PaymentMatrix(
-        y=tuple(tuple(row) for row in y), b=tuple(budgets)
-    )
-    payments.validate(instance)
+    p = FractionalOutcome(shares)
+    payments = _payment_matrix(instance, q, y, budgets)
     outcome = RoundingSampler(instance, p).sample(seed)
     if not core <= outcome.projects:
         raise InvariantViolation("sampled outcome lost a core project")

@@ -390,6 +390,32 @@ def test_criterion_9_bw_mes(capsys):
     )
 
 
+def test_criterion_9_mes_rho_searches_are_bounded(monkeypatch):
+    """A machine-independent complement to criterion 9's timing fit: on
+    its n = m = 5..14 binary instances, an MES run searches for some
+    project's rho at most m·(|W| + 1) times, at most once per project in
+    each of its |W| + 1 rounds."""
+    import pbbobw.rules
+
+    searches = []
+    search = pbbobw.rules._min_rho
+
+    def counting(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(pbbobw.rules, "_min_rho", counting)
+    rng = random.Random(9090)
+    for k in range(5, 15):
+        for _ in range(3):
+            inst = random_instance(rng, n_max=k, m_max=k, utilities="binary")
+            while inst.n != k or inst.m != k:
+                inst = random_instance(rng, n_max=k, m_max=k, utilities="binary")
+            searches.clear()
+            chosen = mes(inst).outcome.projects
+            assert len(searches) <= inst.m * (len(chosen) + 1)
+
+
 def _timed_bw_mes_deterministic(inst) -> float:
     # CPU time with the collector paused: wall-clock scheduling noise would
     # otherwise dominate sub-millisecond runs.

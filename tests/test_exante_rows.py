@@ -406,6 +406,24 @@ def test_optimal_fractional_utility_matches_the_greedy_loop():
                 ) == ref_optimal_fractional_utility(inst, i, budget)
 
 
+def test_optimal_fractional_utility_is_the_utility_of_the_optimal_outcome():
+    """Below B the optimum's utility is walked on integers; at 0, B, each
+    unanimous cell's |S|·B/n and random budgets in [0, B] it equals
+    sum_j u_ij·optimal_outcome(i, budget)_j."""
+    for rng, inst in sweep(85, 150):
+        budgets = {Fraction(0), inst.budget}
+        budgets.update(len(cell) * inst.budget / inst.n for cell in inst.unanimous_cells)
+        budgets.update(
+            inst.budget * Fraction(rng.randint(0, 60), 60) for _ in range(3)
+        )
+        for i, row in enumerate(inst.utilities):
+            for budget in budgets:
+                shares = inst.optimal_outcome(i, budget)
+                assert optimal_fractional_utility(inst, i, budget) == sum(
+                    (u * x for u, x in zip(row, shares)), Fraction(0)
+                )
+
+
 # ---------------------------------------------------------------------------
 # Property: an axiom holds exactly when p meets all of its rows
 

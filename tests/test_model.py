@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +27,8 @@ from pbbobw import (
     serialize_instance,
     utility,
 )
+
+from pbbobw.model import has_cost_utilities
 
 from conftest import random_instance, two_voter_example, with_zero_cost_projects
 
@@ -362,3 +365,64 @@ def test_optimal_outcome_matches_the_per_call_sort():
             assert inst.optimal_outcomes[i] == (
                 _optimal_outcome_reference(inst, i, inst.budget)
             )
+
+
+def _setting_reference(inst: PBInstance) -> tuple[Setting, bool]:
+    """The setting tag and the cost-utilities test, on the fractions."""
+    binary = all(u in (0, 1) for row in inst.utilities for u in row)
+    unit = all(c == 1 for c in inst.cost)
+    cost = all(
+        u == 0 or u == inst.cost[j]
+        for row in inst.utilities
+        for j, u in enumerate(row)
+    )
+    if binary and unit:
+        return Setting.COMMITTEE, cost
+    if binary:
+        return Setting.BINARY, cost
+    if cost:
+        return Setting.COST, cost
+    return (Setting.UNIT_COST if unit else Setting.GENERAL), cost
+
+
+def _with_unit_costs(rng: random.Random, inst: PBInstance) -> PBInstance:
+    """The instance with every cost 1 and a budget in [1, m]."""
+    return PBInstance(
+        budget=Fraction(rng.randint(1, inst.m)),
+        cost=(Fraction(1),) * inst.m,
+        utilities=inst.utilities,
+        project_ids=inst.project_ids,
+        voter_ids=inst.voter_ids,
+    )
+
+
+def test_scales_orders_and_settings_match_their_fraction_definitions():
+    """`utility_scale`, `scaled_utilities`, `setting`, `has_cost_utilities`
+    and `greedy_orders` read integers; each equals its definition on the
+    fractions, over seeded binary, cost and general instances, half with
+    zero-cost projects, and the same with unit costs."""
+    rng = random.Random(89)
+    instances = _swept_instances(89, 90)
+    instances += [_with_unit_costs(rng, inst) for inst in instances[:30]]
+    tags = set()
+    for inst in instances:
+        scale = math.lcm(*(u.denominator for row in inst.utilities for u in row if u))
+        assert inst.utility_scale == scale
+        assert inst.scaled_utilities == tuple(
+            tuple((u * scale).numerator for u in row) for row in inst.utilities
+        )
+        assert all((u * scale).denominator == 1 for row in inst.utilities for u in row)
+        tag, cost_utilities = _setting_reference(inst)
+        assert inst.setting == tag
+        assert has_cost_utilities(inst) == cost_utilities
+        tags.add(tag)
+        cost = inst.cost
+        for i, row in enumerate(inst.utilities):
+            free = [j for j in range(inst.m) if row[j] and not cost[j]]
+            priced = sorted(
+                (j for j in range(inst.m) if row[j] and cost[j]),
+                key=lambda j: (-row[j] / cost[j], cost[j], j),
+            )
+            padding = [j for j in range(inst.m) if not row[j]]
+            assert inst.greedy_orders[i] == tuple(free + priced + padding)
+    assert tags == set(Setting)

@@ -107,6 +107,10 @@ CASES = {
     # MES and its EJR check at n = m = 200 on sparse approvals
     # (`sparse_document(200)`): a guard on MES's per-project work.
     "run-mes-sparse200": ["run", "--instance", "sparse200.json", "--rule", "mes"],
+    # BW-MES on the same instance: MES's money denominator grows over the
+    # most selections here, and the completion phase spends on it.
+    "run-bw-mes-sparse200": ["run", "--instance", "sparse200.json", "--rule",
+                             "bw-mes", "--samples", "1", "--seed", "1"],
 }
 
 

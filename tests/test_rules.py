@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -274,6 +275,16 @@ def _min_rho_reference(inst, j, budgets):
     return min((r for r in candidates if r >= 0 and paid(r) == cost), default=None)
 
 
+def _min_rho_on_one_q(inst, j, budgets):
+    """`_min_rho` on fraction budgets: they are put on one money
+    denominator q, and the returned pair is read back as rho."""
+    q = math.lcm(inst.cost_scale, *(b.denominator for b in budgets))
+    rho = _min_rho(inst, j, [int(b * q) for b in budgets], q)
+    if rho is None:
+        return None
+    return Fraction(rho[0] * inst.utility_scale, q * rho[1])
+
+
 def test_min_rho_matches_an_all_voter_scan():
     """`_min_rho` reads only the project's approvers with budget left;
     swept over binary, cost and general utilities, zero-cost projects and
@@ -290,7 +301,7 @@ def test_min_rho_matches_an_all_voter_scan():
                 for _ in range(inst.n)
             ]
             for j in range(inst.m):
-                assert _min_rho(inst, j, budgets) == (
+                assert _min_rho_on_one_q(inst, j, budgets) == (
                     _min_rho_reference(inst, j, budgets)
                 )
 
@@ -321,12 +332,15 @@ def _mes_reference(inst):
 
 def test_mes_matches_the_recomputing_reference():
     """MES finds a project's rho again only after one of its approvers
-    paid; the selection order, rho values and payments equal a loop that
-    finds every rho again in every round."""
+    paid, and counts money on a denominator that grows with the payments;
+    the selection order, rho values and payments equal a loop on fractions
+    that finds every rho again in every round, over binary, cost and
+    general utilities with n, m up to 10."""
     rng = random.Random(97)
-    for case in range(60):
-        inst = random_instance(rng, n_max=8, m_max=8, utilities=("binary", "cost")[case % 2])
-        if case % 3 == 0:
+    for case in range(90):
+        kind = ("binary", "cost", "general")[case % 3]
+        inst = random_instance(rng, n_max=10, m_max=10, utilities=kind)
+        if case % 2 == 0:
             inst = with_zero_cost_projects(rng, inst)
         result = mes(inst)
         log, y, budgets = _mes_reference(inst)
