@@ -161,9 +161,9 @@ def _digest(instance: PBInstance) -> str:
 
 
 def _sample_block(
-    instance: PBInstance, p: FractionalOutcome, seed: int, samples: int
+    instance: PBInstance, sampler: RoundingSampler, seed: int, samples: int
 ) -> tuple[dict, list[IntegralOutcome]]:
-    counts = RoundingSampler(instance, p).derived_counts(seed, samples)
+    counts = sampler.derived_counts(seed, samples)
     block: dict = {
         "samples": samples,
         "outcomes": [
@@ -214,7 +214,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         axioms["gfs"] = _unless_skipped(
             lambda: check_gfs(instance, p, args.limit_exp).to_dict(instance)
         )
-        sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
+        sampler = RoundingSampler(instance, p)
+        sampled, distinct = _sample_block(instance, sampler, args.seed, args.samples)
         report["sampling"] = sampled
     elif args.rule == "gcr":
         trace = gcr(instance, args.limit_exp)
@@ -233,10 +234,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = bw_gcr(instance, args.seed, args.limit_exp)
         else:
             result = bw_mes(instance, args.seed)
-        p = result.fractional
+        p, sampler = result.fractional, result.sampler
         report["fractional"] = fractional_to_dict(instance, p)
         axioms["strong-ufs"] = check_strong_ufs(instance, p).to_dict(instance)
-        sampled, distinct = _sample_block(instance, p, args.seed, args.samples)
+        sampled, distinct = _sample_block(instance, sampler, args.seed, args.samples)
         report["sampling"] = sampled
         per_outcome = []
         for w in distinct:

@@ -2,22 +2,23 @@
 equal shares, and the two randomized best-of-both-worlds algorithms that
 combine a deterministic core outcome with dependent rounding.
 
-MES and BW-MES count money in integers of 1/q on the instance's scaled
-costs and utilities. q starts as the lcm of the denominators of B/n and
-the costs, and each selection multiplies it by the least factor that
-makes its payments whole; ρ is an integer pair compared by
-cross-multiplication. ρ, the payments and p become fractions once, for
-the result types.
+MES counts money in integers of 1/q on the instance's scaled costs and
+utilities. q starts as the lcm of the denominators of B/n and the costs,
+and each selection multiplies it by the least factor that makes its
+payments whole; ρ is an integer pair compared by cross-multiplication.
+Both BW rules complete their core on these integers (BW-GCR on MES's
+starting q) with one spend routine and one hand-off to rounding, whose
+sampler the result carries. ρ, the payments, budgets and p become
+fractions once, for the result types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .exante import unanimous_partition
 from .expost import (
     SettingError,
     cohesive_groups,
@@ -32,7 +33,6 @@ from .model import (
     PBInstance,
     Setting,
     ValidationError,
-    classify,
     members,
 )
 from .rounding import RoundingSampler
@@ -180,6 +180,14 @@ def _min_rho(
     raise AssertionError("unreachable: saturation exceeds cost")
 
 
+def _voter_money(instance: PBInstance) -> tuple[int, int]:
+    """MES's starting q, the lcm of the denominators of B/n and
+    ``cost_scale``, and B/n in integers of 1/q."""
+    share = instance.budget / instance.n
+    q = math.lcm(share.denominator, instance.cost_scale)
+    return q, share.numerator * (q // share.denominator)
+
+
 def _equal_shares(
     instance: PBInstance,
 ) -> tuple[int, list[list[int]], list[int], list[tuple[int, Fraction]]]:
@@ -196,9 +204,8 @@ def _equal_shares(
     n, m = instance.n, instance.m
     cost, utilities = instance.scaled_costs, instance.scaled_utilities
     approvers = instance.approver_masks
-    share = instance.budget / n
-    q = math.lcm(share.denominator, instance.cost_scale)
-    budgets = [share.numerator * (q // share.denominator)] * n
+    q, money = _voter_money(instance)
+    budgets = [money] * n
     chosen: set[int] = set()
     log: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
     rhos: dict[int, Optional[tuple[int, int]]] = {}
@@ -331,18 +338,64 @@ def group_ladder(instance: PBInstance, cell: tuple[int, ...]) -> GroupLadder:
     ladder: the approved projects it funds fully, cheapest first, then the
     first approved project it does not, with that project's share. For
     binary utilities only, where the optimum funds the approved projects
-    cheapest first."""
+    cheapest first, so the ladder is the ``greedy_spend`` prefix cut at
+    the approval count."""
     require_binary(instance, "group_ladder")
-    shares = instance.optimal_outcome(
+    k, left, c = instance.greedy_spend(
         cell[0], len(cell) * instance.budget / instance.n
     )
     approved = _cheapest_first(instance, cell[0])
-    projects = tuple(j for j in approved if shares[j] == 1)
-    nxt = next((j for j in approved if shares[j] < 1), None)
-    delta = Fraction(0) if nxt is None else shares[nxt]
+    nxt = approved[k] if k < len(approved) else None
+    delta = Fraction(0) if nxt is None else Fraction(left, c)
     return GroupLadder(
-        cell=tuple(cell), projects=projects, next_project=nxt, delta=delta
+        cell=tuple(cell), projects=approved[:k], next_project=nxt, delta=delta
     )
+
+
+# ---------------------------------------------------------------------------
+# Completion: both BW rules spend on integers of 1/q, then round
+
+
+def _spend(
+    paid: list[int], cost: list[int], order: Iterable[int], money: int,
+    row: Optional[list[int]] = None,
+) -> int:
+    """Raise ``paid[j]`` toward ``cost[j]`` along ``order`` until ``money``
+    is spent, adding each amount to ``row[j]`` when a row is given;
+    returns the money left."""
+    for j in order:
+        if not money:
+            break
+        add = min(cost[j] - paid[j], money)
+        paid[j] += add
+        money -= add
+        if row is not None:
+            row[j] += add
+    return money
+
+
+def _round_completion(
+    instance: PBInstance, core: frozenset[int], up: int, cost: list[int],
+    paid: list[int], seed: int,
+) -> tuple[FractionalOutcome, RoundingSampler, IntegralOutcome]:
+    """p = ``paid/cost``, both in integers of 1/q with q = up·cost_scale,
+    and 1 or 0 for a zero-cost project in or out of the core; checked,
+    then rounded by the one sampler the result carries."""
+    shares = []
+    for j, (x, c) in enumerate(zip(paid, cost)):
+        if x > c:
+            raise InvariantViolation(f"project {j} funded beyond 1")
+        shares.append(Fraction(x, c) if c else Fraction(j in core))
+    if sum(paid) != instance.scaled_budget * up:
+        raise InvariantViolation("completed fractional outcome does not cost B")
+    if any(paid[j] != cost[j] for j in core):
+        raise InvariantViolation("core project lost full funding")
+    p = FractionalOutcome(shares)
+    sampler = RoundingSampler(instance, p)
+    outcome = sampler.sample(seed)
+    if not core <= outcome.projects:
+        raise InvariantViolation("sampled outcome lost a core project")
+    return p, sampler, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -355,87 +408,62 @@ class BWGCRResult:
     outcome: IntegralOutcome
     trace: GCRTrace
     budgets: tuple[Fraction, ...]
+    sampler: RoundingSampler = field(compare=False, repr=False)
 
 
 def bw_gcr(instance: PBInstance, seed: int, limit: Optional[int] = None) -> BWGCRResult:
-    """Greedy cohesive core plus group top-ups, rounded to a BB1 outcome."""
+    """Greedy cohesive core plus group top-ups, rounded to a BB1 outcome.
+
+    Money is counted in integers of 1/q on MES's starting q
+    (``_voter_money``): a qualifying cell S has |S|·(B/n)·q −
+    cost(ladder)·q to spend. The voters' budgets and p
+    become fractions once, at the end."""
     trace = gcr(instance, limit)
     core = trace.outcome.projects
-    shares = [
-        Fraction(1) if j in core else Fraction(0) for j in range(instance.m)
-    ]
+    core_mask = sum(1 << j for j in core)
+    q, voter_money = _voter_money(instance)
+    up = q // instance.cost_scale
+    cost = [c * up for c in instance.scaled_costs]
+    paid = [cost[j] if j in core else 0 for j in range(instance.m)]
     budgets = [Fraction(0)] * instance.n
-
-    def spend(order, money: Fraction) -> Fraction:
-        """Raise shares toward 1 along `order` until `money` is spent;
-        returns what is left."""
-        for j in order:
-            if money == 0:
-                break
-            if instance.cost[j] == 0:
-                continue
-            add = min(1 - shares[j], money / instance.cost[j])
-            shares[j] += add
-            money -= add * instance.cost[j]
-        return money
-
-    cells = unanimous_partition(instance).cells
-    ladders = {cell: group_ladder(instance, cell) for cell in cells}
-    qualifying: set[tuple[int, ...]] = set()
-    for cell in cells:
-        ladder = ladders[cell]
-        approved = instance.approval_set(cell[0])
-        if len(approved & core) != len(ladder.projects):
+    step_of = {i: step for step in trace.steps for i in step.voters}
+    handed_out = 0
+    for cell in instance.unanimous_cells:
+        ladder = group_ladder(instance, cell)
+        if (instance.approval_masks[cell[0]] & core_mask).bit_count() != ladder.kappa:
             continue
-        qualifying.add(cell)
-        group_budget = (
-            len(cell) * instance.budget / instance.n
-            - instance.total_cost(ladder.projects)
-        )
-        per_voter = group_budget / len(cell)
-        for i in cell:
-            budgets[i] = per_voter
-        # Spend on the cheapest approved project, capped at p_c = 1;
-        # overflow continues to the next cheapest, residue joins the fill.
-        spend(_cheapest_first(instance, cell[0]), group_budget)
-
-    leftover = instance.budget - instance.total_cost(core)
-    total_budget = sum(budgets, Fraction(0))
-    if total_budget > leftover:
-        raise InvariantViolation(
-            f"group budgets {total_budget} exceed leftover {leftover}"
-        )
-    voter_step = {}
-    for step_index, step in enumerate(trace.steps):
-        for i in step.voters:
-            voter_step[i] = step_index
-    for cell in qualifying:
-        steps_of_cell = {voter_step.get(i) for i in cell}
-        if len(steps_of_cell) == 1 and None not in steps_of_cell:
-            step = trace.steps[steps_of_cell.pop()]
-            cost_t = instance.total_cost(step.projects)
-            cost_g = instance.total_cost(ladders[cell].projects)
-            if cost_t > cost_g:
+        ladder_cost = instance.scaled_total(ladder.projects)
+        steps = {step_of.get(i) for i in cell}
+        if len(steps) == 1 and None not in steps:
+            if instance.scaled_total(steps.pop().projects) > ladder_cost:
                 raise InvariantViolation(
                     "cohesive step cost exceeds qualifying cell's ladder cost"
                 )
+        money = len(cell) * voter_money - ladder_cost * up
+        handed_out += money
+        for i in cell:
+            budgets[i] = Fraction(money, q * len(cell))
+        # Spend on the cheapest approved project, capped at p_c = 1;
+        # overflow continues to the next cheapest, residue joins the fill.
+        _spend(paid, cost, _cheapest_first(instance, cell[0]), money)
 
+    leftover = (instance.scaled_budget - instance.scaled_total(core)) * up
+    if handed_out > leftover:
+        raise InvariantViolation(
+            f"group budgets {Fraction(handed_out, q)} exceed leftover "
+            f"{Fraction(leftover, q)}"
+        )
     # Fill: raise shares toward 1 in index order until cost(p) = B.
-    needed = instance.budget - sum(
-        (s * c for s, c in zip(shares, instance.cost)), Fraction(0)
-    )
-    if spend(range(instance.m), needed) != 0:
+    needed = instance.scaled_budget * up - sum(paid)
+    if _spend(paid, cost, range(instance.m), needed) != 0:
         raise InvariantViolation("fill step could not reach the budget")
-
-    p = FractionalOutcome(shares)
-    outcome = RoundingSampler(instance, p).sample(seed)
-    if not core <= outcome.projects:
-        raise InvariantViolation("sampled outcome lost a core project")
+    p, sampler, outcome = _round_completion(instance, core, up, cost, paid, seed)
     return BWGCRResult(
         fractional=p,
         outcome=outcome,
         trace=trace,
         budgets=tuple(budgets),
+        sampler=sampler,
     )
 
 
@@ -449,6 +477,7 @@ class BWMESResult:
     outcome: IntegralOutcome
     mes: MESResult
     payments: PaymentMatrix  # full spend, including the post-MES phase
+    sampler: RoundingSampler = field(compare=False, repr=False)
 
 
 def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
@@ -456,7 +485,7 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
 
     The leftover budgets are spent on MES's integers of 1/q; p and the
     payment matrix become fractions once, at the end."""
-    if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE, Setting.COST):
+    if instance.setting not in (Setting.BINARY, Setting.COMMITTEE, Setting.COST):
         raise SettingError("bw_mes requires binary or cost utilities")
     q, y, budgets, rho = _equal_shares(instance)
     result = _mes_result(instance, q, y, budgets, rho)
@@ -469,53 +498,22 @@ def bw_mes(instance: PBInstance, seed: int) -> BWMESResult:
 
     for i, mask in enumerate(instance.approval_masks):
         unfunded = members(mask & unfunded_mask)
-        if not unfunded or budgets[i] == 0:
-            continue
-        kappa = min(unfunded, key=lambda j: (cost[j], j))
-        y[i][kappa] += budgets[i]
-        paid[kappa] += budgets[i]
-        budgets[i] = 0
-        if paid[kappa] > cost[kappa]:
-            raise InvariantViolation(
-                f"spend on project {kappa} exceeds its cost"
-            )
+        if unfunded:
+            kappa = min(unfunded, key=lambda j: (cost[j], j))
+            if _spend(paid, cost, (kappa,), budgets[i], y[i]):
+                raise InvariantViolation(f"spend on project {kappa} exceeds its cost")
+            budgets[i] = 0
     # Whoever has budget left now approves no unfunded project.
     for i in range(instance.n):
-        for j in range(instance.m):
-            if budgets[i] == 0:
-                break
-            room = cost[j] - paid[j]
-            if room <= 0:
-                continue
-            amount = min(budgets[i], room)
-            y[i][j] += amount
-            paid[j] += amount
-            budgets[i] -= amount
+        budgets[i] = _spend(paid, cost, range(instance.m), budgets[i], y[i])
         if budgets[i] != 0:
             raise InvariantViolation(f"voter {i} could not exhaust their budget")
 
-    shares = []
-    for j in range(instance.m):
-        if cost[j] == 0:
-            shares.append(Fraction(1) if j in core else Fraction(0))
-            continue
-        if paid[j] > cost[j]:
-            raise InvariantViolation(f"project {j} funded beyond 1")
-        shares.append(Fraction(paid[j], cost[j]))
-    if sum(paid) != instance.budget * q:
-        raise InvariantViolation("post-MES fractional outcome infeasible")
-    for j in core:
-        if paid[j] != cost[j]:
-            raise InvariantViolation("core project lost full funding")
-
-    p = FractionalOutcome(shares)
-    payments = _payment_matrix(instance, q, y, budgets)
-    outcome = RoundingSampler(instance, p).sample(seed)
-    if not core <= outcome.projects:
-        raise InvariantViolation("sampled outcome lost a core project")
+    p, sampler, outcome = _round_completion(instance, core, up, cost, paid, seed)
     return BWMESResult(
         fractional=p,
         outcome=outcome,
         mes=result,
-        payments=payments,
+        payments=_payment_matrix(instance, q, y, budgets),
+        sampler=sampler,
     )

@@ -144,6 +144,20 @@ def with_zero_cost_projects(
     )
 
 
+def with_duplicated_voters(rng: random.Random, instance: PBInstance) -> PBInstance:
+    """The instance with one to three copies of randomly chosen voters
+    appended, so that unanimous cells of two or more voters occur."""
+    rows = list(instance.utilities)
+    rows += [rng.choice(rows) for _ in range(rng.randint(1, 3))]
+    return PBInstance(
+        budget=instance.budget,
+        cost=instance.cost,
+        utilities=tuple(rows),
+        project_ids=instance.project_ids,
+        voter_ids=tuple(f"v{i + 1}" for i in range(len(rows))),
+    )
+
+
 def dense_instance(rng: random.Random, utilities: str = "binary") -> PBInstance:
     """An instance of 4 to 8 voters and 5 to 8 projects in which each
     voter approves each project with probability 3/4 (at least one), and

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pbbobw.cli
+import pbbobw.rules
 from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
@@ -88,6 +89,42 @@ def test_out_of_memory_exits_2_with_an_error_line(capsys, monkeypatch, instance_
         capsys, "run", "--instance", instance_file, "--rule", "gcr"
     )
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_bw_invariant_violation_exits_2_with_one_error_line(
+    capsys, monkeypatch, instance_file
+):
+    """A failed BW invariant is reported as one ``error:`` line with exit
+    2 and no traceback or report: here a draw that drops BW-GCR's core."""
+    monkeypatch.setattr(
+        pbbobw.rules.RoundingSampler, "sample", lambda self, seed: IntegralOutcome(())
+    )
+    code, out, err = run_cli(
+        capsys, "run", "--instance", instance_file, "--rule", "bw-gcr"
+    )
+    assert (code, out, err) == (2, "", "error: sampled outcome lost a core project\n")
+
+
+@pytest.mark.parametrize("name", ["run-bw-gcr-cells", "run-bw-mes-binary"])
+def test_a_bw_run_builds_one_sampler(monkeypatch, name):
+    """`run --rule bw-*` samples from the sampler the rule drew its outcome
+    from, and its report equals the committed one."""
+    from test_reports import CASES, DATA, EXPECTED, _report
+
+    builds = []
+    sampler = pbbobw.rules.RoundingSampler
+
+    def counting(*args):
+        builds.append(1)
+        return sampler(*args)
+
+    monkeypatch.setattr(pbbobw.rules, "RoundingSampler", counting)
+    monkeypatch.setattr(pbbobw.cli, "RoundingSampler", counting)
+    monkeypatch.chdir(DATA)
+    monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
+    expected = json.loads((EXPECTED / f"{name}.json").read_text())
+    assert _report(CASES[name]) == expected
+    assert len(builds) == 1
 
 
 def test_run_gcr_on_general_utilities_exits_2(capsys, tmp_path):

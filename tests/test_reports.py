@@ -38,6 +38,13 @@ CASES = {
     "run-mes-binary": ["run", "--instance", "binary.json", "--rule", "mes"],
     "run-bw-gcr-binary": ["run", "--instance", "binary.json", "--rule", "bw-gcr",
                           "--seed", "5", "--samples", "25"],
+    # BW-GCR at n = m = 20, where every unanimous cell is a single voter.
+    "run-bw-gcr-binary20": ["run", "--instance", "binary20.json", "--rule",
+                            "bw-gcr", "--seed", "7", "--samples", "100"],
+    # Two unanimous cells of 3 and 2 voters, both qualifying and topped up,
+    # a zero-cost project in the core and one that nobody approves.
+    "run-bw-gcr-cells": ["run", "--instance", "cells.json", "--rule", "bw-gcr",
+                         "--seed", "3", "--samples", "40"],
     "run-bw-mes-binary": ["run", "--instance", "binary.json", "--rule", "bw-mes",
                           "--seed", "5", "--samples", "25"],
     "run-mes-cost": ["run", "--instance", "cost.json", "--rule", "mes"],

@@ -8,8 +8,10 @@ import pytest
 from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
+    InvariantViolation,
     PBInstance,
     PaymentMatrix,
+    RoundingSampler,
     SettingError,
     bw_gcr,
     bw_mes,
@@ -25,13 +27,14 @@ from pbbobw import (
     mes,
     unanimous_partition,
 )
-from pbbobw.rules import _min_rho
+from pbbobw.rules import _min_rho, _round_completion
 
 from conftest import (
     count_walks,
     dense_instance,
     random_instance,
     two_voter_example,
+    with_duplicated_voters,
     with_zero_cost_projects,
 )
 
@@ -471,3 +474,125 @@ def test_bw_mes_cost_utilities_gfs():
         result = bw_mes(inst, seed=rng.getrandbits(32))
         assert check_gfs(inst, result.fractional).holds
         assert check_strong_ufs(inst, result.fractional).holds
+
+
+def _bw_gcr_reference(inst, seed):
+    """BW-GCR's completion on fractions: GCR's core at 1, each qualifying
+    cell's top-up of |S|·B/n − cost(ladder) raising its approved projects
+    toward 1 cheapest first, then the fill in index order; p, the voters'
+    budgets and the outcome a fresh sampler draws."""
+    core = gcr(inst).outcome.projects
+    shares = [Fraction(j in core) for j in range(inst.m)]
+    budgets = [Fraction(0)] * inst.n
+
+    def spend(order, money):
+        for j in order:
+            if money == 0:
+                break
+            if inst.cost[j] == 0:
+                continue
+            add = min(1 - shares[j], money / inst.cost[j])
+            shares[j] += add
+            money -= add * inst.cost[j]
+        return money
+
+    for cell in unanimous_partition(inst).cells:
+        _, ladder, _, _ = _ladder_reference(inst, cell)
+        approved = inst.approval_set(cell[0])
+        if len(approved & core) != len(ladder):
+            continue
+        money = len(cell) * inst.budget / inst.n - inst.total_cost(ladder)
+        for i in cell:
+            budgets[i] = money / len(cell)
+        spend(sorted(approved, key=lambda j: (inst.cost[j], j)), money)
+    spent = sum(s * c for s, c in zip(shares, inst.cost))
+    assert spend(range(inst.m), inst.budget - spent) == 0
+    p = FractionalOutcome(shares)
+    return p, tuple(budgets), RoundingSampler(inst, p).sample(seed)
+
+
+def _bw_mes_reference(inst, seed):
+    """BW-MES's completion on fractions: MES's payments, then each voter's
+    leftover on their cheapest unfunded approved project, then each
+    voter's fill in index order; p, the payment matrix and the outcome a
+    fresh sampler draws."""
+    result = mes(inst)
+    core = result.outcome.projects
+    y = [list(row) for row in result.payments.y]
+    budgets = list(result.payments.b)
+    paid = [sum(column, Fraction(0)) for column in zip(*y)]
+    for i in range(inst.n):
+        unfunded = inst.approval_set(i) - core
+        if unfunded:
+            j = min(unfunded, key=lambda j: (inst.cost[j], j))
+            y[i][j] += budgets[i]
+            paid[j] += budgets[i]
+            budgets[i] = Fraction(0)
+    for i in range(inst.n):
+        for j in range(inst.m):
+            amount = min(budgets[i], inst.cost[j] - paid[j])
+            if amount > 0:
+                y[i][j] += amount
+                paid[j] += amount
+                budgets[i] -= amount
+    p = FractionalOutcome(
+        x / c if c else Fraction(j in core)
+        for j, (x, c) in enumerate(zip(paid, inst.cost))
+    )
+    payments = PaymentMatrix(y=tuple(map(tuple, y)), b=tuple(budgets))
+    return p, payments, RoundingSampler(inst, p).sample(seed)
+
+
+def test_bw_completions_match_the_fraction_reference():
+    """Both BW rules spend on integers of 1/q; p, BW-GCR's budgets,
+    BW-MES's payment matrix and the sampled outcome equal the completions
+    restated on fractions, over binary and cost instances with n, m up to
+    7 before zero-cost projects (in a third of them) and duplicated voters
+    (in a quarter) are added."""
+    rng = random.Random(2024)
+    topped_cells = 0
+    for case in range(360):
+        kind = ("binary", "cost")[case % 2]
+        inst = random_instance(rng, n_max=7, m_max=7, utilities=kind)
+        if case % 3 == 0:
+            inst = with_zero_cost_projects(rng, inst, Fraction(kind == "binary"))
+        if case % 4 == 1:
+            inst = with_duplicated_voters(rng, inst)
+        seed = rng.getrandbits(32)
+        result = bw_mes(inst, seed)
+        assert (result.fractional, result.payments, result.outcome) == (
+            _bw_mes_reference(inst, seed)
+        )
+        if kind == "binary":
+            result = bw_gcr(inst, seed)
+            assert (result.fractional, result.budgets, result.outcome) == (
+                _bw_gcr_reference(inst, seed)
+            )
+            topped_cells += sum(
+                1 for cell in unanimous_partition(inst).cells
+                if len(cell) > 1 and result.budgets[cell[0]] > 0
+            )
+    assert topped_cells > 20
+
+
+def test_a_draw_that_drops_a_core_project_is_an_invariant_violation(monkeypatch):
+    """Both rules check that the rounded outcome keeps their core."""
+    monkeypatch.setattr(RoundingSampler, "sample", lambda self, seed: IntegralOutcome(()))
+    inst = two_voter_example()
+    for rule in (bw_gcr, bw_mes):
+        with pytest.raises(InvariantViolation, match="sampled outcome lost a core"):
+            rule(inst, seed=5)
+
+
+@pytest.mark.parametrize("paid, message", [
+    ([2, 1, 1], "project 0 funded beyond 1"),
+    ([1, 1, 1], "does not cost B"),
+    ([0, 1, 1], "core project lost full funding"),
+])
+def test_the_completion_hand_off_checks_p(paid, message):
+    """The hand-off both rules share checks p before it rounds: no project
+    above 1, cost(p) = B and the core fully funded (the two-voter example
+    in integers of 1/2: costs 1, B = 2, core {a})."""
+    inst = two_voter_example()
+    with pytest.raises(InvariantViolation, match=message):
+        _round_completion(inst, frozenset({0}), 1, [1, 1, 1], paid, 5)
