@@ -30,7 +30,6 @@ from .model import (
     PBInstance,
     Setting,
     ValidationError,
-    classify,
     marginals,
     parse_instance,
     parse_rational,
@@ -199,7 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.rule in ("gcr", "bw-gcr"):
         ex_post = "fjr"
-    elif classify(instance) in (Setting.BINARY, Setting.COMMITTEE):
+    elif instance.setting in (Setting.BINARY, Setting.COMMITTEE):
         ex_post = "ejr"
     else:
         ex_post = "ejrx"

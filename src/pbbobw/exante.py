@@ -4,13 +4,14 @@ Each axiom is written once, as ``Rows``: integer rows ``(voters,
 coefficients, bound)`` on one common denominator d per axiom, each the
 exact linear inequality ``sum_j coefficients[j]/d * p_j >= bound/d`` over
 the marginals p, whose bound comes from the voters' optimal fractional
-utilities opt_i (below B walked on the instance's scaled costs and
-utilities, with one fraction per bound). ``verify`` reads the rows
-through the ``check_*`` functions, which scale p once to integers on its
-own denominator q and evaluate every row with integer products and
-compares; only the reported witnesses become fractions again. ``oracle
---builtin`` reads the same rows through ``ifs_rows`` and ``gfs_rows``,
-which divide them by d for the LP.
+utilities opt_i: each voter's integer ``greedy_spend`` on the instance's
+scaled costs and utilities, read from ``optimal_spends`` at B, with one
+fraction per bound. ``verify`` reads the rows through the ``check_*``
+functions, which scale p once to integers on its own denominator q and
+evaluate every row with integer products and compares; only the reported
+witnesses become fractions again. ``oracle --builtin`` reads the same
+rows through ``ifs_rows`` and ``gfs_rows``, which divide them by d for
+the LP.
 
 IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
 per maximal unanimous cell; both bounds are monotone in the group size, so
@@ -61,17 +62,6 @@ class Rows:
 
 
 @dataclass(frozen=True)
-class UnanimousPartition:
-    """Maximal groups of voters with identical utility vectors."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-
-def unanimous_partition(instance: PBInstance) -> UnanimousPartition:
-    return UnanimousPartition(cells=instance.unanimous_cells)
-
-
-@dataclass(frozen=True)
 class Witness:
     """One checked inequality: subject (voter or group), lhs, required rhs."""
 
@@ -105,20 +95,13 @@ def optimal_fractional_utility(
     instance: PBInstance, voter: int, budget: Fraction
 ) -> Fraction:
     """Best fractional-outcome utility for a voter under the given budget:
-    the utility of ``PBInstance.optimal_outcome``, read from the instance's
-    ``optimal_outcomes`` at B.
-
-    Below B it is summed from the voter's ``greedy_spend`` on the scaled
+    the utility of the voter's ``PBInstance.greedy_spend``, read from the
+    instance's ``optimal_spends`` at B. It is summed on the scaled
     utilities, so only the result is a fraction."""
     if budget == instance.budget:
-        shares = instance.optimal_outcomes[voter]
-        row = instance.utilities[voter]
-        return sum(
-            (row[j] * shares[j] for j in members(instance.approval_masks[voter])
-             if shares[j]),
-            Fraction(0),
-        )
-    k, left, c = instance.greedy_spend(voter, budget)
+        k, left, c = instance.optimal_spends[voter]
+    else:
+        k, left, c = instance.greedy_spend(voter, budget)
     order, row = instance.greedy_orders[voter], instance.scaled_utilities[voter]
     total = sum(row[j] for j in order[:k]) * c
     if k < instance.m:
@@ -139,7 +122,7 @@ def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
     common vector is at least |S|/n * opt_i(B), or with ``strong`` at least
     opt_i(|S| * B / n)."""
     if unanimous:
-        cells = unanimous_partition(instance).cells
+        cells = instance.unanimous_cells
     else:
         cells = tuple((i,) for i in range(instance.n))
     budget = instance.budget

@@ -55,7 +55,6 @@ from .model import (
     IntegralOutcome,
     PBInstance,
     Setting,
-    classify,
     has_cost_utilities,
     members,
     rational_str,
@@ -107,7 +106,7 @@ class ExPostReport:
 
 def require_binary(instance: PBInstance, checker: str) -> None:
     """Raise ``SettingError`` unless the instance has binary utilities."""
-    if classify(instance) not in (Setting.BINARY, Setting.COMMITTEE):
+    if instance.setting not in (Setting.BINARY, Setting.COMMITTEE):
         raise SettingError(f"{checker} requires binary utilities")
 
 
@@ -225,27 +224,35 @@ def _first(
 
 
 def _won(
-    instance: PBInstance, outcome: IntegralOutcome, weight: Sequence[int]
+    instance: PBInstance,
+    outcome: IntegralOutcome,
+    weight: Optional[Sequence[int]] = None,
 ) -> list[int]:
-    """The weight of the funded projects each voter approves."""
-    return [
-        sum(weight[j] for j in outcome.projects if approved >> j & 1)
-        for approved in instance.approval_masks
-    ]
+    """The weight of the funded projects each voter approves, read from
+    the approval masks: their number when ``weight`` is None."""
+    funded = sum(1 << j for j in outcome.projects)
+    won = [approved & funded for approved in instance.approval_masks]
+    if weight is None:
+        return [mask.bit_count() for mask in won]
+    return [sum(weight[j] for j in members(mask)) for mask in won]
 
 
 def _common_rule(
-    instance: PBInstance, outcome: IntegralOutcome, weight: Sequence[int]
+    instance: PBInstance,
+    outcome: IntegralOutcome,
+    weight: Optional[Sequence[int]] = None,
 ) -> _Rule:
     """Voters who approve all of T and stay deprived up to any project of
     T they miss: base_i ≤ weight(T) − min{weight_c : c ∈ T ∖ W}, base_i the
     weight of the funded projects i approves; no group when T ⊆ W. Unit
-    weights give EJR's won_i < |T|, the scaled costs EJR-x's test.
+    weights (None) give EJR's won_i < |T|, the scaled costs EJR-x's test.
 
     The group is T's common approvers masked by the voters with base_i ≤
     bound, one prefix mask of the voters sorted by base_i."""
     funded = outcome.projects
     base = _won(instance, outcome, weight)
+    if weight is None:
+        weight = [1] * instance.m
     levels = sorted(set(base))
     # at_most[k]: the voters whose base is at most levels[k]
     at_most, seen = [], 0
@@ -315,7 +322,7 @@ def check_jr_binary(instance: PBInstance, outcome: IntegralOutcome) -> ExPostRep
     """Justified representation for binary utilities (polynomial check):
     EJR's rule over the single projects."""
     require_binary(instance, "check_jr_binary")
-    rule = _common_rule(instance, outcome, [1] * instance.m)
+    rule = _common_rule(instance, outcome)
     return _first(
         instance, "jr", _singles(instance), rule,
         "cohesive group with zero represented members",
@@ -330,7 +337,7 @@ def check_ejr_binary(
     groups = within_budget(
         instance, range(instance.m), limit, "EJR enumeration"
     )
-    rule = _common_rule(instance, outcome, [1] * instance.m)
+    rule = _common_rule(instance, outcome)
     return _first(
         instance, "ejr", groups, rule,
         "cohesive group where everyone wins fewer than |T| projects",
@@ -342,7 +349,7 @@ def check_fjr_binary(
 ) -> ExPostReport:
     """Full justified representation for binary utilities."""
     require_binary(instance, "check_fjr_binary")
-    reach, rule = fjr_search(instance, _won(instance, outcome, [1] * instance.m))
+    reach, rule = fjr_search(instance, _won(instance, outcome))
     groups = within_budget(
         instance, range(instance.m), limit, "FJR enumeration", reach
     )

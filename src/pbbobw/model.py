@@ -9,7 +9,8 @@ them exact while a step costs a few integer operations; the walks are
 still exponential in the number of projects. Utilities are scaled the same
 way, by ``PBInstance.utility_scale``: the setting tags, the unanimous
 cells, the greedy orders, MES and the fair-share bounds read
-``scaled_utilities``.
+``scaled_utilities``. A voter's optimal fractional outcome is the integer
+triple of ``PBInstance.greedy_spend``, cached at B as ``optimal_spends``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import (
 )
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 class ValidationError(ValueError):
@@ -113,25 +114,12 @@ class PBInstance:
     def total_cost(self, projects: Iterable[int]) -> Fraction:
         return sum((self.cost[j] for j in projects), Fraction(0))
 
-    def optimal_outcome(
-        self, voter: int, budget: Fraction
-    ) -> tuple[Fraction, ...]:
-        """A voter's optimal fractional outcome, spending exactly ``budget``:
-        the ``greedy_spend`` of the voter's ``greedy_orders`` entry. At B,
-        read ``optimal_outcomes`` instead."""
-        k, left, c = self.greedy_spend(voter, budget)
-        order = self.greedy_orders[voter]
-        shares = [_ZERO] * self.m
-        for j in order[:k]:
-            shares[j] = _ONE
-        if k < self.m:
-            shares[order[k]] = Fraction(left, c)
-        return tuple(shares)
-
     def greedy_spend(self, voter: int, budget: Fraction) -> tuple[int, int, int]:
-        """Fractional knapsack along the voter's ``greedy_orders`` entry,
-        as ``(k, left, c)``: the first k projects are funded fully while
-        they fit, and when k < m the next one, of cost c, gets left/c.
+        """The voter's optimal fractional outcome spending exactly
+        ``budget``, as ``(k, left, c)``: a fractional knapsack along the
+        voter's ``greedy_orders`` entry, which funds its first k projects
+        fully while they fit, and when k < m the next one, of cost c, by
+        left/c. At B, read ``optimal_spends`` instead.
 
         The spend is counted in integers: costs and budget times
         ``cost_scale``, and times the denominator the scaled budget still
@@ -150,7 +138,7 @@ class PBInstance:
 
     @cached_property
     def greedy_orders(self) -> tuple[tuple[int, ...], ...]:
-        """Each voter's order of ``optimal_outcome``, computed once per
+        """Each voter's order of ``greedy_spend``, computed once per
         instance: the zero-cost approved projects, then the priced ones by
         descending utility per cost (ties: lower cost, then lower index),
         then the zero-utility projects in index order, which pad the spend
@@ -174,10 +162,10 @@ class PBInstance:
         return tuple(orders)
 
     @cached_property
-    def optimal_outcomes(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Each voter's ``optimal_outcome`` at B, computed once per
-        instance: FRD and the GFS, IFS and UFS bounds all read it."""
-        return tuple(self.optimal_outcome(i, self.budget) for i in range(self.n))
+    def optimal_spends(self) -> tuple[tuple[int, int, int], ...]:
+        """Each voter's ``greedy_spend`` at B, computed once per instance:
+        FRD and the GFS, IFS and UFS bounds all read it."""
+        return tuple(self.greedy_spend(i, self.budget) for i in range(self.n))
 
     @cached_property
     def cost_scale(self) -> int:
@@ -446,7 +434,11 @@ class PaymentMatrix:
 
 def has_cost_utilities(instance: PBInstance) -> bool:
     """True iff every utility is 0 or the project's cost: on the scaled
-    values, U_ij·cost_scale == C_j·utility_scale."""
+    values, U_ij·cost_scale == C_j·utility_scale.
+
+    Not a ``setting`` test: ``setting`` names only the most specific tag,
+    and a unit-cost binary instance is ``Setting.COMMITTEE`` while it also
+    has cost utilities, which EJR-x reads."""
     cost, u_scale = instance.scaled_costs, instance.utility_scale
     c_scale = instance.cost_scale
     return all(
@@ -454,11 +446,6 @@ def has_cost_utilities(instance: PBInstance) -> bool:
         for row, mask in zip(instance.scaled_utilities, instance.approval_masks)
         for j in members(mask)
     )
-
-
-def classify(instance: PBInstance) -> Setting:
-    """Return the most specific setting tag for the instance."""
-    return instance.setting
 
 
 def utility(

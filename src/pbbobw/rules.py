@@ -51,11 +51,17 @@ class InvariantViolation(RuntimeError):
 
 
 def fractional_random_dictator(instance: PBInstance) -> FractionalOutcome:
-    """Average of each voter's optimal fractional outcome, weight 1/n."""
-    shares = [Fraction(0)] * instance.m
-    for best in instance.optimal_outcomes:
-        shares = [s + x for s, x in zip(shares, best)]
-    p = FractionalOutcome(s / instance.n for s in shares)
+    """Average of each voter's optimal fractional outcome at B, weight
+    1/n: the voter's ``optimal_spends`` entry (k, left, c) adds 1 to the
+    first k projects of its greedy order and left/c to the next."""
+    m = instance.m
+    shares = [0] * m
+    for order, (k, left, c) in zip(instance.greedy_orders, instance.optimal_spends):
+        for j in order[:k]:
+            shares[j] += 1
+        if k < m:
+            shares[order[k]] += Fraction(left, c)
+    p = FractionalOutcome(Fraction(s, instance.n) for s in shares)
     if not p.is_feasible(instance):
         raise InvariantViolation("random dictator outcome is not feasible")
     return p

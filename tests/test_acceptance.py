@@ -45,7 +45,6 @@ from pbbobw import (
     optimal_fractional_utility,
     predicate,
     round_with_hard_cap,
-    unanimous_partition,
     utility,
 )
 
@@ -256,7 +255,7 @@ def _qualifying_cells(inst, core):
     """Unanimous cells whose members' utility from the core equals their
     group-ladder optimum."""
     result = []
-    for cell in unanimous_partition(inst).cells:
+    for cell in inst.unanimous_cells:
         ladder = group_ladder(inst, cell)
         approved = inst.approval_set(cell[0])
         if len(approved & core) == ladder.kappa:

@@ -959,19 +959,19 @@ def test_successive_main_calls_share_no_parser_state(monkeypatch):
 def test_each_voters_optimum_at_b_is_computed_once_per_command(monkeypatch):
     """FRD, GFS, IFS and UFS read every voter's optimum at B from the
     instance: an FRD run (FRD, its GFS and IFS checks) and a verify of
-    every fractional axiom each compute it n times, and their reports
-    equal the committed ones."""
+    every fractional axiom each compute it n times, as n ``greedy_spend``
+    calls at B, and their reports equal the committed ones."""
     from test_reports import CASES, DATA, EXPECTED, _report
 
     at_b = []
-    optimum = PBInstance.optimal_outcome
+    optimum = PBInstance.greedy_spend
 
     def counting(instance, voter, budget):
         if budget == instance.budget:
             at_b.append(voter)
         return optimum(instance, voter, budget)
 
-    monkeypatch.setattr(PBInstance, "optimal_outcome", counting)
+    monkeypatch.setattr(PBInstance, "greedy_spend", counting)
     monkeypatch.chdir(DATA)
     monkeypatch.delenv("PB_BOBW_LIMIT", raising=False)
     n = len(json.loads((DATA / "general.json").read_text())["voters"])

@@ -14,7 +14,6 @@ from pbbobw import (
     check_ufs,
     fractional_random_dictator,
     optimal_fractional_utility,
-    unanimous_partition,
     utility,
 )
 
@@ -61,19 +60,19 @@ def test_optimal_fractional_utility_matches_brute_force():
 
 def test_unanimous_partition_groups_identical_rows():
     inst = two_voter_example()
-    cells = unanimous_partition(inst).cells
+    cells = inst.unanimous_cells
     assert sorted(cells) == [(0,), (1,)]
 
     rng = random.Random(8)
     for _ in range(20):
         inst = random_instance(rng)
-        part = unanimous_partition(inst)
-        seen = sorted(i for cell in part.cells for i in cell)
+        cells = inst.unanimous_cells
+        seen = sorted(i for cell in cells for i in cell)
         assert seen == list(range(inst.n))
-        for cell in part.cells:
+        for cell in cells:
             rows = {inst.utilities[i] for i in cell}
             assert len(rows) == 1
-        rows = [inst.utilities[cell[0]] for cell in part.cells]
+        rows = [inst.utilities[cell[0]] for cell in cells]
         assert len(set(rows)) == len(rows)
 
 

@@ -27,7 +27,6 @@ from pbbobw import (
     gfs_rows,
     ifs_rows,
     optimal_fractional_utility,
-    unanimous_partition,
     utility,
 )
 
@@ -129,7 +128,7 @@ def ref_check_ufs(instance, p):
             Fraction(len(cell), instance.n)
             * ref_optimal_fractional_utility(instance, cell[0], instance.budget),
         )
-        for cell in unanimous_partition(instance).cells
+        for cell in instance.unanimous_cells
     ])
 
 
@@ -142,7 +141,7 @@ def ref_check_strong_ufs(instance, p):
                 instance, cell[0], len(cell) * instance.budget / instance.n
             ),
         )
-        for cell in unanimous_partition(instance).cells
+        for cell in instance.unanimous_cells
     ])
 
 
@@ -407,9 +406,11 @@ def test_optimal_fractional_utility_matches_the_greedy_loop():
 
 
 def test_optimal_fractional_utility_is_the_utility_of_the_optimal_outcome():
-    """Below B the optimum's utility is walked on integers; at 0, B, each
-    unanimous cell's |S|·B/n and random budgets in [0, B] it equals
-    sum_j u_ij·optimal_outcome(i, budget)_j."""
+    """The optimum's utility is walked on integers; at 0, B, each
+    unanimous cell's |S|·B/n and random budgets in [0, B] it equals the
+    utility of the voter's ``greedy_spend`` (k, left, c), summed on the
+    fractions: the first k projects of the greedy order and left/c of the
+    next."""
     for rng, inst in sweep(85, 150):
         budgets = {Fraction(0), inst.budget}
         budgets.update(len(cell) * inst.budget / inst.n for cell in inst.unanimous_cells)
@@ -417,11 +418,13 @@ def test_optimal_fractional_utility_is_the_utility_of_the_optimal_outcome():
             inst.budget * Fraction(rng.randint(0, 60), 60) for _ in range(3)
         )
         for i, row in enumerate(inst.utilities):
+            order = inst.greedy_orders[i]
             for budget in budgets:
-                shares = inst.optimal_outcome(i, budget)
-                assert optimal_fractional_utility(inst, i, budget) == sum(
-                    (u * x for u, x in zip(row, shares)), Fraction(0)
-                )
+                k, left, c = inst.greedy_spend(i, budget)
+                best = sum((row[j] for j in order[:k]), Fraction(0))
+                if k < inst.m:
+                    best += row[order[k]] * Fraction(left, c)
+                assert optimal_fractional_utility(inst, i, budget) == best
 
 
 # ---------------------------------------------------------------------------

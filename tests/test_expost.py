@@ -17,6 +17,7 @@ from pbbobw import (
     check_fjr_binary,
     check_jr_binary,
     check_jr_general,
+    expost,
     gcr,
     gen_gfs_jr_family,
     mes,
@@ -333,6 +334,27 @@ def test_jr_checks_match_their_loops_over_single_projects(
         checker, reference, utilities, 97, zero_utility,
         fields=("projects", "voters", "alpha", "note"),
     )
+
+
+def test_won_from_the_approval_masks_matches_the_per_voter_sum():
+    """Each voter's won weight, read from the approval masks, against the
+    sum over the funded projects: unit and scaled-cost weights, on 240
+    seeded binary, cost and general instances, half with zero-cost
+    projects."""
+    rng = random.Random(101)
+    for case in range(240):
+        kind = ("binary", "cost", "general")[case % 3]
+        inst = random_instance(rng, n_max=6, m_max=7, utilities=kind)
+        if case % 2:
+            free = Fraction(0) if kind == "cost" else Fraction(1)
+            inst = with_zero_cost_projects(rng, inst, free)
+        for w in _sweep_outcomes(rng, inst):
+            for weight in (None, inst.scaled_costs):
+                unit = [1] * inst.m if weight is None else weight
+                assert expost._won(inst, w, weight) == [
+                    sum(unit[j] for j in w.projects if approved >> j & 1)
+                    for approved in inst.approval_masks
+                ]
 
 
 def _unit_costs(rng, inst):

@@ -15,12 +15,13 @@ from pbbobw import (
     PBInstance,
     Setting,
     ValidationError,
-    classify,
+    fractional_random_dictator,
     gen_bfx_family,
     gen_gfs_jr_family,
     gen_ifs_jr_family,
     implements,
     instance_to_dict,
+    optimal_fractional_utility,
     parse_instance,
     parse_rational,
     rational_str,
@@ -213,10 +214,10 @@ def test_parse_rejects_utilities_that_are_not_an_object(utilities):
 
 
 def test_classify_settings():
-    assert classify(two_voter_example()) == Setting.BINARY
+    assert two_voter_example().setting == Setting.BINARY
     rng = random.Random(3)
     cost_inst = random_instance(rng, utilities="cost")
-    assert classify(cost_inst) in (Setting.COST, Setting.BINARY, Setting.COMMITTEE)
+    assert cost_inst.setting in (Setting.COST, Setting.BINARY, Setting.COMMITTEE)
     unit = PBInstance(
         budget=Fraction(2),
         cost=(Fraction(1),) * 3,
@@ -224,7 +225,7 @@ def test_classify_settings():
         project_ids=("a", "b", "c"),
         voter_ids=("v1",),
     )
-    assert classify(unit) == Setting.COMMITTEE
+    assert unit.setting == Setting.COMMITTEE
 
 
 def test_fractional_outcome_feasibility():
@@ -332,7 +333,8 @@ def test_approval_masks_and_sets_match_their_definitions():
 
 
 def _optimal_outcome_reference(inst: PBInstance, voter: int, budget: Fraction):
-    """`PBInstance.optimal_outcome` with its order sorted on every call."""
+    """A voter's optimal fractional outcome spending exactly ``budget``, as
+    one share per project, with its order sorted on every call."""
     row, cost, m = inst.utilities[voter], inst.cost, inst.m
     free = [j for j in range(m) if row[j] > 0 and cost[j] == 0]
     priced = [j for j in range(m) if row[j] > 0 and cost[j] > 0]
@@ -349,6 +351,20 @@ def _optimal_outcome_reference(inst: PBInstance, voter: int, budget: Fraction):
     return tuple(shares)
 
 
+def _spend_shares(inst: PBInstance, voter: int, spend) -> tuple[Fraction, ...]:
+    """The ``greedy_spend`` triple (k, left, c) as one share per project:
+    1 on the first k projects of the voter's greedy order, left/c on the
+    next."""
+    k, left, c = spend
+    order = inst.greedy_orders[voter]
+    shares = [Fraction(0)] * inst.m
+    for j in order[:k]:
+        shares[j] = Fraction(1)
+    if k < inst.m:
+        shares[order[k]] = Fraction(left, c)
+    return tuple(shares)
+
+
 def test_optimal_outcome_matches_the_per_call_sort():
     """The cached greedy orders give each voter's optimum at budgets
     0, B and random budgets in between."""
@@ -359,12 +375,44 @@ def test_optimal_outcome_matches_the_per_call_sort():
         ]
         for i in range(inst.n):
             for budget in budgets:
-                assert inst.optimal_outcome(i, budget) == (
+                assert _spend_shares(inst, i, inst.greedy_spend(i, budget)) == (
                     _optimal_outcome_reference(inst, i, budget)
                 )
-            assert inst.optimal_outcomes[i] == (
+            assert _spend_shares(inst, i, inst.optimal_spends[i]) == (
                 _optimal_outcome_reference(inst, i, inst.budget)
             )
+
+
+def test_frd_and_the_optimal_utility_match_the_reference_optimum():
+    """FRD's p is the mean of the voters' reference optima at B, and
+    ``optimal_fractional_utility`` at 0, B and random budgets is the
+    utility of the reference optimum, on seeded binary, cost and general
+    instances, half with zero-cost projects; some optima at B spend on
+    zero-utility padding."""
+    rng = random.Random(89)
+    padded = 0
+    for inst in _swept_instances(89, 240):
+        optima = [
+            _optimal_outcome_reference(inst, i, inst.budget) for i in range(inst.n)
+        ]
+        assert fractional_random_dictator(inst).shares == tuple(
+            sum(column, Fraction(0)) / inst.n for column in zip(*optima)
+        )
+        padded += any(
+            x and not inst.utilities[i][j]
+            for i, shares in enumerate(optima)
+            for j, x in enumerate(shares)
+        )
+        budgets = [Fraction(0), inst.budget] + [
+            inst.budget * Fraction(rng.randint(0, 24), 24) for _ in range(3)
+        ]
+        for i, row in enumerate(inst.utilities):
+            for budget in budgets:
+                shares = _optimal_outcome_reference(inst, i, budget)
+                assert optimal_fractional_utility(inst, i, budget) == sum(
+                    (u * x for u, x in zip(row, shares)), Fraction(0)
+                )
+    assert padded > 10
 
 
 def _setting_reference(inst: PBInstance) -> tuple[Setting, bool]:

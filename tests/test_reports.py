@@ -118,6 +118,9 @@ CASES = {
     # most selections here, and the completion phase spends on it.
     "run-bw-mes-sparse200": ["run", "--instance", "sparse200.json", "--rule",
                              "bw-mes", "--samples", "1", "--seed", "1"],
+    # FRD's p at n = m = 200: every voter's optimum at B, averaged.
+    "run-frd-sparse200": ["run", "--instance", "sparse200.json", "--rule",
+                          "frd", "--samples", "1", "--seed", "1"],
 }
 
 

@@ -25,7 +25,6 @@ from pbbobw import (
     group_ladder,
     is_bb1,
     mes,
-    unanimous_partition,
 )
 from pbbobw.rules import _min_rho, _round_completion
 
@@ -358,7 +357,7 @@ def test_mes_matches_the_recomputing_reference():
 
 def test_group_ladder_prefix():
     inst = gen_gfs_jr_family(6, Fraction(1), Fraction(1, 12))
-    cell = unanimous_partition(inst).cells[0]
+    cell = inst.unanimous_cells[0]
     ladder = group_ladder(inst, cell)
     # One voter, budget 1/6: no project of cost >= 5/12 fits.
     assert ladder.projects == ()
@@ -397,7 +396,7 @@ def test_group_ladder_matches_the_fit_loop():
         inst = random_instance(rng, n_max=6, m_max=7, utilities="binary")
         if k % 3 == 0:
             inst = with_zero_cost_projects(rng, inst)
-        for cell in unanimous_partition(inst).cells:
+        for cell in inst.unanimous_cells:
             ladder = group_ladder(inst, cell)
             got = (ladder.cell, ladder.projects, ladder.next_project, ladder.delta)
             assert got == _ladder_reference(inst, cell)
@@ -496,7 +495,7 @@ def _bw_gcr_reference(inst, seed):
             money -= add * inst.cost[j]
         return money
 
-    for cell in unanimous_partition(inst).cells:
+    for cell in inst.unanimous_cells:
         _, ladder, _, _ = _ladder_reference(inst, cell)
         approved = inst.approval_set(cell[0])
         if len(approved & core) != len(ladder):
@@ -569,7 +568,7 @@ def test_bw_completions_match_the_fraction_reference():
                 _bw_gcr_reference(inst, seed)
             )
             topped_cells += sum(
-                1 for cell in unanimous_partition(inst).cells
+                1 for cell in inst.unanimous_cells
                 if len(cell) > 1 and result.budgets[cell[0]] > 0
             )
     assert topped_cells > 20
