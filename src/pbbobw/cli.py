@@ -78,7 +78,9 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not valid UTF-8 ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # Malformed JSON, nesting past the recursion limit, or an integer
+        # literal past the int-digit limit.
         raise UsageError(f"{path}: invalid JSON ({exc})") from exc
 
 

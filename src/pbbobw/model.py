@@ -42,7 +42,10 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
     """Parse a rational-string ("3", "-2", "5/12") into a Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValidationError(f"{field}: not a rational-string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # past the int-digit limit
+        raise ValidationError(f"{field}: {exc}") from None
 
 
 def rational_str(value: Fraction) -> str:
@@ -502,7 +505,7 @@ def parse_instance(document: Union[bytes, str, Mapping]) -> PBInstance:
     if isinstance(document, (bytes, str)):
         try:
             data = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:
             raise ValidationError(f"malformed JSON: {exc}") from None
     else:
         data = document

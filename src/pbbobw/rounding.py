@@ -23,13 +23,12 @@ stepped the first time a sample reaches it, and it grows with the states
 visited, not with 2^m. The DAG is flat int tables indexed by state id:
 each state's integer threshold ceil(num * 2**64 / den) and its two
 children's ids, and a draw u < threshold exactly when u * den < num *
-2**64, so the sampler returns the same outcome seed for seed. A leaf, and
-a state with an id but no step yet, has threshold 0 and is its own two
-children, so a walk is one table step per draw and a seed that stops on
-an unmade state is walked again once that state is made. Callers that
-need only the outcome (the BW rules, `round_with_hard_cap`) draw through
-the sampler; `RoundingSampler.probabilities()` gives the exact
-distribution in one forward pass over the same tables.
+2**64, so the sampler returns the same outcome seed for seed. A leaf has
+threshold 0 and is its own two children, so a walk is one table step per
+draw; the states a draw reaches are made before the next draw is taken.
+Callers that need only the outcome (the BW rules, `round_with_hard_cap`)
+draw through the sampler; `RoundingSampler.probabilities()` gives the
+exact distribution in one forward pass over the same tables.
 
 The sampler and `derive_seeds` draw for a block of up to `_BLOCK` seeds at
 once (`_draw_rows`): the block's 64-bit states are packed into one Python
@@ -381,18 +380,17 @@ class RoundingSampler:
     Ids are memoised by spend tuple, so every path into a state shares
     it. A state gets its id when its parent is made, and `_step` runs on
     it once, the first time a sample or `probabilities()` reaches it. A
-    leaf and an unmade state have threshold 0 and are their own two
-    children.
+    leaf has threshold 0 and is its own two children.
 
     Seeds are drawn a block at a time: every `_step` makes a fractional
     project integral, so no walk takes more draws than the root has
     fractional projects, and `_draw_rows` computes that many draws of
-    every seed in the block. `_walk` takes every seed through all of them,
-    one table step each, ``i = up[i] if u < thr[i] else down[i]``; a seed
-    stays on a leaf or an unmade state it reaches. Each unmade state a
-    seed stopped on is then made, and unless it is a leaf, the seeds on it
-    are walked again by `_rewalk`, which makes the states it reaches.
-    `sample` is the same walk on a block of one seed.
+    every seed in the block. `_walk` takes every seed from state 0
+    through them one row of draws at a time, one table step each,
+    ``i = up[i] if u < thr[i] else down[i]``, and after each row makes
+    the states it reached first, so no seed draws from an unmade state
+    and a seed on a leaf stays there. `sample` is the same walk on a
+    block of one seed.
     """
 
     def __init__(
@@ -412,10 +410,10 @@ class RoundingSampler:
             _, num, den, _, spends = _alone(costs, spends, j)
             self._zero.append((j, _threshold(num, den), Fraction(num, den)))
         # Draws per seed: the zero-cost rounds, then at most one per
-        # fractional project of the root, and at least one, so that each
-        # seed has a column of draws even when the root is a leaf.
-        self._depth = len(zero) + max(
-            1, sum(1 for s, c in zip(spends, costs) if 0 < s < c)
+        # fractional project of the root, since each `_step` makes one
+        # integral.
+        self._depth = len(zero) + sum(
+            1 for s, c in zip(spends, costs) if 0 < s < c
         )
         self._ids: dict[tuple[int, ...], int] = {}
         self._spends: list[tuple[int, ...]] = []
@@ -449,19 +447,6 @@ class RoundingSampler:
         self._thr[i] = _threshold(num, den)
         self._up[i] = self._id(up)
         self._down[i] = self._id(down)
-
-    def _rewalk(self, draws: Iterable[int]) -> int:
-        """The leaf one seed's priced `draws` reach, making every state on
-        the way."""
-        steps, thr, up, down = self._steps, self._thr, self._up, self._down
-        i = 0
-        for u in draws:
-            if steps[i] is None:
-                self._make(i)
-            i = up[i] if u < thr[i] else down[i]
-        if steps[i] is None:
-            self._make(i)
-        return i
 
     def probabilities(self) -> dict[IntegralOutcome, Fraction]:
         """Exact outcome distribution implied by the branch probabilities.
@@ -557,25 +542,17 @@ class RoundingSampler:
         its leaf's id, shifted left by one bit per zero-cost round, set
         where the round went up (first round highest)."""
         rows = _draw_rows(states, n, self._depth)
+        steps, thr, up, down = self._steps, self._thr, self._up, self._down
         z = len(self._zero)
-        thr, up, down = self._thr, self._up, self._down
-        # Every seed starts at state 0.
-        t, up0, down0 = thr[0], up[0], down[0]
-        ends = [up0 if u < t else down0 for u in rows[z]]
-        for row in rows[z + 1:]:
+        ends = [0] * n
+        for row in rows[z:]:
             ends = [
                 up[i] if u < thr[i] else down[i] for i, u in zip(ends, row)
             ]
-        unmade = [i for i in set(ends) if self._steps[i] is None]
-        for i in unmade:
-            self._make(i)
-        # Seeds stopped on a state that is now an inner node have draws left.
-        stuck = {i for i in unmade if thr[i]}
-        if stuck:
-            priced = rows[z:]
-            for k, i in enumerate(ends):
-                if i in stuck:
-                    ends[k] = self._rewalk([row[k] for row in priced])
+            # Make the states this row reached first, before the next draw.
+            for i in set(ends):
+                if steps[i] is None:
+                    self._make(i)
         for row, (_, t, _) in zip(rows, self._zero):
             ends = [i << 1 | (u < t) for i, u in zip(ends, row)]
         return ends

@@ -262,6 +262,14 @@ def test_gen_range_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "gen", "--family", "ifs-jr", "--n", "3")
     assert code == 2
     assert "requires" in err
+    # A 5,001-digit B is past the int-digit limit; without the limit,
+    # eps = B is out of the family's range.
+    huge = "1" + "0" * 5000
+    code, out, err = run_cli(
+        capsys, "gen", "--family", "bfx", "--B", huge, "--eps", huge
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_oracle_roundtrip_through_files(capsys, tmp_path):
@@ -433,10 +441,10 @@ def test_run_negative_samples_exits_2(capsys, instance_file):
     "flag", ["--instance", "--target", "--fractional", "--constraints"]
 )
 def test_input_that_is_not_utf8_exits_2(capsys, instance_file, tmp_path, flag):
-    """A file that starts with the bytes ff fe is a usage error naming the
-    file, whichever input flag reads it."""
+    """A file that starts with the bytes ff fe, one nested 100,000 arrays
+    deep, and one holding a 5,000-digit integer literal are each a usage
+    error naming the file, whichever input flag reads it."""
     bad = str(tmp_path / "bad.json")
-    Path(bad).write_bytes(b"\xff\xfe{}")
     argv = {
         "--instance": ["run", "--instance", bad, "--rule", "frd"],
         "--target": ["verify", "--instance", instance_file, "--target", bad,
@@ -446,9 +454,17 @@ def test_input_that_is_not_utf8_exits_2(capsys, instance_file, tmp_path, flag):
         "--constraints": ["oracle", "--instance", instance_file, "--mode",
                           "joint", "--constraints", bad],
     }[flag]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {bad}: not valid UTF-8")
+    for content, prefix in [
+        (b"\xff\xfe{}", f"error: {bad}: not valid UTF-8"),
+        (b"[" * 100_000, f"error: {bad}: invalid JSON"),
+        # Without an int-digit limit the literal parses, and the document
+        # is rejected for its shape instead.
+        (b"[" + b"7" * 5000 + b"]", "error: "),
+    ]:
+        Path(bad).write_bytes(content)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_unwritable_out_exits_2(capsys, instance_file, tmp_path):

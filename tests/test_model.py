@@ -51,6 +51,33 @@ def test_parse_rational_rejects_garbage():
             parse_rational(bad)
 
 
+def test_long_rational_strings_are_validation_errors():
+    """A 5,001-digit budget is past the int-digit limit; without the limit
+    it exceeds the one project's total cost. Either way the document is
+    rejected with a ValidationError, not a bare ValueError."""
+    doc = {
+        "budget": "1" + "0" * 5000,
+        "projects": [{"id": "a", "cost": "1"}],
+        "voters": [{"id": "v", "utilities": {"a": "1"}}],
+    }
+    with pytest.raises(ValidationError, match="budget"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [b"[" * 100_000, "[" * 100_000, b'{"budget": "\xff"}', "[" + "7" * 5000],
+    ids=["deep bytes", "deep str", "not utf-8", "long literal"],
+)
+def test_malformed_json_text_is_a_validation_error(document):
+    """Nesting past the recursion limit, bytes that are not UTF-8 and an
+    integer literal past the int-digit limit are each `malformed JSON`.
+    The literal's document is also unclosed, so it is malformed on an
+    interpreter without that limit too."""
+    with pytest.raises(ValidationError, match="^malformed JSON: "):
+        parse_instance(document)
+
+
 def _doc():
     return {
         "budget": "1",

@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,10 @@ from pbbobw import (
     dependent_round,
     derive_seed,
     derive_seeds,
+    fractional_random_dictator,
     is_bb1,
     is_bfx,
+    parse_instance,
     round_with_hard_cap,
     splitmix64,
 )
@@ -312,9 +316,8 @@ def test_sample_counts_match_dependent_round():
         )
 
 
-def test_sampler_makes_one_node_per_spend_state(monkeypatch):
-    """Eight projects of equal cost at share 1/4 reach 46 distinct spend
-    states over 127 tree paths; the sampler steps each state once."""
+def _count_steps(monkeypatch) -> list:
+    """The spend tuples `_step` runs on from now on, in call order."""
     calls = []
     step = rounding._step
 
@@ -323,6 +326,13 @@ def test_sampler_makes_one_node_per_spend_state(monkeypatch):
         return step(costs, spends)
 
     monkeypatch.setattr(rounding, "_step", counting)
+    return calls
+
+
+def test_sampler_makes_one_node_per_spend_state(monkeypatch):
+    """Eight projects of equal cost at share 1/4 reach 46 distinct spend
+    states over 127 tree paths; the sampler steps each state once."""
+    calls = _count_steps(monkeypatch)
     m = 8
     inst = PBInstance(
         budget=Fraction(2),
@@ -361,10 +371,10 @@ def _fourteen_fractional_projects(seed):
 
 
 def test_later_blocks_grow_the_dag_and_agree_with_dependent_round(monkeypatch):
-    """Blocks after the first still reach unmade states, which the
-    re-walk makes; every block's counts equal `dependent_round`'s over the
-    same seeds, each state is stepped once, and `probabilities()` on the
-    used sampler equals a fresh sampler's."""
+    """Blocks after the first still reach states no earlier block made,
+    and step a pinned number of them; every block's counts equal
+    `dependent_round`'s over the same seeds, each state is stepped once,
+    and `probabilities()` on the used sampler equals a fresh sampler's."""
     inst, p = _fourteen_fractional_projects(0)
     seeds = list(derive_seeds(14, range(3 * rounding._BLOCK)))
     blocks = [
@@ -374,34 +384,41 @@ def test_later_blocks_grow_the_dag_and_agree_with_dependent_round(monkeypatch):
         Counter(dependent_round(inst, p, s)[0] for s in block)
         for block in blocks
     ]
-    calls = []
-    step = rounding._step
-
-    def counting(costs, spends):
-        calls.append(spends)
-        return step(costs, spends)
-
-    monkeypatch.setattr(rounding, "_step", counting)
-    rewalks = []
-    rewalk = RoundingSampler._rewalk
-
-    def counting_rewalk(self, draws):
-        rewalks.append(1)
-        return rewalk(self, draws)
-
-    monkeypatch.setattr(RoundingSampler, "_rewalk", counting_rewalk)
+    calls = _count_steps(monkeypatch)
     sampler = RoundingSampler(inst, p)
     per_block = []
     for block, reference in zip(blocks, expected):
-        before = len(calls), len(rewalks)
+        before = len(calls)
         assert sampler.sample_counts(block) == reference
-        per_block.append((len(calls) - before[0], len(rewalks) - before[1]))
-    # Every block steps new states and walks some seeds again.
-    assert all(made > 0 and walked > 0 for made, walked in per_block)
+        per_block.append(len(calls) - before)
+    assert per_block == [1765, 517, 288]
     assert len(calls) == len(set(calls))
     probs = sampler.probabilities()
     assert len(calls) == len(set(calls))
     assert probs == RoundingSampler(inst, p).probabilities()
+
+
+BINARY20 = Path(__file__).resolve().parent / "data" / "reports" / "binary20.json"
+
+
+def test_fresh_sampler_on_the_committed_frd_lottery_is_pinned(monkeypatch):
+    """A machine-independent work guard: 20,000 derived draws of FRD's
+    lottery on the committed n = m = 20 binary instance step 19,434
+    states once each, give 23,029 state ids and 5,174 outcomes, and the
+    sorted counts hash to a pinned digest."""
+    inst = parse_instance(BINARY20.read_text())
+    p = fractional_random_dictator(inst)
+    calls = _count_steps(monkeypatch)
+    sampler = RoundingSampler(inst, p)
+    counts = sampler.derived_counts(9, 20000)
+    assert len(calls) == len(set(calls)) == 19434
+    assert len(sampler._spends) == 23029
+    assert len(counts) == 5174
+    assert sum(counts.values()) == 20000
+    tally = sorted((sorted(w.projects), c) for w, c in counts.items())
+    assert hashlib.sha256(repr(tally).encode()).hexdigest() == (
+        "a2426ddcd17cdd2db21d24feb2dc6a9445b9ebd51a3941d06d87ec52181e66a4"
+    )
 
 
 @pytest.mark.parametrize("zero_cost", [False, True])
@@ -482,14 +499,7 @@ def test_zero_cost_states_do_not_split_the_spend_dag(monkeypatch):
     """Two fractional zero-cost projects (shares 1/3 and 1/2) added to the
     eight-project instance above leave its 46 spend states unsplit: the
     sampler does not key its DAG on the zero-cost draws."""
-    calls = []
-    step = rounding._step
-
-    def counting(costs, spends):
-        calls.append(spends)
-        return step(costs, spends)
-
-    monkeypatch.setattr(rounding, "_step", counting)
+    calls = _count_steps(monkeypatch)
     cost = [Fraction(1)] * 8
     shares = [Fraction(1, 4)] * 8
     for at, share in ((2, Fraction(1, 3)), (6, Fraction(1, 2))):
