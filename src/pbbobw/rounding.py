@@ -24,9 +24,12 @@ visited, not with 2^m. The DAG is flat int tables indexed by state id:
 each state's integer threshold ceil(num * 2**64 / den) and its two
 children's ids, and a draw u < threshold exactly when u * den < num *
 2**64, so the sampler returns the same outcome seed for seed. A leaf has
-threshold 0 and is its own two children, so a walk is one table step per
-draw; the states a draw reaches are made before the next draw is taken.
-Callers that need only the outcome (the BW rules, `round_with_hard_cap`)
+threshold 0 and is its own two children, so a seed's walk is one table
+step per draw; the states a draw reaches are made before the next draw is
+taken. While a row of draws holds few states for a block's seeds, the
+seeds on each state are split at once: the top bytes of their draws,
+compared against the threshold's by one `bytes.translate`, decide all but
+about one seed in 256, whose whole draw is compared. Callers that need only the outcome (the BW rules, `round_with_hard_cap`)
 draw through the sampler; `RoundingSampler.probabilities()` gives the
 exact distribution in one forward pass over the same tables.
 
@@ -38,7 +41,9 @@ every lane wherever a bit could cross a lane. One kernel call per depth
 gives that draw of every seed in the block; the draws are the scalar
 `splitmix64` ones, bit for bit. `RoundingSampler.derived_counts` makes a
 block's per-sample seeds (`derive_seeds`) the same way, from one packed
-row of indices, and draws from them without unpacking.
+row of indices, and draws from them without unpacking. A packed row is
+read as little-endian bytes wherever single draws or their top bytes are
+taken from it, and as native-order words only by `_pack` and `_unpack`.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     FractionalOutcome,
@@ -116,13 +121,22 @@ def _unpack(packed: int, n: int) -> array:
 # the lanes a smaller block leaves unused, and scaled to a word per lane.
 _LANE_ONE = _pack(repeat(1, _BLOCK))
 _LANE_MASK = _LANE_ONE * _MASK64
+# Lane k of a full block holds index k; adding j * _LANE_ONE gives j + k.
+_LANE_INDEX = _pack(range(_BLOCK))
+
+# A block's seeds are split per key (`_split`) while a row holds at most
+# one key per this many seeds of the block; past that each seed is stepped.
+# A split at most doubles the keys, so fewer than 256 reach `_walk_seeds`.
+_SEEDS_PER_GROUP = 40
+assert 2 * _BLOCK // _SEEDS_PER_GROUP < 256
 
 
-def _draw_rows(packed: int, n: int, depth: int) -> list[array]:
+def _draw_rows(packed: int, n: int, depth: int) -> list[int]:
     """Row d holds draw d of each stream: splitmix64(state + d * GAMMA).
 
     `packed` holds the 64-bit states of `n` <= `_BLOCK` streams, one per
-    lane; each row costs one packed kernel call for all of them.
+    lane; each row costs one packed kernel call for all of them and is
+    itself packed, each draw in its lane's low word (`_unpack`).
     """
     unused = 128 * (_BLOCK - n)
     mask = _LANE_MASK >> unused
@@ -131,18 +145,67 @@ def _draw_rows(packed: int, n: int, depth: int) -> list[array]:
     for _ in range(depth):
         # splitmix64's add is also the step to the stream's next state.
         packed = (packed + gamma) & mask
-        rows.append(_unpack(_mix(packed, mask), n))
+        rows.append(_mix(packed, mask))
     return rows
 
 
-def _derived_states(seed: int, indices: Sequence[int]) -> int:
-    """The per-sample seeds of at most `_BLOCK` 64-bit `indices` (see
-    `derive_seeds`), packed one per lane: the indices plus splitmix64(seed),
-    mixed in one kernel call."""
-    unused = 128 * (_BLOCK - len(indices))
+def _derived_states(seed: int, indices: int, n: int) -> int:
+    """The per-sample seeds of the `n` <= `_BLOCK` 64-bit indices packed
+    in the low lanes of `indices` (see `derive_seeds`), packed one per
+    lane: the indices plus splitmix64(seed), mixed in one kernel call.
+    Lanes of `indices` past the first `n` are ignored."""
+    unused = 128 * (_BLOCK - n)
     mask = _LANE_MASK >> unused
     base = (_LANE_ONE >> unused) * (splitmix64(seed) + _GAMMA)
-    return _mix((_pack(indices) + base) & mask, mask) & mask
+    return _mix((indices + base) & mask, mask) & mask
+
+
+def _below(raw: bytes, tops: bytes, seeds: int, t: int) -> int:
+    """The `seeds` of a block whose draw is below threshold `t`.
+
+    `seeds` and the result hold one byte per seed, 1 where the seed is
+    in. `raw` is a row of draws as little-endian bytes, 16 per lane, and
+    `tops` the top byte of each draw (``raw[7::16]``). A draw whose top
+    byte is below t's is below t and one whose top byte is above is not;
+    the ties, about one seed in 256, are compared in full.
+    """
+    top = t >> 56
+    if top > 255:
+        # t = 2**64, from a branch probability within 2**-64 of 1.
+        return seeds
+    # Per seed: 1 if its draw's top byte is below t's, 2 if it is t's.
+    split = int.from_bytes(
+        tops.translate(b"\1" * top + b"\2" + bytes(255 - top)), "little"
+    )
+    below = split & seeds
+    ties = (split >> 1 & seeds).to_bytes(len(tops), "little")
+    k = ties.find(1)
+    while k >= 0:
+        if int.from_bytes(raw[16 * k:16 * k + 8], "little") < t:
+            below |= 1 << 8 * k
+        k = ties.find(1, k + 1)
+    return below
+
+
+def _split(
+    groups: dict[int, int], row: int, n: int, step: Callable
+) -> dict[int, int]:
+    """One row of draws taken by the `n` seeds of a block, per key.
+
+    `groups` maps each key to its seeds, one byte per seed (`_below`);
+    ``step(key)`` gives the key's ``(threshold, up, down)``. Returns the
+    seeds of each key the row reaches.
+    """
+    raw = row.to_bytes(16 * n, "little")
+    tops = raw[7::16]
+    split: dict[int, int] = {}
+    for key, seeds in groups.items():
+        t, up, down = step(key)
+        below = _below(raw, tops, seeds, t) if t else 0
+        for child, part in ((up, below), (down, seeds ^ below)):
+            if part:
+                split[child] = split.get(child, 0) | part
+    return split
 
 
 def _blocks(values: Iterable[int]) -> Iterator[list[int]]:
@@ -171,8 +234,8 @@ def derive_seeds(seed: int, indices: Iterable[int]) -> Iterator[int]:
     0 .. samples - 1 without unpacking them.
     """
     for block in _blocks(indices):
-        block = [k & _MASK64 for k in block]
-        yield from _unpack(_derived_states(seed, block), len(block))
+        packed = _pack(k & _MASK64 for k in block)
+        yield from _unpack(_derived_states(seed, packed, len(block)), len(block))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -386,11 +449,16 @@ class RoundingSampler:
     project integral, so no walk takes more draws than the root has
     fractional projects, and `_draw_rows` computes that many draws of
     every seed in the block. `_walk` takes every seed from state 0
-    through them one row of draws at a time, one table step each,
-    ``i = up[i] if u < thr[i] else down[i]``, and after each row makes
-    the states it reached first, so no seed draws from an unmade state
-    and a seed on a leaf stays there. `sample` is the same walk on a
-    block of one seed.
+    through them one row of draws at a time, and after each row makes
+    the states it reached first (`_unmade` holds the ids still without
+    a step), so no seed draws from an unmade state and a seed on a leaf
+    stays there. While a row holds at most one state per
+    `_SEEDS_PER_GROUP` seeds of the block, the seeds on each state are
+    one byte mask, split by the row in one pass (`_split`); a block that
+    never holds more is counted from the masks' popcounts. From the
+    first row that does, each seed takes one table step per draw,
+    ``i = up[i] if u < thr[i] else down[i]`` (`_walk_seeds`). `sample`
+    is a block of one seed, which is stepped from the first row.
     """
 
     def __init__(
@@ -421,6 +489,7 @@ class RoundingSampler:
         self._thr: list[int] = []
         self._up: list[int] = []
         self._down: list[int] = []
+        self._unmade: set[int] = set()
         self._make(self._id(spends))
 
     def _id(self, spends: tuple[int, ...]) -> int:
@@ -430,6 +499,7 @@ class RoundingSampler:
             i = self._ids[spends] = len(self._spends)
             self._spends.append(spends)
             self._steps.append(None)
+            self._unmade.add(i)
             self._thr.append(0)
             self._up.append(i)
             self._down.append(i)
@@ -437,6 +507,7 @@ class RoundingSampler:
 
     def _make(self, i: int) -> None:
         """Run `_step` on unmade state `i`: a leaf keeps its self-loops."""
+        self._unmade.discard(i)
         spends = self._spends[i]
         step = _step(self._costs, spends)
         if step is None:
@@ -508,12 +579,14 @@ class RoundingSampler:
         self, seed: int, samples: int
     ) -> dict[IntegralOutcome, int]:
         """``sample_counts(derive_seeds(seed, range(samples)))``, with each
-        block's per-sample seeds derived and drawn in packed form."""
+        block's per-sample seeds derived and drawn in packed form: block k's
+        indices are one packed row of 0 .. `_BLOCK` - 1 plus k."""
         blocks = (
-            range(k, min(k + _BLOCK, samples)) for k in range(0, samples, _BLOCK)
+            (k, min(_BLOCK, samples - k)) for k in range(0, samples, _BLOCK)
         )
         return self._counts(
-            (_derived_states(seed, block), len(block)) for block in blocks
+            (_derived_states(seed, _LANE_INDEX + k * _LANE_ONE, n), n)
+            for k, n in blocks
         )
 
     def _counts(
@@ -537,22 +610,67 @@ class RoundingSampler:
             counts[w] = count
         return counts
 
-    def _walk(self, states: int, n: int) -> list[int]:
-        """Each seed's key for the `n` packed seed `states` of one block:
-        its leaf's id, shifted left by one bit per zero-cost round, set
-        where the round went up (first round highest)."""
+    def _walk(self, states: int, n: int) -> dict[int, int]:
+        """The count of each key over the `n` packed seed `states` of one
+        block, in the order the keys are first drawn. A seed's key is its
+        leaf's id, shifted left by one bit per zero-cost round, set where
+        the round went up (first round highest).
+
+        The seeds take the priced draws, then the zero-cost rounds' draws,
+        one row at a time, and the states a row reaches are made before
+        the next row. While a row holds at most one key per
+        `_SEEDS_PER_GROUP` seeds, each key's seeds are split at once
+        (`_split`), and a block that ends so is counted per key; from the
+        first row with more keys, each seed is stepped (`_walk_seeds`).
+        """
         rows = _draw_rows(states, n, self._depth)
-        steps, thr, up, down = self._steps, self._thr, self._up, self._down
+        thr, up, down = self._thr, self._up, self._down
         z = len(self._zero)
-        ends = [0] * n
-        for row in rows[z:]:
-            ends = [
-                up[i] if u < thr[i] else down[i] for i, u in zip(ends, row)
-            ]
-            # Make the states this row reached first, before the next draw.
-            for i in set(ends):
-                if steps[i] is None:
+        # Each row with its zero-cost round's threshold, or None if priced.
+        walk = [(row, None) for row in rows[z:]]
+        walk += [(row, t) for row, (_, t, _) in zip(rows, self._zero)]
+        groups = {0: int.from_bytes(b"\1" * n, "little")}
+        for r, (row, t) in enumerate(walk):
+            if len(groups) * _SEEDS_PER_GROUP > n:
+                return self._walk_seeds(groups, walk[r:], n)
+            if t is None:
+                groups = _split(
+                    groups, row, n, lambda i: (thr[i], up[i], down[i])
+                )
+                for i in self._unmade.intersection(groups):
                     self._make(i)
-        for row, (_, t, _) in zip(rows, self._zero):
-            ends = [i << 1 | (u < t) for i, u in zip(ends, row)]
-        return ends
+            else:
+                groups = _split(
+                    groups, row, n, lambda k: (t, k << 1 | 1, k << 1)
+                )
+        # A key's lowest set byte is its first seed.
+        first = sorted(groups.items(), key=lambda group: group[1] & -group[1])
+        return {key: seeds.bit_count() for key, seeds in first}
+
+    def _walk_seeds(
+        self,
+        groups: dict[int, int],
+        walk: list[tuple[int, Optional[int]]],
+        n: int,
+    ) -> Counter:
+        """`_walk`'s count, from the seeds of each key in `groups` through
+        the rows of `walk` left: each seed takes one table step per draw,
+        ``up[i] if u < thr[i] else down[i]``, or a zero-cost round's bit."""
+        thr, up, down, unmade = self._thr, self._up, self._down, self._unmade
+        # Each seed's byte holds its group's index: the groups' seeds are
+        # disjoint, and there are fewer than 256 groups.
+        keys = list(groups)
+        index = sum(g * seeds for g, seeds in enumerate(groups.values()))
+        ends = [keys[g] for g in index.to_bytes(n, "little")]
+        for row, t in walk:
+            draws = _unpack(row, n)
+            if t is None:
+                ends = [
+                    up[i] if u < thr[i] else down[i]
+                    for i, u in zip(ends, draws)
+                ]
+                for i in unmade.intersection(ends):
+                    self._make(i)
+            else:
+                ends = [i << 1 | (u < t) for i, u in zip(ends, draws)]
+        return Counter(ends)

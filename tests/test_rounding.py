@@ -14,6 +14,7 @@ from pbbobw import (
     IntegralOutcome,
     PBInstance,
     RoundingSampler,
+    bw_mes,
     dependent_round,
     derive_seed,
     derive_seeds,
@@ -67,9 +68,20 @@ def _seed_with_first_draw(draw):
     return (z - 0x9E3779B97F4A7C15) & mask
 
 
+def _top_byte_neighbours(t):
+    """Draws around threshold `t`: t - 1, t and t + 1 share t's top byte,
+    and the last draw of the top byte below and the first of the one
+    above are one top byte apart from it, where these are 64-bit."""
+    top = t >> 56
+    draws = [t - 1, t, t + 1, (top << 56) - 1, (top + 1) << 56]
+    return [u for u in draws if 0 <= u < 2**64]
+
+
 def test_draws_at_the_threshold_branch_like_dependent_round():
-    """A first draw of t - 1 goes up and one of t goes down, both in a
-    zero-cost round and at the root of the DAG, as in `dependent_round`."""
+    """A first draw of t - 1 goes up and one of t or t + 1 goes down,
+    both in a zero-cost round and at the root of the DAG, as in
+    `dependent_round`; so do draws one top byte below and above t's, and
+    so do all of them in a block big enough to be split per state."""
     zero_cost = PBInstance(
         budget=Fraction(1),
         cost=(Fraction(0), Fraction(1), Fraction(1)),
@@ -83,12 +95,61 @@ def test_draws_at_the_threshold_branch_like_dependent_round():
     ]:
         sampler = RoundingSampler(inst, p)
         t = sampler._zero[0][1] if sampler._zero else sampler._thr[0]
-        seeds = [_seed_with_first_draw(t - 1), _seed_with_first_draw(t)]
-        assert [splitmix64(s) for s in seeds] == [t - 1, t]
-        up, down = (dependent_round(inst, p, s)[0] for s in seeds)
+        draws = _top_byte_neighbours(t)
+        seeds = [_seed_with_first_draw(u) for u in draws]
+        assert [splitmix64(s) for s in seeds] == draws
+        up, down = (dependent_round(inst, p, s)[0] for s in seeds[:2])
         assert up != down
-        assert [sampler.sample(s) for s in seeds] == [up, down]
-        assert sampler.sample_counts(seeds) == {up: 1, down: 1}
+        branches = [up, down, down, up, down]
+        assert [sampler.sample(s) for s in seeds] == branches
+        assert sampler.sample_counts(seeds[:2]) == {up: 1, down: 1}
+        block = seeds + list(derive_seeds(3, range(rounding._SEEDS_PER_GROUP)))
+        expected = Counter(dependent_round(inst, p, s)[0] for s in block)
+        counts = sampler.sample_counts(block)
+        assert list(counts.items()) == list(expected.items())
+
+
+def test_split_decides_top_byte_ties_exactly():
+    """`_below` takes a draw with a smaller top byte as below the
+    threshold and one with a larger top byte as not; a draw sharing the
+    threshold's top byte is below it exactly when it is smaller."""
+    mask = 2**64 - 1
+    for t in (0x3A_1234_5678_9ABC_DE, 0x80 << 56 | 0x42, (1 << 56) + 7,
+              0xFF << 56 | 5, 5):
+        draws = _top_byte_neighbours(t) + [0, mask, t >> 1]
+        n = len(draws)
+        raw = rounding._pack(draws).to_bytes(16 * n, "little")
+        tops = raw[7::16]
+        assert list(tops) == [u >> 56 for u in draws]
+        everyone = int.from_bytes(b"\1" * n, "little")
+        below = rounding._below(raw, tops, everyone, t)
+        assert list(below.to_bytes(n, "little")) == [u < t for u in draws]
+        # Seeds outside the set stay out, ties included.
+        some = int.from_bytes(bytes(k % 3 > 0 for k in range(n)), "little")
+        assert rounding._below(raw, tops, some, t) == below & some
+    # A branch probability within 2**-64 of 1 has threshold 2**64.
+    raw = rounding._pack([mask, 0]).to_bytes(32, "little")
+    assert rounding._below(raw, raw[7::16], 0x0101, 2**64) == 0x0101
+
+
+def test_zero_cost_round_with_threshold_two_to_the_64():
+    """A zero-cost share of 1 - 2**-70 rounds its threshold up to 2**64,
+    past every draw: each seed funds it, in a split block and alone."""
+    inst = PBInstance(
+        budget=Fraction(1),
+        cost=(Fraction(0), Fraction(1), Fraction(1)),
+        utilities=((Fraction(1),) * 3,),
+        project_ids=("a", "b", "c"),
+        voter_ids=("v1",),
+    )
+    p = FractionalOutcome([Fraction(2**70 - 1, 2**70), "1/2", "1/2"])
+    sampler = RoundingSampler(inst, p)
+    assert sampler._zero[0][1] == 2**64
+    seeds = list(derive_seeds(70, range(100)))
+    counts = sampler.sample_counts(seeds)
+    assert counts == Counter(dependent_round(inst, p, s)[0] for s in seeds)
+    assert all(0 in w.projects for w in counts)
+    assert sampler.sample(seeds[0]) == dependent_round(inst, p, seeds[0])[0]
 
 
 def test_derive_seed_distinct_and_stable():
@@ -136,7 +197,7 @@ def test_packed_kernel_matches_scalar_splitmix64():
         rows = rounding._draw_rows(rounding._pack(block), len(block), 4)
         assert len(rows) == 4
         for d, row in enumerate(rows):
-            assert list(row) == [
+            assert list(rounding._unpack(row, len(block))) == [
                 splitmix64((s + d * gamma) & mask) for s in block
             ]
 
@@ -398,6 +459,100 @@ def test_later_blocks_grow_the_dag_and_agree_with_dependent_round(monkeypatch):
     assert probs == RoundingSampler(inst, p).probabilities()
 
 
+def _disjoint_blocks(rng, voters, block):
+    """Voters approving disjoint blocks of projects of cost 9/2 to 11/2,
+    with B = 12: each voter funds two of its projects and part of a
+    third, so FRD's p has 3 * voters fractional projects."""
+    m = voters * block
+    return PBInstance(
+        budget=Fraction(12),
+        cost=tuple(Fraction(rng.randint(9, 11), 2) for _ in range(m)),
+        utilities=tuple(
+            tuple(
+                Fraction(rng.randint(1, 9)) if j // block == i else Fraction(0)
+                for j in range(m)
+            )
+            for i in range(voters)
+        ),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=tuple(f"v{i + 1}" for i in range(voters)),
+    )
+
+
+def _bw_instance(rng):
+    """Six voters approving two or three of eight projects with B = 5:
+    BW-MES's p has four fractional projects."""
+    cost = [Fraction(c) for c in ("1/2", "1", "1", "3/2", "2", "2", "5/2", "3")]
+    rng.shuffle(cost)
+    m = len(cost)
+    rows = []
+    for _ in range(6):
+        approved = rng.sample(range(m), rng.choice((2, 3)))
+        rows.append(tuple(Fraction(j in approved) for j in range(m)))
+    return PBInstance(
+        budget=Fraction(5),
+        cost=tuple(cost),
+        utilities=tuple(rows),
+        project_ids=tuple(f"p{j + 1}" for j in range(m)),
+        voter_ids=tuple(f"v{i + 1}" for i in range(6)),
+    )
+
+
+def _count_walks(monkeypatch) -> dict:
+    """How many rows `_split` takes and how many blocks `_walk_seeds`
+    finishes, from now on."""
+    counts = {"split": 0, "seeds": 0}
+    split, walk_seeds = rounding._split, RoundingSampler._walk_seeds
+
+    def counting_split(*args):
+        counts["split"] += 1
+        return split(*args)
+
+    def counting_walk_seeds(*args):
+        counts["seeds"] += 1
+        return walk_seeds(*args)
+
+    monkeypatch.setattr(rounding, "_split", counting_split)
+    monkeypatch.setattr(RoundingSampler, "_walk_seeds", counting_walk_seeds)
+    return counts
+
+
+@pytest.mark.parametrize("zero_cost", [False, True])
+@pytest.mark.parametrize("rule", ["frd", "bw-mes"])
+def test_split_and_stepped_blocks_match_dependent_round(
+    monkeypatch, rule, zero_cost
+):
+    """`derived_counts` and `sample_counts` on fresh samplers equal
+    `dependent_round`'s tally of the same seeds, in the order its
+    outcomes are first drawn, for blocks too small to split, blocks
+    split for one row, and full blocks. FRD's blocks fan out into
+    per-seed steps; BW-MES's end split."""
+    if rule == "frd":
+        inst = _disjoint_blocks(random.Random(0), 4, 4)
+        p = fractional_random_dictator(inst)
+    else:
+        inst = _bw_instance(random.Random(0))
+        p = bw_mes(inst, 0).fractional
+    if zero_cost:
+        inst, p = with_zero_cost_projects(random.Random(1), inst, p)
+    seeds = list(derive_seeds(28, range(3 * rounding._BLOCK - 5)))
+    reference = [dependent_round(inst, p, s)[0] for s in seeds]
+    walks = _count_walks(monkeypatch)
+    for count in (1, 39, 40, 41, rounding._BLOCK, len(seeds)):
+        expected = list(Counter(reference[:count]).items())
+        derived = RoundingSampler(inst, p).derived_counts(28, count)
+        assert list(derived.items()) == expected
+        sampled = RoundingSampler(inst, p).sample_counts(seeds[:count])
+        assert list(sampled.items()) == expected
+    assert walks["split"] > 0
+    if rule == "frd":
+        assert walks["seeds"] > 2 * 4
+    else:
+        # Blocks of 1 and 39 seeds are stepped from the first row, and
+        # of 40 and 41 from the second; the full blocks end split.
+        assert walks["seeds"] == 2 * 4
+
+
 BINARY20 = Path(__file__).resolve().parent / "data" / "reports" / "binary20.json"
 
 
@@ -419,6 +574,36 @@ def test_fresh_sampler_on_the_committed_frd_lottery_is_pinned(monkeypatch):
     assert hashlib.sha256(repr(tally).encode()).hexdigest() == (
         "a2426ddcd17cdd2db21d24feb2dc6a9445b9ebd51a3941d06d87ec52181e66a4"
     )
+
+
+def test_split_rows_per_block_on_the_committed_frd_lottery_are_pinned(
+    monkeypatch,
+):
+    """A machine-independent guard on the per-state split: of the 20
+    draws of each block of `derived_counts(9, 20000)` on FRD's lottery
+    over the committed n = m = 20 binary instance, the first six are
+    split per state (they start from about 1, 2, 3, 6, 10 and 17 states
+    of 1,024 seeds; the seventh, from about 28, is stepped per seed), and
+    five in the last block of 544 seeds."""
+    inst = parse_instance(BINARY20.read_text())
+    p = fractional_random_dictator(inst)
+    per_block = []
+    draw_rows, split = rounding._draw_rows, rounding._split
+
+    def counting_draw_rows(*args):
+        per_block.append(0)
+        return draw_rows(*args)
+
+    def counting_split(*args):
+        per_block[-1] += 1
+        return split(*args)
+
+    monkeypatch.setattr(rounding, "_draw_rows", counting_draw_rows)
+    monkeypatch.setattr(rounding, "_split", counting_split)
+    sampler = RoundingSampler(inst, p)
+    sampler.derived_counts(9, 20000)
+    assert sampler._depth == 20
+    assert per_block == [6] * 19 + [5]
 
 
 @pytest.mark.parametrize("zero_cost", [False, True])
@@ -489,8 +674,9 @@ def test_derived_states_are_the_derived_seeds():
         (-5, [2**64 - 1, 0, 17]),
         (5, range(2**64 - base - 3, 2**64 - base + 3)),
     ]:
+        packed = rounding._pack(k & (2**64 - 1) for k in indices)
         lanes = rounding._unpack(
-            rounding._derived_states(seed, indices), len(indices)
+            rounding._derived_states(seed, packed, len(indices)), len(indices)
         )
         assert list(lanes) == [derive_seed(seed, k) for k in indices]
 
