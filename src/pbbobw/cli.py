@@ -210,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.rule == "frd":
         p = fractional_random_dictator(instance)
         report["fractional"] = fractional_to_dict(instance, p)
-        report["cost_equals_budget"] = p.cost(instance) == instance.budget
+        report["cost_equals_budget"] = p.is_feasible(instance)
         axioms["ifs"] = check_ifs(instance, p).to_dict(instance)
         axioms["gfs"] = _unless_skipped(
             lambda: check_gfs(instance, p, args.limit_exp).to_dict(instance)

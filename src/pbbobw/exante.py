@@ -7,7 +7,7 @@ the marginals p, whose bound comes from the voters' optimal fractional
 utilities opt_i: each voter's integer ``greedy_spend`` on the instance's
 scaled costs and utilities, read from ``optimal_spends`` at B, with one
 fraction per bound. ``verify`` reads the rows through the ``check_*``
-functions, which scale p once to integers on its own denominator q and
+functions, which read p's cached integers of 1/q (``scaled_shares``) and
 evaluate every row with integer products and compares; only the reported
 witnesses become fractions again. ``oracle --builtin`` reads the same
 rows through ``ifs_rows`` and ``gfs_rows``, which divide them by d for
@@ -113,10 +113,6 @@ def optimal_fractional_utility(
 # The rows of each axiom
 
 
-def _lcm_of_denominators(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
 def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
     """One row per voter, or per unanimous cell S: the utility of S's
     common vector is at least |S|/n * opt_i(B), or with ``strong`` at least
@@ -216,47 +212,38 @@ def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
     ))
 
 
-def _scaled(p: FractionalOutcome) -> tuple[int, list[int]]:
-    """p on its common denominator q: q and every q·p_j as an integer."""
-    q = _lcm_of_denominators(p.shares)
-    return q, [int(x * q) for x in p.shares]
-
-
-def _witness(voters, lhs: int, bound: int, d: int, q: int) -> Witness:
-    """A row's witness from its integers: lhs on d·q, bound on d."""
-    return Witness(voters, Fraction(lhs, d * q), Fraction(bound, d))
-
-
-def _report(axiom: str, rows: Rows, p: FractionalOutcome) -> ExAnteReport:
+def _report(
+    axiom: str, instance: PBInstance, rows: Rows, p: FractionalOutcome
+) -> ExAnteReport:
     """Every violated row is a witness.
 
-    p is scaled once to integers on its common denominator q, so each row
-    costs m integer products: lhs·d·q against bound·q. Only the reported
-    rows are turned back into fractions."""
-    q, scaled = _scaled(p)
+    p is read on its own denominator q (``FractionalOutcome.scaled_shares``),
+    so each row costs m integer products: lhs·d·q against bound·q. Only
+    the reported rows are turned back into fractions."""
+    q, scaled = p.scaled_for(instance)
     d = rows.denominator
     witnesses = []
     for voters, coefficients, bound in rows:
         lhs = sum(map(mul, coefficients, scaled))
         if lhs < bound * q:
-            witnesses.append(_witness(voters, lhs, bound, d, q))
+            witnesses.append(Witness(voters, Fraction(lhs, d * q), Fraction(bound, d)))
     return ExAnteReport(axiom, not witnesses, tuple(witnesses))
 
 
 def check_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    return _report("ifs", _share_rows(instance, False, False), p)
+    return _report("ifs", instance, _share_rows(instance, False, False), p)
 
 
 def check_strong_ifs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    return _report("strong-ifs", _share_rows(instance, False, True), p)
+    return _report("strong-ifs", instance, _share_rows(instance, False, True), p)
 
 
 def check_ufs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    return _report("ufs", _share_rows(instance, True, False), p)
+    return _report("ufs", instance, _share_rows(instance, True, False), p)
 
 
 def check_strong_ufs(instance: PBInstance, p: FractionalOutcome) -> ExAnteReport:
-    return _report("strong-ufs", _share_rows(instance, True, True), p)
+    return _report("strong-ufs", instance, _share_rows(instance, True, True), p)
 
 
 def check_gfs(
@@ -270,21 +257,19 @@ def check_gfs(
     doubling over the voters. Then, per byte of the masks, every group's
     union of that byte is built by doubling over the voters, and the group
     adds its union's entry in a table of the byte's sums of step·q·p_j."""
+    q, scaled = p.scaled_for(instance)
     d, share = _group_shares(instance, limit)
     bits, masks = _voter_bits(instance, d)
-    n = instance.n
-    q, scaled = _scaled(p)
     slack = _doubled([-x * q for x in share], add, 0)
     weights = [step * scaled[j] for j, step in bits]
     for low in range(0, len(weights), 8):
         unions = _doubled([mask >> low & 255 for mask in masks], or_, 0)
         table = _doubled(weights[low:low + 8], add, 0)
         slack = list(map(add, slack, map(table.__getitem__, unions)))
-    groups = range(1, 1 << n)
+    groups = range(1, 1 << instance.n)
 
     def order(g: int) -> tuple[int, tuple[int, ...]]:
-        voters = members(g)
-        return len(voters), voters
+        return g.bit_count(), members(g)
 
     least = min(islice(slack, 1, None), default=0)
     if least < 0:
@@ -298,7 +283,8 @@ def check_gfs(
     for g in reported:
         voters = members(g)
         bound = sum(share[i] for i in voters)
-        witnesses.append(_witness(voters, slack[g] + bound * q, bound, d, q))
+        lhs = Fraction(slack[g] + bound * q, d * q)
+        witnesses.append(Witness(voters, lhs, Fraction(bound, d)))
     return ExAnteReport("gfs", least >= 0, tuple(witnesses))
 
 

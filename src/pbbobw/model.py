@@ -10,13 +10,15 @@ still exponential in the number of projects. Utilities are scaled the same
 way, by ``PBInstance.utility_scale``: the setting tags, the unanimous
 cells, the greedy orders, MES and the fair-share bounds read
 ``scaled_utilities``. A voter's optimal fractional outcome is the integer
-triple of ``PBInstance.greedy_spend``, cached at B as ``optimal_spends``.
+triple of ``PBInstance.greedy_spend``, cached at B as ``optimal_spends``;
+p's integers of 1/q are cached once as ``FractionalOutcome.scaled_shares``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -378,10 +380,22 @@ class FractionalOutcome:
                 raise ValidationError(f"fractional share out of [0,1]: {v}")
         object.__setattr__(self, "shares", values)
 
+    @cached_property
+    def scaled_shares(self) -> tuple[int, tuple[int, ...]]:
+        """p on its least common denominator q: ``(q, numerators)``."""
+        q = math.lcm(*(s.denominator for s in self.shares))
+        return q, tuple([s.numerator * (q // s.denominator) for s in self.shares])
+
+    def scaled_for(self, instance: PBInstance) -> tuple[int, tuple[int, ...]]:
+        """``scaled_shares``, once p has one share per project."""
+        if len(self.shares) != instance.m:
+            raise ValidationError("fractional outcome has wrong length")
+        return self.scaled_shares
+
     def cost(self, instance: PBInstance) -> Fraction:
-        return sum(
-            (p * c for p, c in zip(self.shares, instance.cost)), Fraction(0)
-        )
+        q, shares = self.scaled_for(instance)
+        total = sum(map(operator.mul, instance.scaled_costs, shares))
+        return Fraction(total, q * instance.cost_scale)
 
     def is_feasible(self, instance: PBInstance) -> bool:
         """Feasibility is exact equality: the fractional spend equals B."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import eq, ge, le, mul
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .expost import (
@@ -51,6 +52,7 @@ from .model import (
     rational_str,
 )
 from .rounding import is_bb1, is_bfx
+from .rules import InvariantViolation
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,10 @@ INTEGRAL_AXIOMS: dict[str, Check] = {
 # satisfies one of these axioms still does with any project added. Each
 # fails with a ``CohesivenessWitness`` (T, S): T the projects, S the group.
 UPWARD_CLOSED = frozenset({"jr", "jr-general", "ejr", "fjr", "ejrx"})
+
+
+# A side row's relation, as its test of value against bound.
+_RELATIONS = {"<=": le, "=": eq, ">=": ge}
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +325,8 @@ def lottery_feasible(
     ]
     if fractional is not None:
         for con in extra:
-            value = sum(
-                c * s for c, s in zip(con.coefficients, fractional.shares)
-            )
-            ok = {
-                "<=": value <= con.bound,
-                "=": value == con.bound,
-                ">=": value >= con.bound,
-            }[con.relation]
-            if not ok:
+            value = sum(map(mul, con.coefficients, fractional.shares))
+            if not _RELATIONS[con.relation](value, con.bound):
                 return FeasibilityVerdict(
                     False, None, fractional,
                     "fractional outcome violates a side constraint",
@@ -364,12 +363,12 @@ def lottery_feasible(
         (lam, w) for w, lam in zip(outcomes, weights) if lam > 0
     )
     lottery = Lottery(entries)
-    for _, w in lottery.support:
-        assert pred.evaluate(instance, w, limit)
+    if not all(pred.evaluate(instance, w, limit) for _, w in lottery.support):
+        raise InvariantViolation("certified lottery has an outcome outside the class")
     shares = marginals(m, lottery.support)
-    if fractional is None:
-        fractional = FractionalOutcome(shares)
-    assert shares == fractional.shares
+    fractional = fractional or FractionalOutcome(shares)
+    if shares != fractional.shares:
+        raise InvariantViolation("certified lottery misses the marginals")
     return FeasibilityVerdict(True, lottery, fractional, "certificate found")
 
 
@@ -421,7 +420,8 @@ def gen_bfx_family(
     )
     share = (budget - eps) / (budget + 2 * eps)
     fractional = FractionalOutcome((Fraction(1), share, share))
-    assert fractional.cost(instance) == budget
+    if not fractional.is_feasible(instance):
+        raise InvariantViolation("family outcome does not cost the budget")
     return instance, fractional
 
 

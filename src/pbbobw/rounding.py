@@ -1,15 +1,16 @@
 """Dependent rounding of feasible fractional outcomes into BB1 outcomes.
 
 The randomized rounding is carried out in one integer "spend space"
-(`_spend_space`): after a one-time rescaling, each project c has an integer
-cost C_c and an integer spend w_c in [0, C_c] with q_c = w_c / C_c. A
-priced project's C_c is its rescaled cost; a zero-cost project's is its
-share's denominator. `_step` is the one transition: it moves an integer
-amount of spend between the first two fractional projects, or rounds the
-last fractional one `_alone`, so every intermediate state is exact. Each
-branch decision takes the next draw of a splitmix64 stream and compares it
-against the exact rational branch probability by integer
-cross-multiplication (per-decision bias at most 2**-64).
+(`_spend_space`): on p's integers of 1/q (`scaled_shares`), each project
+c has an integer cost C_c and an integer spend w_c in [0, C_c] with
+q_c = w_c / C_c. A priced project's C_c is its scaled cost times q, over
+a common gcd; a zero-cost project's is its share's denominator. `_step`
+is the one transition: it moves an integer amount of spend between the
+first two fractional projects, or rounds the last fractional one
+`_alone`, so every intermediate state is exact. Each branch decision
+takes the next draw of a splitmix64 stream and compares it against the
+exact rational branch probability by integer cross-multiplication
+(per-decision bias at most 2**-64).
 
 Zero-cost projects never affect the spend conservation, so each fractional
 zero-cost project is rounded `_alone` first, in index order, one draw
@@ -29,8 +30,9 @@ step per draw; the states a draw reaches are made before the next draw is
 taken. While a row of draws holds few states for a block's seeds, the
 seeds on each state are split at once: the top bytes of their draws,
 compared against the threshold's by one `bytes.translate`, decide all but
-about one seed in 256, whose whole draw is compared. Callers that need only the outcome (the BW rules, `round_with_hard_cap`)
-draw through the sampler; `RoundingSampler.probabilities()` gives the
+about one seed in 256, whose whole draw is compared. Callers that need
+only the outcome (the BW rules, `round_with_hard_cap`) draw through the
+sampler; `RoundingSampler.probabilities()` gives the
 exact distribution in one forward pass over the same tables.
 
 The sampler and `derive_seeds` draw for a block of up to `_BLOCK` seeds at
@@ -54,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -285,30 +287,27 @@ def _spend_space(
 ) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
     """The integer spend space of `p`: ``(costs, spends, zero)``.
 
-    One LCM rescaling makes every priced cost and spend an integer. A
-    zero-cost project's cost here is its share's denominator and its spend
-    the numerator, so project j is funded with probability
-    spends[j] / costs[j] for every j. `zero` lists the fractional zero-cost
-    projects in index order.
+    On p's ``scaled_shares`` (q, a) and the instance's ``scaled_costs`` C,
+    a priced project's cost and spend are C_j·q and C_j·a_j, divided by
+    the gcd of all of them. A zero-cost project's cost here is its share's
+    denominator and its spend the numerator, so project j is funded with
+    probability spends[j] / costs[j] for every j. `zero` lists the
+    fractional zero-cost projects in index order.
     """
-    if len(p.shares) != instance.m:
-        raise ValueError("fractional outcome has wrong length")
-    spent = p.cost(instance)
-    if spent != target:
+    q, shares = p.scaled_for(instance)
+    scaled = [c * a for c, a in zip(instance.scaled_costs, shares)]
+    spent, unit = sum(scaled), q * instance.cost_scale
+    if spent * target.denominator != target.numerator * unit:
         raise ValueError(
-            f"fractional outcome spends {spent}, expected {target}"
+            f"fractional outcome spends {Fraction(spent, unit)}, expected {target}"
         )
-    denoms = [c.denominator for c in instance.cost]
-    denoms += [(s * c).denominator for s, c in zip(p.shares, instance.cost)]
-    scale = lcm(*denoms)
+    g = gcd(*(c * q for c in instance.scaled_costs), *scaled) or 1
     costs, spends = [], []
-    for s, c in zip(p.shares, instance.cost):
-        costs.append(int(c * scale) if c else s.denominator)
-        spends.append(int(s * c * scale) if c else s.numerator)
+    for c, x, s in zip(instance.scaled_costs, scaled, p.shares):
+        costs.append(c * q // g if c else s.denominator)
+        spends.append(x // g if c else s.numerator)
     zero = tuple(
-        j
-        for j, c in enumerate(instance.cost)
-        if c == 0 and 0 < spends[j] < costs[j]
+        j for j, c in enumerate(instance.cost) if not c and 0 < spends[j] < costs[j]
     )
     return costs, tuple(spends), zero
 

@@ -14,7 +14,13 @@ from pbbobw import (
     Lottery,
     PBInstance,
     Setting,
+    RoundingSampler,
     ValidationError,
+    check_gfs,
+    check_ifs,
+    check_strong_ifs,
+    check_strong_ufs,
+    check_ufs,
     fractional_random_dictator,
     gen_bfx_family,
     gen_gfs_jr_family,
@@ -31,7 +37,12 @@ from pbbobw import (
 
 from pbbobw.model import has_cost_utilities
 
-from conftest import random_instance, two_voter_example, with_zero_cost_projects
+from conftest import (
+    random_feasible_p,
+    random_instance,
+    two_voter_example,
+    with_zero_cost_projects,
+)
 
 
 def test_parse_rational_roundtrip():
@@ -260,6 +271,63 @@ def test_fractional_outcome_feasibility():
     good = FractionalOutcome([1, 1, 0])
     assert good.is_feasible(inst)
     assert not FractionalOutcome(["1/2", "1/2", "1/2"]).is_feasible(inst)
+
+
+def _random_shares(rng: random.Random, m: int) -> list[Fraction]:
+    """m shares among 0, 1 and fractions whose denominators reach past
+    64 bits."""
+    den = rng.choice([2, 12, 2**61 - 1, 10**30 + 7])
+    return [
+        rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(0, den), den)])
+        for _ in range(m)
+    ]
+
+
+def test_scaled_shares_are_p_on_its_least_common_denominator():
+    """(q, a) holds share j as a_j/q, and no smaller q does: a common
+    denominator q is the least one exactly when gcd(q, a_1, ..., a_m) is
+    1. cost and is_feasible, summed on these integers, agree with the
+    sum of share·cost in fractions."""
+    rng = random.Random(2404)
+    feasible = 0
+    for case in range(300):
+        inst = random_instance(rng)
+        if case % 3 == 1:
+            inst = with_zero_cost_projects(rng, inst)
+        if case % 4 == 0:
+            p = random_feasible_p(rng, inst)
+        else:
+            p = FractionalOutcome(_random_shares(rng, inst.m))
+        q, numerators = p.scaled_shares
+        assert [Fraction(a, q) for a in numerators] == list(p.shares)
+        assert math.gcd(q, *numerators) == 1
+        spent = sum((s * c for s, c in zip(p.shares, inst.cost)), Fraction(0))
+        assert p.cost(inst) == spent
+        assert p.is_feasible(inst) == (spent == inst.budget)
+        feasible += p.is_feasible(inst)
+    assert feasible >= 75
+
+
+def test_fractional_outcome_of_the_wrong_length_is_rejected():
+    """Four shares on the seven projects of binary.json fund a, b and c
+    at cost 3 = B; read against the instance they are a ValidationError,
+    as are eight, in every reader of p's integers."""
+    inst = parse_instance((DATA / "reports" / "binary.json").read_text())
+    readers = [
+        lambda p: p.cost(inst),
+        lambda p: p.is_feasible(inst),
+        lambda p: RoundingSampler(inst, p),
+        *(
+            lambda p, check=check: check(inst, p)
+            for check in (check_ifs, check_strong_ifs, check_ufs,
+                          check_strong_ufs, check_gfs)
+        ),
+    ]
+    for shares in ([1, 1, 1, 0], [1, 1, 1, 0, 0, 0, 0, 0]):
+        p = FractionalOutcome(shares)
+        for read in readers:
+            with pytest.raises(ValidationError, match="has wrong length"):
+                read(p)
 
 
 def test_lottery_validation():

@@ -39,6 +39,7 @@ from pbbobw import (
 )
 
 from pbbobw import oracle
+from pbbobw.cli import main
 from pbbobw.oracle import INTEGRAL_AXIOMS, OUTCOME_CLASSES, UPWARD_CLOSED
 
 from conftest import (
@@ -625,3 +626,34 @@ def test_ifs_jr_family_shape():
     assert inst.m == 9
     assert inst.budget == 2
     assert all(c == 1 for c in inst.cost)
+
+
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+
+@pytest.mark.parametrize("wrong", ["marginals", "class"])
+def test_a_wrong_certificate_is_an_invariant_violation(monkeypatch, capsys, wrong):
+    """A solver vertex whose lottery misses p, or funds an outcome outside
+    the predicate's class, is reported as a broken invariant (exit 2), not
+    as an infeasible query (exit 1). The checks raise rather than assert,
+    so ``python -O`` keeps them."""
+    if wrong == "class":
+        # The full project set costs 7 > B = 3 plus any one project.
+        enumerate_all = oracle.enumerate_outcomes
+        monkeypatch.setattr(
+            oracle, "enumerate_outcomes",
+            lambda *args: [IntegralOutcome(range(7)), *enumerate_all(*args)],
+        )
+    monkeypatch.setattr(
+        oracle, "solve_feasibility",
+        lambda rows, count: [Fraction(1)] + [Fraction(0)] * (count - 1),
+    )
+    code = main([
+        "oracle", "--instance", str(REPORTS / "binary.json"), "--mode",
+        "implementable", "--predicate", "bb1", "--fractional",
+        str(REPORTS / "binary-p.json"),
+    ])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    expected = {"marginals": "misses the marginals", "class": "outside the class"}
+    assert err.startswith("error: certified lottery") and expected[wrong] in err

@@ -1,6 +1,8 @@
+import functools
 import gc
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +28,11 @@ from pbbobw import (
     splitmix64,
 )
 
+from pbbobw.cli import main
+
 from conftest import random_feasible_p, random_instance, two_voter_example
+
+BINARY = Path(__file__).resolve().parent / "data" / "reports" / "binary.json"
 
 
 def test_splitmix64_reference_vector():
@@ -375,6 +381,85 @@ def test_sample_counts_match_dependent_round():
         assert sampler.sample_counts(seeds) == Counter(
             round_with_hard_cap(inst, capped, s) for s in seeds
         )
+
+
+def _lcm_spend_space(instance, p, target):
+    """The spend space on one LCM rescaling over the cost denominators
+    and the m products share·cost, each built in fractions: the
+    reference for `_spend_space`."""
+    spent = sum((s * c for s, c in zip(p.shares, instance.cost)), Fraction(0))
+    if spent != target:
+        raise ValueError(f"fractional outcome spends {spent}, expected {target}")
+    denoms = [c.denominator for c in instance.cost]
+    denoms += [(s * c).denominator for s, c in zip(p.shares, instance.cost)]
+    scale = math.lcm(*denoms)
+    costs, spends = [], []
+    for s, c in zip(p.shares, instance.cost):
+        costs.append(int(c * scale) if c else s.denominator)
+        spends.append(int(s * c * scale) if c else s.numerator)
+    zero = tuple(
+        j for j, c in enumerate(instance.cost)
+        if c == 0 and 0 < spends[j] < costs[j]
+    )
+    return costs, tuple(spends), zero
+
+
+def test_spend_space_is_the_lcm_spend_space_up_to_one_factor():
+    """On p's integers the priced costs and spends are the LCM ones times
+    one common factor, so every spend/cost ratio, and with it every
+    threshold, is the same; the zero-cost entries and `zero` are equal,
+    at B and at B - max cost, and a wrong cost raises the same message."""
+    rng = random.Random(2405)
+    for case in range(120):
+        inst = random_instance(rng)
+        p = random_feasible_p(rng, inst)
+        if case % 3:
+            inst, p = with_zero_cost_projects(rng, inst, p)
+        reduced = inst.budget - max(inst.cost)
+        capped = FractionalOutcome(
+            [s if c == 0 else s * reduced / inst.budget
+             for s, c in zip(p.shares, inst.cost)]
+        )
+        priced = [j for j, c in enumerate(inst.cost) if c]
+        for outcome, target in ((p, inst.budget), (capped, reduced)):
+            costs, spends, zero = rounding._spend_space(inst, outcome, target)
+            ref_costs, ref_spends, ref_zero = _lcm_spend_space(inst, outcome, target)
+            assert zero == ref_zero
+            for j in range(inst.m):
+                assert Fraction(spends[j], costs[j]) == outcome.shares[j]
+                if not inst.cost[j]:
+                    assert (costs[j], spends[j]) == (ref_costs[j], ref_spends[j])
+            factor = Fraction(costs[priced[0]], ref_costs[priced[0]])
+            for j in priced:
+                assert costs[j] == ref_costs[j] * factor
+                assert spends[j] == ref_spends[j] * factor
+            wrong = target + Fraction(1, 7)
+            with pytest.raises(ValueError) as got:
+                rounding._spend_space(inst, outcome, wrong)
+            with pytest.raises(ValueError) as expected:
+                _lcm_spend_space(inst, outcome, wrong)
+            assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("rule", ["frd", "bw-mes"])
+def test_p_is_scaled_once_per_run(monkeypatch, tmp_path, rule):
+    """`run --rule frd` reads its p's integers for the feasibility flag,
+    IFS, GFS and the sampler, and `run --rule bw-mes` for the sampler and
+    Strong UFS: `scaled_shares` is computed once for the one p."""
+    calls = []
+    scale = FractionalOutcome.__dict__["scaled_shares"].func
+
+    def counting(p):
+        calls.append(p.shares)
+        return scale(p)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(FractionalOutcome, "scaled_shares")
+    monkeypatch.setattr(FractionalOutcome, "scaled_shares", counted)
+    argv = ["run", "--instance", str(BINARY), "--rule", rule, "--seed", "3",
+            "--samples", "64", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def _count_steps(monkeypatch) -> list:
