@@ -470,11 +470,14 @@ def utility(
     voter: int,
     target: Union[IntegralOutcome, FractionalOutcome],
 ) -> Fraction:
-    """Additive utility of a voter for an integral or fractional outcome."""
-    row = instance.utilities[voter]
+    """Additive utility of a voter for an integral or fractional outcome,
+    summed on the integer ``scaled_utilities`` (and p's ``scaled_for``,
+    which checks its length) into one `Fraction`."""
+    row, scale = instance.scaled_utilities[voter], instance.utility_scale
     if isinstance(target, IntegralOutcome):
-        return sum((row[j] for j in target.projects), Fraction(0))
-    return sum((p * u for p, u in zip(target.shares, row)), Fraction(0))
+        return Fraction(sum(row[j] for j in target.projects), scale)
+    q, shares = target.scaled_for(instance)
+    return Fraction(sum(map(operator.mul, row, shares)), q * scale)
 
 
 def marginals(m: int, weighted: Iterable[tuple[Any, IntegralOutcome]]) -> tuple:

@@ -4,36 +4,40 @@ The randomized rounding is carried out in one integer "spend space"
 (`_spend_space`): on p's integers of 1/q (`scaled_shares`), each project
 c has an integer cost C_c and an integer spend w_c in [0, C_c] with
 q_c = w_c / C_c. A priced project's C_c is its scaled cost times q, over
-a common gcd; a zero-cost project's is its share's denominator. `_step`
-is the one transition: it moves an integer amount of spend between the
-first two fractional projects, or rounds the last fractional one
-`_alone`, so every intermediate state is exact. Each branch decision
-takes the next draw of a splitmix64 stream and compares it against the
-exact rational branch probability by integer cross-multiplication
-(per-decision bias at most 2**-64).
+a common gcd; a zero-cost project's is its share's denominator. Each
+branch decision takes the next draw of a splitmix64 stream and compares
+it against the exact rational branch probability by integer
+cross-multiplication (per-decision bias at most 2**-64).
 
-Zero-cost projects never affect the spend conservation, so each fractional
-zero-cost project is rounded `_alone` first, in index order, one draw
-each; `_step` takes the draws that follow. A leaf is the set of fully
-spent projects.
+`_step` is the one transition. The fractional projects are rounded in one
+`order` (`_order`): the zero-cost ones first, each alone with one draw,
+as they never affect the spend conservation; then the priced ones, each
+in index order, where the first two fractional projects trade an integer
+amount of spend until one of them is integral, so every intermediate
+state is exact, and a last fractional one is rounded alone. At most one
+touched project is still fractional, the carry, and every project of
+``order[k:]`` still has its root spend, so a node ``(carry, spend, k)``
+and the mask `full` of the fully spent projects stand for the whole spend
+tuple, and `_step` runs in O(1). A leaf is the set `full`.
 
 `dependent_round` follows one seed's path and records it. `RoundingSampler`
-replays the same draws over a DAG of spend states: a branch depends only
-on the state, so it holds at most one state per distinct spend tuple,
-stepped the first time a sample reaches it, and it grows with the states
-visited, not with 2^m. The DAG is flat int tables indexed by state id:
-each state's integer threshold ceil(num * 2**64 / den) and its two
-children's ids, and a draw u < threshold exactly when u * den < num *
-2**64, so the sampler returns the same outcome seed for seed. A leaf has
-threshold 0 and is its own two children, so a seed's walk is one table
-step per draw; the states a draw reaches are made before the next draw is
-taken. While a row of draws holds few states for a block's seeds, the
-seeds on each state are split at once: the top bytes of their draws,
-compared against the threshold's by one `bytes.translate`, decide all but
-about one seed in 256, whose whole draw is compared. Callers that need
-only the outcome (the BW rules, `round_with_hard_cap`) draw through the
-sampler; `RoundingSampler.probabilities()` gives the
-exact distribution in one forward pass over the same tables.
+replays the same draws over a DAG of states ``(carry, spend, k, full)``:
+a branch depends only on the state, so it holds at most one state per
+distinct spend tuple, stepped the first time a sample reaches it, and it
+grows with the states visited, not with 2^m. The DAG is flat int tables
+indexed by state id: each state's integer threshold ceil(num * 2**64 /
+den) and its two children's ids, and a draw u < threshold exactly when
+u * den < num * 2**64, so the sampler returns the same outcome seed for
+seed. A leaf has threshold 0 and is its own two children, so a seed's
+walk is one table step per draw; the states a draw reaches are made
+before the next draw is taken. While a row of draws holds few states for
+a block's seeds, the seeds on each state are split at once: the top bytes
+of their draws, compared against the threshold's by one
+`bytes.translate`, decide all but about one seed in 256, whose whole draw
+is compared. Callers that need only the outcome (the BW rules,
+`round_with_hard_cap`) draw through the sampler;
+`RoundingSampler.probabilities()` gives the exact distribution in one
+forward pass over the same tables.
 
 The sampler and `derive_seeds` draw for a block of up to `_BLOCK` seeds at
 once (`_draw_rows`): the block's 64-bit states are packed into one Python
@@ -57,12 +61,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import (
     FractionalOutcome,
     IntegralOutcome,
     PBInstance,
+    members,
     rational_str,
 )
 
@@ -126,9 +131,10 @@ _LANE_MASK = _LANE_ONE * _MASK64
 # Lane k of a full block holds index k; adding j * _LANE_ONE gives j + k.
 _LANE_INDEX = _pack(range(_BLOCK))
 
-# A block's seeds are split per key (`_split`) while a row holds at most
-# one key per this many seeds of the block; past that each seed is stepped.
-# A split at most doubles the keys, so fewer than 256 reach `_walk_seeds`.
+# A block's seeds are split per state (`_split`) while a row holds at most
+# one state per this many seeds of the block; past that each seed is
+# stepped. A split at most doubles the states, so fewer than 256 reach
+# `_walk_seeds`.
 _SEEDS_PER_GROUP = 40
 assert 2 * _BLOCK // _SEEDS_PER_GROUP < 256
 
@@ -190,21 +196,26 @@ def _below(raw: bytes, tops: bytes, seeds: int, t: int) -> int:
 
 
 def _split(
-    groups: dict[int, int], row: int, n: int, step: Callable
+    groups: dict[int, int],
+    row: int,
+    n: int,
+    thr: Sequence[int],
+    up: Sequence[int],
+    down: Sequence[int],
 ) -> dict[int, int]:
-    """One row of draws taken by the `n` seeds of a block, per key.
+    """One row of draws taken by the `n` seeds of a block, per state.
 
-    `groups` maps each key to its seeds, one byte per seed (`_below`);
-    ``step(key)`` gives the key's ``(threshold, up, down)``. Returns the
-    seeds of each key the row reaches.
+    `groups` maps each state id to its seeds, one byte per seed
+    (`_below`); `thr`, `up` and `down` are the sampler's tables. Returns
+    the seeds on each state the row reaches.
     """
     raw = row.to_bytes(16 * n, "little")
     tops = raw[7::16]
     split: dict[int, int] = {}
-    for key, seeds in groups.items():
-        t, up, down = step(key)
+    for i, seeds in groups.items():
+        t = thr[i]
         below = _below(raw, tops, seeds, t) if t else 0
-        for child, part in ((up, below), (down, seeds ^ below)):
+        for child, part in ((up[i], below), (down[i], seeds ^ below)):
             if part:
                 split[child] = split.get(child, 0) | part
     return split
@@ -312,46 +323,67 @@ def _spend_space(
     return costs, tuple(spends), zero
 
 
-def _alone(costs: Sequence[int], spends: tuple[int, ...], ell: int):
-    """Round project `ell` alone: `_step`'s ``(indices, num, den, up, down)``
-    moving its spend to its full cost with probability
-    spends[ell] / costs[ell] and to zero otherwise."""
-    up, down = list(spends), list(spends)
-    up[ell], down[ell] = costs[ell], 0
-    return (ell,), spends[ell], costs[ell], tuple(up), tuple(down)
+def _order(
+    costs: Sequence[int], root: Sequence[int], zero: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """``(order, full)`` at the root: `order` holds the fractional
+    zero-cost projects `zero`, then the fractional priced projects, each
+    in index order, and `full` is the mask of the fully spent projects."""
+    order = zero + tuple(
+        j for j, (s, c) in enumerate(zip(root, costs))
+        if 0 < s < c and j not in zero
+    )
+    full = sum(1 << j for j, (s, c) in enumerate(zip(root, costs)) if s == c)
+    return order, full
 
 
-def _step(costs: Sequence[int], spends: tuple[int, ...]):
-    """The one rounding transition from an integer spend state.
+def _step(
+    costs: Sequence[int],
+    root: Sequence[int],
+    order: tuple[int, ...],
+    zero: tuple[int, ...],
+    node: tuple[int, int, int],
+):
+    """The one rounding transition, from node ``(carry, spend, k)``.
 
-    None once every spend is 0 or its full cost. Otherwise
-    ``(indices, num, den, up, down)``: the state moves to the spend tuple
-    `up` with probability num/den and to `down` otherwise. The first two
-    fractional projects trade spend until one of them is integral, each
-    keeping its expected spend; a last fractional project is rounded
-    `_alone`.
+    `carry` is the one touched project still fractional (-1 if none) and
+    `spend` its spend; every project of ``order[k:]`` still has its root
+    spend. None at a leaf. Otherwise ``(indices, num, den, up, down)``:
+    the node moves to `up` with probability num/den and to `down`
+    otherwise, each a ``(node, mask)`` whose mask holds the projects that
+    branch fills. A zero-cost project, or a last fractional one, is
+    rounded alone. Otherwise the first two fractional projects, the carry
+    (or ``order[k]``) and the next of `order`, trade spend until one of
+    them is integral, each keeping its expected spend; the one left
+    fractional is the new carry, whose spend is never its root spend.
     """
-    frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
-    if not frac:
-        return None
-    up, down = list(spends), list(spends)
-    if len(frac) >= 2:
-        i, j = frac[0], frac[1]
-        delta_up = min(costs[i] - spends[i], spends[j])
-        delta_down = min(spends[i], costs[j] - spends[j])
-        up[i] += delta_up
-        up[j] -= delta_up
-        down[i] -= delta_down
-        down[j] += delta_down
-        # P[up] = delta_down / (delta_up + delta_down)
-        den = delta_up + delta_down
-        return (i, j), delta_down, den, tuple(up), tuple(down)
-    return _alone(costs, spends, frac[0])
-
-
-def _leaf(costs: Sequence[int], spends: Sequence[int]) -> IntegralOutcome:
-    """The outcome of an integral spend state: every fully spent project."""
-    return IntegralOutcome(j for j, c in enumerate(costs) if spends[j] == c)
+    carry, spend, k = node
+    if carry < 0:
+        if k == len(order):
+            return None
+        carry, k = order[k], k + 1
+        spend = root[carry]
+    if k <= len(zero) or k == len(order):
+        rest = (-1, 0, k)
+        return (carry,), spend, costs[carry], (rest, 1 << carry), (rest, 0)
+    j = order[k]
+    k += 1
+    sj = root[j]
+    gap, room = costs[carry] - spend, costs[j] - sj
+    # Up, the carry takes min(gap, sj) from j; down, it gives j
+    # min(spend, room). P[up] = min(spend, room) / (the sum of both).
+    if sj < gap:
+        up = (carry, spend + sj, k), 0
+    else:
+        up = ((j, sj - gap, k) if sj > gap else (-1, 0, k)), 1 << carry
+    if room < spend:
+        down = (carry, spend - room, k), 1 << j
+    elif room > spend:
+        down = (j, sj + spend, k), 0
+    else:
+        down = (-1, 0, k), 1 << j
+    num = min(spend, room)
+    return (carry, j), num, min(gap, sj) + num, up, down
 
 
 def dependent_round(
@@ -362,31 +394,34 @@ def dependent_round(
     Deterministic function of (instance, p, seed). The returned trace
     records every round with exact thresholds and state snapshots.
     """
-    costs, spends, zero = _spend_space(instance, p, instance.budget)
+    costs, root, zero = _spend_space(instance, p, instance.budget)
+    order, full = _order(costs, root, zero)
+    q = [Fraction(s, c) for s, c in zip(root, costs)]
+    node = (-1, 0, 0)
     draws = _draws(seed)
     rounds: list[RoundingRound] = []
-    while True:
-        t = len(rounds)
-        if t < len(zero):
-            step = _alone(costs, spends, zero[t])
-        elif (step := _step(costs, spends)) is None:
-            break
+    while (step := _step(costs, root, order, zero, node)) is not None:
         indices, num, den, up, down = step
         go_up = next(draws) * den < num * _TWO64
-        spends = up if go_up else down
+        node, mask = up if go_up else down
+        full |= mask
+        carry, spend, _ = node
+        for j in indices:
+            s = spend if j == carry else costs[j] if full >> j & 1 else 0
+            q[j] = Fraction(s, costs[j])
         # The first project moves up by den - num or down by num.
         i = indices[0]
         rounds.append(
             RoundingRound(
-                t=t,
+                t=len(rounds),
                 indices=indices,
                 alpha=Fraction(den - num, costs[i]),
                 beta=Fraction(num, costs[i]),
                 branch="up" if go_up else "down",
-                q=tuple(Fraction(s, c) for s, c in zip(spends, costs)),
+                q=tuple(q),
             )
         )
-    outcome = _leaf(costs, spends)
+    outcome = IntegralOutcome(members(full))
     return outcome, RoundingTrace(rounds=tuple(rounds), outcome=outcome, seed=seed)
 
 
@@ -425,24 +460,29 @@ def is_bfx(instance: PBInstance, outcome: IntegralOutcome) -> bool:
 class RoundingSampler:
     """Bulk sampler replaying `dependent_round`'s draws over a lazy DAG.
 
-    A sample first draws each fractional zero-cost project's `_alone`
-    round, in index order, one draw each, as `dependent_round` does. It
-    then walks one DAG over spend states, shared by every pattern of those
-    draws: it starts from state 0, the state with each of them at spend 0,
-    and the drawn ones are added to the leaf. For an integer draw u, the
-    threshold ``t = ceil(num * 2**64 / den)`` of a `_step`
-    ``(indices, num, den, up, down)`` or of a zero-cost round gives
-    ``u < t`` exactly when ``u * den < num * 2**64``, so each seed meets
-    the same draws and the same exact comparisons as in `dependent_round`.
+    A state is four ints ``(carry, spend, k, full)``: `_step`'s node and
+    the mask of the fully spent projects. The rounds come in
+    `dependent_round`'s order, the fractional zero-cost projects first,
+    and state 0 is the root ``(-1, 0, 0, full)``. For an integer draw u,
+    the threshold ``t = ceil(num * 2**64 / den)`` of a `_step`
+    ``(indices, num, den, up, down)`` gives ``u < t`` exactly when
+    ``u * den < num * 2**64``, so each seed meets the same draws and the
+    same exact comparisons as in `dependent_round`. A leaf's outcome is
+    its `full` mask.
 
     The DAG is parallel tables indexed by state id: `_thr`, `_up` and
     `_down` hold the threshold and the children's ids, and `_steps` the
     state's branch probability ``(num, den)``, its leaf outcome, or None
     while it is unmade.
-    Ids are memoised by spend tuple, so every path into a state shares
-    it. A state gets its id when its parent is made, and `_step` runs on
-    it once, the first time a sample or `probabilities()` reaches it. A
-    leaf has threshold 0 and is its own two children.
+    Ids are memoised by state in `_ids`, so every path into a state
+    shares it; on reachable states the four ints are a bijection with the
+    spend tuples (the carry is the lowest fractional project, and one
+    that has just become the carry never has its root spend). A state
+    gets its id when its parent is made, up child first, and `_step`
+    runs on it once, the first time a sample or `probabilities()`
+    reaches it. A leaf has threshold 0 and is its own two children.
+    Priced states are not shared across the zero-cost draws: with z
+    fractional zero-cost projects they split into up to 2^z copies.
 
     Seeds are drawn a block at a time: every `_step` makes a fractional
     project integral, so no walk takes more draws than the root has
@@ -466,37 +506,29 @@ class RoundingSampler:
         p: FractionalOutcome,
         target: Optional[Fraction] = None,
     ) -> None:
-        costs, spends, zero = _spend_space(
+        costs, root, zero = _spend_space(
             instance, p, instance.budget if target is None else target
         )
-        self._costs = costs
-        # (j, threshold, exact share) of each zero-cost `_alone` round; the
-        # DAG starts from the state where all of them went down.
-        self._zero = []
-        for j in zero:
-            _, num, den, _, spends = _alone(costs, spends, j)
-            self._zero.append((j, _threshold(num, den), Fraction(num, den)))
-        # Draws per seed: the zero-cost rounds, then at most one per
-        # fractional project of the root, since each `_step` makes one
-        # integral.
-        self._depth = len(zero) + sum(
-            1 for s, c in zip(spends, costs) if 0 < s < c
-        )
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._spends: list[tuple[int, ...]] = []
+        order, full = _order(costs, root, zero)
+        self._space = costs, root, order, zero
+        # Draws per seed: at most one per fractional project of the root,
+        # since each `_step` makes one integral.
+        self._depth = len(order)
+        self._ids: dict[tuple[int, int, int, int], int] = {}
+        self._states: list[tuple[int, int, int, int]] = []
         self._steps: list = []
         self._thr: list[int] = []
         self._up: list[int] = []
         self._down: list[int] = []
         self._unmade: set[int] = set()
-        self._make(self._id(spends))
+        self._make(self._id((-1, 0, 0, full)))
 
-    def _id(self, spends: tuple[int, ...]) -> int:
-        """The id of a spend state, given once as an unmade state."""
-        i = self._ids.get(spends)
+    def _id(self, state: tuple[int, int, int, int]) -> int:
+        """The id of a state, given once as an unmade state."""
+        i = self._ids.get(state)
         if i is None:
-            i = self._ids[spends] = len(self._spends)
-            self._spends.append(spends)
+            i = self._ids[state] = len(self._states)
+            self._states.append(state)
             self._steps.append(None)
             self._unmade.add(i)
             self._thr.append(0)
@@ -507,58 +539,50 @@ class RoundingSampler:
     def _make(self, i: int) -> None:
         """Run `_step` on unmade state `i`: a leaf keeps its self-loops."""
         self._unmade.discard(i)
-        spends = self._spends[i]
-        step = _step(self._costs, spends)
+        carry, spend, k, full = self._states[i]
+        step = _step(*self._space, (carry, spend, k))
         if step is None:
-            self._steps[i] = _leaf(self._costs, spends)
+            self._steps[i] = IntegralOutcome(members(full))
             return
-        _, num, den, up, down = step
+        _, num, den, (up, up_full), (down, down_full) = step
         self._steps[i] = num, den
         self._thr[i] = _threshold(num, den)
-        self._up[i] = self._id(up)
-        self._down[i] = self._id(down)
+        self._up[i] = self._id((*up, full | up_full))
+        self._down[i] = self._id((*down, full | down_full))
 
     def probabilities(self) -> dict[IntegralOutcome, Fraction]:
         """Exact outcome distribution implied by the branch probabilities.
 
-        One forward pass over the reachable spend states: each state pushes
-        its exact weight to its two children. States are taken in
-        decreasing order of their number of fractional projects, which is
-        topological because every `_step` makes at least one more project
-        integral. Branch probabilities here are the exact rational ones;
-        the 2**-64 dyadic draw bias is below any statistical tolerance
-        used in tests.
+        One forward pass over the reachable states: each state pushes its
+        exact weight to its two children. States are taken in decreasing
+        order of their number of fractional projects, the carry and
+        ``order[k:]``, which is topological because every `_step` makes
+        at least one more project integral. Branch probabilities here are
+        the exact rational ones; the 2**-64 dyadic draw bias is below any
+        statistical tolerance used in tests.
         """
-        costs, spends = self._costs, self._spends
+        states, depth = self._states, self._depth
         steps, thr, up, down = self._steps, self._thr, self._up, self._down
         levels: dict[int, dict[int, Fraction]] = {}
 
         def push(i: int, weight: Fraction) -> None:
-            level = levels.setdefault(
-                sum(1 for s, c in zip(spends[i], costs) if 0 < s < c), {}
-            )
+            carry, _, k, _ = states[i]
+            level = levels.setdefault((carry >= 0) + depth - k, {})
             level[i] = level.get(i, 0) + weight
 
         push(0, Fraction(1))
         probs: dict[IntegralOutcome, Fraction] = {}
-        for fractional in range(max(levels), -1, -1):
-            for i, weight in levels.pop(fractional, {}).items():
+        for level in range(max(levels), -1, -1):
+            for i, weight in levels.pop(level, {}).items():
                 if steps[i] is None:
                     self._make(i)
                 if not thr[i]:
-                    # Distinct integral spend states are distinct outcomes.
+                    # Distinct leaves are distinct outcomes.
                     probs[steps[i]] = weight
                     continue
                 q = Fraction(*steps[i])
                 push(up[i], weight * q)
                 push(down[i], weight * (1 - q))
-        for j, _, share in self._zero:
-            split: dict[IntegralOutcome, Fraction] = {}
-            for w, weight in probs.items():
-                up_w = IntegralOutcome(w.projects | {j})
-                split[up_w] = split.get(up_w, Fraction(0)) + weight * share
-                split[w] = split.get(w, Fraction(0)) + weight * (1 - share)
-            probs = split
         return probs
 
     def sample(self, seed: int) -> IntegralOutcome:
@@ -596,80 +620,47 @@ class RoundingSampler:
         tally: Counter = Counter()
         for states, n in blocks:
             tally.update(self._walk(states, n))
-        zero = self._zero
-        z = len(zero)
-        counts: dict[IntegralOutcome, int] = {}
-        for key, count in tally.items():
-            w = self._steps[key >> z]
-            chosen = [
-                j for b, (j, _, _) in enumerate(zero) if key >> (z - 1 - b) & 1
-            ]
-            if chosen:
-                w = IntegralOutcome(w.projects.union(chosen))
-            counts[w] = count
-        return counts
+        return {self._steps[i]: count for i, count in tally.items()}
 
     def _walk(self, states: int, n: int) -> dict[int, int]:
-        """The count of each key over the `n` packed seed `states` of one
-        block, in the order the keys are first drawn. A seed's key is its
-        leaf's id, shifted left by one bit per zero-cost round, set where
-        the round went up (first round highest).
+        """The count of each leaf id over the `n` packed seed `states` of
+        one block, in the order the leaves are first drawn.
 
-        The seeds take the priced draws, then the zero-cost rounds' draws,
-        one row at a time, and the states a row reaches are made before
-        the next row. While a row holds at most one key per
-        `_SEEDS_PER_GROUP` seeds, each key's seeds are split at once
-        (`_split`), and a block that ends so is counted per key; from the
-        first row with more keys, each seed is stepped (`_walk_seeds`).
+        The seeds take their draws one row at a time, and the states a row
+        reaches are made before the next row. While a row holds at most
+        one state per `_SEEDS_PER_GROUP` seeds, each state's seeds are
+        split at once (`_split`), and a block that ends so is counted per
+        state; from the first row with more states, each seed is stepped
+        (`_walk_seeds`).
         """
         rows = _draw_rows(states, n, self._depth)
         thr, up, down = self._thr, self._up, self._down
-        z = len(self._zero)
-        # Each row with its zero-cost round's threshold, or None if priced.
-        walk = [(row, None) for row in rows[z:]]
-        walk += [(row, t) for row, (_, t, _) in zip(rows, self._zero)]
         groups = {0: int.from_bytes(b"\1" * n, "little")}
-        for r, (row, t) in enumerate(walk):
+        for r, row in enumerate(rows):
             if len(groups) * _SEEDS_PER_GROUP > n:
-                return self._walk_seeds(groups, walk[r:], n)
-            if t is None:
-                groups = _split(
-                    groups, row, n, lambda i: (thr[i], up[i], down[i])
-                )
-                for i in self._unmade.intersection(groups):
-                    self._make(i)
-            else:
-                groups = _split(
-                    groups, row, n, lambda k: (t, k << 1 | 1, k << 1)
-                )
-        # A key's lowest set byte is its first seed.
+                return self._walk_seeds(groups, rows[r:], n)
+            groups = _split(groups, row, n, thr, up, down)
+            for i in self._unmade.intersection(groups):
+                self._make(i)
+        # A state's lowest set byte is its first seed.
         first = sorted(groups.items(), key=lambda group: group[1] & -group[1])
-        return {key: seeds.bit_count() for key, seeds in first}
+        return {i: seeds.bit_count() for i, seeds in first}
 
     def _walk_seeds(
-        self,
-        groups: dict[int, int],
-        walk: list[tuple[int, Optional[int]]],
-        n: int,
+        self, groups: dict[int, int], rows: list[int], n: int
     ) -> Counter:
-        """`_walk`'s count, from the seeds of each key in `groups` through
-        the rows of `walk` left: each seed takes one table step per draw,
-        ``up[i] if u < thr[i] else down[i]``, or a zero-cost round's bit."""
+        """`_walk`'s count, from the seeds of each state in `groups`
+        through the `rows` left: each seed takes one table step per draw,
+        ``up[i] if u < thr[i] else down[i]``."""
         thr, up, down, unmade = self._thr, self._up, self._down, self._unmade
         # Each seed's byte holds its group's index: the groups' seeds are
         # disjoint, and there are fewer than 256 groups.
         keys = list(groups)
         index = sum(g * seeds for g, seeds in enumerate(groups.values()))
         ends = [keys[g] for g in index.to_bytes(n, "little")]
-        for row, t in walk:
+        for row in rows:
             draws = _unpack(row, n)
-            if t is None:
-                ends = [
-                    up[i] if u < thr[i] else down[i]
-                    for i, u in zip(ends, draws)
-                ]
-                for i in unmade.intersection(ends):
-                    self._make(i)
-            else:
-                ends = [i << 1 | (u < t) for i, u in zip(ends, draws)]
+            ends = [up[i] if u < thr[i] else down[i] for i, u in zip(ends, draws)]
+            for i in unmade.intersection(ends):
+                self._make(i)
         return Counter(ends)

@@ -366,6 +366,30 @@ def test_utility_is_linear_in_shares():
             assert utility(inst, i, p) == expected
 
 
+def test_utility_reads_integers_and_checks_the_length_of_p():
+    """On a seeded sweep with utilities and shares of mixed denominators,
+    `utility` equals the `Fraction` sum, for p and for an outcome; a p
+    with one share too few or too many raises instead of being zipped."""
+    rng = random.Random(468)
+    for _ in range(30):
+        inst = random_instance(rng)
+        shares = [Fraction(rng.randint(0, 6), rng.randint(6, 9)) for _ in range(inst.m)]
+        p = FractionalOutcome(shares)
+        w = IntegralOutcome(j for j in range(inst.m) if rng.random() < 0.5)
+        for i in range(inst.n):
+            row = inst.utilities[i]
+            expected = sum((s * u for s, u in zip(shares, row)), Fraction(0))
+            assert utility(inst, i, p) == expected
+            assert utility(inst, i, w) == sum(
+                (row[j] for j in w.projects), Fraction(0)
+            )
+    inst = parse_instance((DATA / "reports" / "binary.json").read_text())
+    assert inst.m == 7
+    for shares in ([1, 1, 1, 0], [0] * 8):
+        with pytest.raises(ValidationError):
+            utility(inst, 0, FractionalOutcome(shares))
+
+
 def _filtered_combinations(instance, pool, ceiling):
     """Reference for `PBInstance.subsets`: every non-empty combination of
     the pool, by size, kept when its cost is within the ceiling."""

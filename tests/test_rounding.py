@@ -100,7 +100,7 @@ def test_draws_at_the_threshold_branch_like_dependent_round():
         (two_voter_example(), FractionalOutcome([1, "1/3", "2/3"])),
     ]:
         sampler = RoundingSampler(inst, p)
-        t = sampler._zero[0][1] if sampler._zero else sampler._thr[0]
+        t = sampler._thr[0]
         draws = _top_byte_neighbours(t)
         seeds = [_seed_with_first_draw(u) for u in draws]
         assert [splitmix64(s) for s in seeds] == draws
@@ -150,7 +150,7 @@ def test_zero_cost_round_with_threshold_two_to_the_64():
     )
     p = FractionalOutcome([Fraction(2**70 - 1, 2**70), "1/2", "1/2"])
     sampler = RoundingSampler(inst, p)
-    assert sampler._zero[0][1] == 2**64
+    assert sampler._thr[0] == 2**64
     seeds = list(derive_seeds(70, range(100)))
     counts = sampler.sample_counts(seeds)
     assert counts == Counter(dependent_round(inst, p, s)[0] for s in seeds)
@@ -383,6 +383,144 @@ def test_sample_counts_match_dependent_round():
         )
 
 
+def _tuple_alone(costs, spends, ell):
+    """Reference: round project `ell` alone on an m-tuple of spends,
+    up to its full cost with probability spends[ell] / costs[ell]."""
+    up, down = list(spends), list(spends)
+    up[ell], down[ell] = costs[ell], 0
+    return (ell,), spends[ell], costs[ell], tuple(up), tuple(down)
+
+
+def _tuple_step(costs, spends):
+    """Reference: the rounding transition on an m-tuple of spends. The
+    first two fractional projects trade spend until one is integral; a
+    last fractional project is rounded alone; None when none is left."""
+    frac = [c for c in range(len(costs)) if 0 < spends[c] < costs[c]]
+    if not frac:
+        return None
+    if len(frac) == 1:
+        return _tuple_alone(costs, spends, frac[0])
+    up, down = list(spends), list(spends)
+    i, j = frac[0], frac[1]
+    delta_up = min(costs[i] - spends[i], spends[j])
+    delta_down = min(spends[i], costs[j] - spends[j])
+    up[i] += delta_up
+    up[j] -= delta_up
+    down[i] -= delta_down
+    down[j] += delta_down
+    return (i, j), delta_down, delta_up + delta_down, tuple(up), tuple(down)
+
+
+def _tuple_round(costs, spends, zero, seed):
+    """Reference: each fractional zero-cost project of `zero` rounded
+    alone, then `_tuple_step` to a leaf, one splitmix64 draw per round.
+    Returns the rounds as ``(indices, alpha, beta, branch, q)`` and the
+    outcome."""
+    draws = rounding._draws(seed)
+    rounds = []
+    while True:
+        if len(rounds) < len(zero):
+            step = _tuple_alone(costs, spends, zero[len(rounds)])
+        elif (step := _tuple_step(costs, spends)) is None:
+            break
+        indices, num, den, up, down = step
+        go_up = next(draws) * den < num * 2**64
+        spends = up if go_up else down
+        i = indices[0]
+        rounds.append((
+            indices,
+            Fraction(den - num, costs[i]),
+            Fraction(num, costs[i]),
+            "up" if go_up else "down",
+            tuple(Fraction(s, c) for s, c in zip(spends, costs)),
+        ))
+    outcome = IntegralOutcome(j for j, c in enumerate(costs) if spends[j] == c)
+    return rounds, outcome
+
+
+def _spends_of(sampler, state):
+    """The m-tuple of spends a sampler state ``(carry, spend, k, full)``
+    stands for: full projects at cost, the carry at its spend, the
+    projects of ``order[k:]`` at their root spend, and the rest at 0."""
+    costs, root, order, _ = sampler._space
+    carry, spend, k, full = state
+    untouched = set(order[k:])
+    return tuple(
+        c if full >> j & 1 else spend if j == carry
+        else root[j] if j in untouched else 0
+        for j, c in enumerate(costs)
+    )
+
+
+def _capped_sweep(seed, cases):
+    """``(instance, p, target)`` on random instances, every other one with
+    zero-cost projects, at B and with p scaled to B - max cost."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        inst = random_instance(rng)
+        p = random_feasible_p(rng, inst)
+        if case % 2:
+            inst, p = with_zero_cost_projects(rng, inst, p)
+        reduced = inst.budget - max(inst.cost)
+        capped = FractionalOutcome(
+            [s if c == 0 else s * reduced / inst.budget
+             for s, c in zip(p.shares, inst.cost)]
+        )
+        yield inst, p, inst.budget
+        yield inst, capped, reduced
+
+
+def test_rounds_equal_the_spend_tuple_reference():
+    """Seed for seed, `dependent_round`'s trace (indices, alpha, beta,
+    branch and q of each round) and outcome equal the m-tuple reference
+    walk's at B, and the sampler's outcome equals the reference's at B
+    and at B - max cost (`round_with_hard_cap`)."""
+    for inst, p, target in _capped_sweep(3131, 40):
+        costs, spends, zero = rounding._spend_space(inst, p, target)
+        sampler = RoundingSampler(inst, p, target=target)
+        for seed in derive_seeds(len(zero), range(40)):
+            rounds, outcome = _tuple_round(costs, spends, zero, seed)
+            assert sampler.sample(seed) == outcome
+            if target != inst.budget:
+                assert round_with_hard_cap(inst, p, seed) == outcome
+                continue
+            w, trace = dependent_round(inst, p, seed)
+            assert w == trace.outcome == outcome
+            assert [
+                (r.indices, r.alpha, r.beta, r.branch, r.q) for r in trace.rounds
+            ] == rounds
+
+
+def test_sampler_states_are_distinct_spend_tuples_stepped_like_the_reference():
+    """Every state a used sampler made stands for a distinct spend tuple,
+    and its branch probability and children's tuples are the m-tuple
+    reference's (a zero-cost round while ``k < len(zero)``)."""
+    for inst, p, target in _capped_sweep(3132, 24):
+        sampler = RoundingSampler(inst, p, target=target)
+        sampler.sample_counts(derive_seeds(7, range(300)))
+        costs, _, _, zero = sampler._space
+        spends = [_spends_of(sampler, state) for state in sampler._states]
+        assert len(set(spends)) == len(spends)
+        for i, state in enumerate(sampler._states):
+            if i in sampler._unmade:
+                continue
+            k = state[2]
+            if k < len(zero):
+                step = _tuple_alone(costs, spends[i], zero[k])
+            else:
+                step = _tuple_step(costs, spends[i])
+            if step is None:
+                assert not sampler._thr[i]
+                assert sampler._steps[i] == IntegralOutcome(
+                    j for j, c in enumerate(costs) if spends[i][j] == c
+                )
+                continue
+            _, num, den, up, down = step
+            assert sampler._steps[i] == (num, den)
+            assert spends[sampler._up[i]] == up
+            assert spends[sampler._down[i]] == down
+
+
 def _lcm_spend_space(instance, p, target):
     """The spend space on one LCM rescaling over the cost denominators
     and the m products share·cost, each built in fractions: the
@@ -463,15 +601,15 @@ def test_p_is_scaled_once_per_run(monkeypatch, tmp_path, rule):
 
 
 def _count_steps(monkeypatch) -> list:
-    """The spend tuples `_step` runs on from now on, in call order."""
+    """The states `RoundingSampler._make` steps from now on, in call order."""
     calls = []
-    step = rounding._step
+    make = RoundingSampler._make
 
-    def counting(costs, spends):
-        calls.append(spends)
-        return step(costs, spends)
+    def counting(sampler, i):
+        calls.append(sampler._states[i])
+        return make(sampler, i)
 
-    monkeypatch.setattr(rounding, "_step", counting)
+    monkeypatch.setattr(RoundingSampler, "_make", counting)
     return calls
 
 
@@ -652,7 +790,7 @@ def test_fresh_sampler_on_the_committed_frd_lottery_is_pinned(monkeypatch):
     sampler = RoundingSampler(inst, p)
     counts = sampler.derived_counts(9, 20000)
     assert len(calls) == len(set(calls)) == 19434
-    assert len(sampler._spends) == 23029
+    assert len(sampler._states) == 23029
     assert len(counts) == 5174
     assert sum(counts.values()) == 20000
     tally = sorted((sorted(w.projects), c) for w, c in counts.items())
@@ -689,6 +827,23 @@ def test_split_rows_per_block_on_the_committed_frd_lottery_are_pinned(
     sampler.derived_counts(9, 20000)
     assert sampler._depth == 20
     assert per_block == [6] * 19 + [5]
+
+
+SPARSE200 = Path(__file__).resolve().parent / "data" / "reports" / "sparse200.json"
+
+
+def test_sampler_on_the_frd_lottery_at_m_200_is_pinned(monkeypatch):
+    """A machine-independent guard on the m = 200 path: 1,000 derived
+    draws of FRD's lottery on the committed n = m = 200 instance give
+    158,678 state ids, of which 89,906 are made, each once."""
+    inst = parse_instance(SPARSE200.read_text())
+    p = fractional_random_dictator(inst)
+    calls = _count_steps(monkeypatch)
+    sampler = RoundingSampler(inst, p)
+    counts = sampler.derived_counts(1, 1000)
+    assert sum(counts.values()) == 1000
+    assert len(sampler._states) == 158678
+    assert len(calls) == len(set(calls)) == 89906
 
 
 @pytest.mark.parametrize("zero_cost", [False, True])
@@ -766,10 +921,17 @@ def test_derived_states_are_the_derived_seeds():
         assert list(lanes) == [derive_seed(seed, k) for k in indices]
 
 
-def test_zero_cost_states_do_not_split_the_spend_dag(monkeypatch):
+def test_zero_cost_draws_split_the_priced_states_at_most_2_to_the_z_ways(
+    monkeypatch,
+):
     """Two fractional zero-cost projects (shares 1/3 and 1/2) added to the
-    eight-project instance above leave its 46 spend states unsplit: the
-    sampler does not key its DAG on the zero-cost draws."""
+    eight-project instance above: the sampler makes 3 states for their
+    two rounds, then the 46 priced states once per pattern of the two
+    draws, 187 = 3 + 4 * 46 in all. With z such projects the priced
+    states split into at most 2^z copies, since a state's `full` mask
+    holds the zero-cost draws too. The DAG is not shared across them so
+    that a state stays four ints and every round runs in
+    `dependent_round`'s order, through the one `_step`."""
     calls = _count_steps(monkeypatch)
     cost = [Fraction(1)] * 8
     shares = [Fraction(1, 4)] * 8
@@ -786,11 +948,11 @@ def test_zero_cost_states_do_not_split_the_spend_dag(monkeypatch):
     )
     p = FractionalOutcome(shares)
     probs = RoundingSampler(inst, p).probabilities()
-    assert len(calls) == 46
+    assert len(calls) == len(set(calls)) == 187
     assert len(probs) == 64
     calls.clear()
     RoundingSampler(inst, p).sample_counts(derive_seeds(9, range(2000)))
-    assert len(calls) <= 46
+    assert len(calls) <= 187
 
 
 def test_zero_cost_rounds_in_the_trace():
