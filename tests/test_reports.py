@@ -95,6 +95,21 @@ CASES = {
     # whose FJR verdicts follow from their immediate subsets.
     "oracle-joint-fjr-unit14": ["oracle", "--instance", "unit14.json", "--mode",
                                 "joint", "--predicate", "fjr-binary"],
+    # User rows with mixed denominators, signs and relations, substituted
+    # into the free-marginal LP.
+    "oracle-joint-rows-general": ["oracle", "--instance", "general.json",
+                                  "--mode", "joint", "--predicate", "bb1",
+                                  "--constraints", "general-rows.json"],
+    # Fixed marginals whose GFS rows all hold at p, so the LP runs.
+    "oracle-implementable-gfs-general": ["oracle", "--instance", "general.json",
+                                         "--mode", "implementable", "--predicate",
+                                         "bb1", "--fractional", "general-p.json",
+                                         "--builtin", "gfs"],
+    # Fixed marginals that miss an IFS row: refused before the LP.
+    "oracle-implementable-ifs-binary": ["oracle", "--instance", "binary.json",
+                                        "--mode", "implementable", "--predicate",
+                                        "bb1", "--fractional", "binary-p.json",
+                                        "--builtin", "ifs"],
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
     "gen-gfs-jr": ["gen", "--family", "gfs-jr", "--n", "6"],
     "gen-ifs-jr": ["gen", "--family", "ifs-jr", "--n", "4"],
