@@ -14,6 +14,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -323,11 +324,19 @@ def _parse_constraints(
         if relation not in ("<=", "=", ">="):
             raise ValidationError(f"unknown relation {relation!r}")
         bound = parse_rational(str(entry.get("bound", "0")), "bound")
-        rows.append(LinearConstraint(tuple(coeffs), relation, bound))
+        # The row as integers on its least common denominator d.
+        entries = (*coeffs, bound)
+        d = math.lcm(*(c.denominator for c in entries))
+        *ints, top = (c.numerator * (d // c.denominator) for c in entries)
+        rows.append(LinearConstraint(tuple(ints), relation, top, d))
     return rows
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.mode == "implementable" and not args.fractional:
+        raise UsageError("--mode implementable requires --fractional")
+    if args.mode == "joint" and args.fractional:
+        raise UsageError("--mode joint takes no --fractional")
     instance = _load_instance(args.instance)
     pred = predicate(args.predicate)
     extra: list[LinearConstraint] = []
@@ -339,9 +348,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         extra.extend(gfs_rows(instance, args.limit_exp))
 
     fractional: Optional[FractionalOutcome] = None
-    if args.mode == "implementable":
-        if not args.fractional:
-            raise UsageError("--mode implementable requires --fractional")
+    if args.fractional:
         fractional = parse_fractional(instance, _load_json(args.fractional))
     verdict = lottery_feasible(
         instance, pred, fractional, extra, args.limit_exp

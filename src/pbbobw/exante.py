@@ -1,17 +1,16 @@
 """Ex-ante fair-share axioms: IFS, Strong IFS, UFS, Strong UFS, GFS.
 
-Each axiom is written once, as ``Rows``: integer rows ``(voters,
-coefficients, bound)`` on one common denominator d per axiom, each the
-exact linear inequality ``sum_j coefficients[j]/d * p_j >= bound/d`` over
+Each axiom is written once, as rows ``(voters, LinearConstraint(c, ">=",
+b, d))``: integer coefficients and bound on one common denominator d per
+axiom, each the exact linear inequality ``sum_j c_j/d * p_j >= b/d`` over
 the marginals p, whose bound comes from the voters' optimal fractional
 utilities opt_i: each voter's integer ``greedy_spend`` on the instance's
 scaled costs and utilities, read from ``optimal_spends`` at B, with one
 fraction per bound. ``verify`` reads the rows through the ``check_*``
 functions, which read p's cached integers of 1/q (``scaled_shares``) and
 evaluate every row with integer products and compares; only the reported
-witnesses become fractions again. ``oracle --builtin`` reads the same
-rows through ``ifs_rows`` and ``gfs_rows``, which divide them by d for
-the LP.
+witnesses become fractions again. ``oracle --builtin`` hands the same
+integer rows to the LP through ``ifs_rows`` and ``gfs_rows``.
 
 IFS and Strong IFS have one row per voter. UFS and Strong UFS have one row
 per maximal unanimous cell; both bounds are monotone in the group size, so
@@ -42,23 +41,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
 from .model import FractionalOutcome, PBInstance, members, rational_str
-
-# (voters, coefficients, bound): sum_j coefficients[j] * p_j >= bound,
-# in integers on the common denominator of its ``Rows``.
-Row = tuple[tuple[int, ...], Sequence[int], int]
-
-
-@dataclass(frozen=True)
-class Rows:
-    """An axiom's rows, each an integer row over one common denominator:
-    the row ``(voters, c, b)`` stands for sum_j (c_j/d) p_j >= b/d with
-    d = ``denominator``. Iterating gives the rows."""
-
-    denominator: int
-    rows: Iterable[Row]
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
 
 
 @dataclass(frozen=True)
@@ -113,7 +95,9 @@ def optimal_fractional_utility(
 # The rows of each axiom
 
 
-def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
+def _share_rows(
+    instance: PBInstance, unanimous: bool, strong: bool
+) -> list[tuple[tuple[int, ...], LinearConstraint]]:
     """One row per voter, or per unanimous cell S: the utility of S's
     common vector is at least |S|/n * opt_i(B), or with ``strong`` at least
     opt_i(|S| * B / n)."""
@@ -134,10 +118,15 @@ def _share_rows(instance: PBInstance, unanimous: bool, strong: bool) -> Rows:
     # utility_scale and each row is a scaled utility row times d/v.
     d = math.lcm(instance.utility_scale, *(b.denominator for _, _, b in rows))
     up, utilities = d // instance.utility_scale, instance.scaled_utilities
-    return Rows(d, [
-        (cell, tuple(u * up for u in utilities[i]), int(bound * d))
+    return [
+        (cell, LinearConstraint(
+            tuple(u * up for u in utilities[i]),
+            ">=",
+            bound.numerator * (d // bound.denominator),
+            d,
+        ))
         for cell, i, bound in rows
-    ])
+    ]
 
 
 def _group_shares(
@@ -157,7 +146,7 @@ def _group_shares(
         for i in range(n)
     ]
     d = math.lcm(instance.utility_scale, *(x.denominator for x in shares))
-    return d, [int(x * d) for x in shares]
+    return d, [x.numerator * (d // x.denominator) for x in shares]
 
 
 def _voter_bits(
@@ -196,7 +185,9 @@ def _doubled(values: Sequence, combine: Callable, zero) -> list:
     return out
 
 
-def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
+def _group_rows(
+    instance: PBInstance, limit: Optional[int]
+) -> Iterator[tuple[tuple[int, ...], LinearConstraint]]:
     """One GFS row per non-empty voter group, in bitmask order: the row of
     group g, the voters at the set bits of g, comes (g - 1)-th. The rows
     and the bounds are built by doubling over the voters."""
@@ -207,13 +198,17 @@ def _group_rows(instance: PBInstance, limit: Optional[int]) -> Rows:
         utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
     )
     totals = _doubled(share, add, 0)
-    return Rows(d, (
-        (members(g), tops[g], totals[g]) for g in range(1, 1 << instance.n)
-    ))
+    return (
+        (members(g), LinearConstraint(tops[g], ">=", totals[g], d))
+        for g in range(1, 1 << instance.n)
+    )
 
 
 def _report(
-    axiom: str, instance: PBInstance, rows: Rows, p: FractionalOutcome
+    axiom: str,
+    instance: PBInstance,
+    rows: Iterable[tuple[tuple[int, ...], LinearConstraint]],
+    p: FractionalOutcome,
 ) -> ExAnteReport:
     """Every violated row is a witness.
 
@@ -221,12 +216,12 @@ def _report(
     so each row costs m integer products: lhs·d·q against bound·q. Only
     the reported rows are turned back into fractions."""
     q, scaled = p.scaled_for(instance)
-    d = rows.denominator
     witnesses = []
-    for voters, coefficients, bound in rows:
-        lhs = sum(map(mul, coefficients, scaled))
-        if lhs < bound * q:
-            witnesses.append(Witness(voters, Fraction(lhs, d * q), Fraction(bound, d)))
+    for voters, row in rows:
+        lhs = sum(map(mul, row.coefficients, scaled))
+        if lhs < row.bound * q:
+            d = row.denominator
+            witnesses.append(Witness(voters, Fraction(lhs, d * q), Fraction(row.bound, d)))
     return ExAnteReport(axiom, not witnesses, tuple(witnesses))
 
 
@@ -292,17 +287,9 @@ def check_gfs(
 # The same rows as LP constraints over the marginals
 
 
-def _constraints(rows: Rows) -> list[LinearConstraint]:
-    d = rows.denominator
-    return [
-        LinearConstraint(tuple(Fraction(x, d) for x in c), ">=", Fraction(b, d))
-        for _, c, b in rows
-    ]
-
-
 def ifs_rows(instance: PBInstance) -> list[LinearConstraint]:
     """One row per voter: u_i(p) >= opt_i(B)/n."""
-    return _constraints(_share_rows(instance, False, False))
+    return [row for _, row in _share_rows(instance, False, False)]
 
 
 def gfs_rows(
@@ -310,5 +297,5 @@ def gfs_rows(
 ) -> list[LinearConstraint]:
     """One GFS row per non-empty voter group S, in bitmask order: the row
     of S is number sum_{i in S} 2^i - 1. With 0/1 utilities a row's
-    coefficients mark the union of the group's approval sets."""
-    return _constraints(_group_rows(instance, limit))
+    coefficients are d on the union of the group's approval sets."""
+    return [row for _, row in _group_rows(instance, limit)]

@@ -4,9 +4,15 @@ Decides whether {x >= 0 : A x (rel) b} is non-empty, returning a feasible
 point when one exists. Pivoting uses Bland's rule, so termination is
 guaranteed; verdicts carry no tolerance.
 
-The tableau is fraction-free (Edmonds 1967; Bareiss 1968). Each row is
-scaled to integers by the LCM s_r of its denominators, and its slack or
-artificial stays the unit column, which rescales only that one variable.
+A row is ``LinearConstraint(coefficients, relation, bound, denominator)``,
+every entry read over the positive int ``denominator``. The tableau is
+fraction-free (Edmonds 1967; Bareiss 1968). Each row is reduced once to
+integers on its least denominator s_r, and its slack or artificial stays
+the unit column, which rescales only that one variable: row r's
+artificial is s_r times the plain one, so phase one weighs it by L/s_r,
+L the LCM of the s_r, and still costs each row's residual in the row's
+own units. So the vertex depends on a row's values, not only on its
+half-space, which is why the denominator is part of the row.
 All rows, and the phase-one objective kept as one more row, share a
 denominator D: the true tableau is T / D, where D > 0 is the last pivot,
 and a pivot on p = T[l][e] sets T[r][j] = (p*T[r][j] - T[r][e]*T[l][j]) // D
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Literal, Optional, Sequence, Union
 
 Relation = Literal["<=", "=", ">="]
@@ -43,9 +49,12 @@ Rational = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class LinearConstraint:
+    """sum_j coefficients[j]/denominator * x_j (relation) bound/denominator."""
+
     coefficients: tuple[Rational, ...]
     relation: Relation
     bound: Rational
+    denominator: int = 1
 
 
 def _pack(values: Sequence[int], width: int, signs: int) -> int:
@@ -96,36 +105,37 @@ def solve_feasibility(
 ) -> Optional[list[Fraction]]:
     """Return x >= 0 satisfying all constraints, or None if infeasible.
 
-    Coefficients and bounds may be ints or Fractions."""
-    rows: list[list[Rational]] = []
-    relations: list[Relation] = []
+    Coefficients and bounds may be ints or Fractions, each read over the
+    row's ``denominator``."""
+    rows: list[tuple[list[int], Relation, int]] = []  # (E/g, relation, s_r)
     for con in constraints:
         if len(con.coefficients) != num_vars:
             raise ValueError("constraint has wrong arity")
-        coeffs = [*con.coefficients, con.bound]
+        if con.denominator < 1:
+            raise ValueError("constraint denominator must be positive")
+        # E = the entries times the LCM L of their denominators, over d·L.
+        entries = [*con.coefficients, con.bound]
+        scale = lcm(*(c.denominator for c in entries))
+        ints = [c.numerator * (scale // c.denominator) for c in entries]
+        scale *= con.denominator
+        g = gcd(scale, *ints)  # E/g over d·L/g: the least denominator s_r
         rel = con.relation
-        if con.bound < 0:
-            coeffs = [-c for c in coeffs]
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append(coeffs)
-        relations.append(rel)
+        if ints[-1] < 0:
+            g, rel = -g, {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append(([c // g for c in ints], rel, scale // abs(g)))
 
     num_rows = len(rows)
-    num_slack = sum(1 for r in relations if r != "=")
+    num_slack = sum(1 for _, rel, _ in rows if rel != "=")
     # Columns: structural vars, slack/surplus vars, artificial vars, rhs.
     art_base = num_vars + num_slack
     total = art_base + num_rows
-    scales = [lcm(*(c.denominator for c in row)) for row in rows]
-    # Row r's artificial is s_r times the unscaled one, so its phase-one
-    # cost 1 becomes L / s_r once the objective is scaled by L.
-    big_l = lcm(*(s for s, rel in zip(scales, relations) if rel != "<="))
+    big_l = lcm(*(s for _, rel, s in rows if rel != "<="))
     tableau: list[list[int]] = []
     basis = [0] * num_rows
     objective = [0] * (total + 1)
 
     slack = num_vars
-    for r, (row, rel, s) in enumerate(zip(rows, relations, scales)):
-        ints = [c.numerator * (s // c.denominator) for c in row]
+    for r, (ints, rel, s) in enumerate(rows):
         ints[num_vars:num_vars] = [0] * (total - num_vars)
         if rel == "<=":
             ints[slack] = 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import eq, ge, le, mul
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -309,24 +308,24 @@ def lottery_feasible(
     each extra row over p becomes a row over the lottery weights, and the
     expected cost is constrained to equal the budget.
 
-    The arity of ``fractional`` and of every extra row is checked first,
-    before any outcome is enumerated or any row is read.
+    The arity of ``fractional``, and every extra row's arity and denominator,
+    are checked first, before any outcome is enumerated or any row is read.
     """
     m = instance.m
     if fractional is not None and len(fractional.shares) != m:
         raise ValidationError("fractional outcome has wrong arity")
-    if any(len(con.coefficients) != m for con in extra):
-        raise ValidationError("extra constraint has wrong arity")
+    if any(len(con.coefficients) != m or con.denominator < 1 for con in extra):
+        raise ValidationError("extra constraint has wrong arity or denominator")
     outcomes = enumerate_outcomes(instance, pred, limit)
     if not outcomes:
         return FeasibilityVerdict(False, None, None, "empty outcome class")
-    rows: list[LinearConstraint] = [
-        LinearConstraint((1,) * len(outcomes), "=", Fraction(1))
-    ]
+    rows = [LinearConstraint((1,) * len(outcomes), "=", 1)]
     if fractional is not None:
+        # sum_j (c_j/d)·(a_j/q) (rel) b/d, times d·q: sum_j c_j·a_j (rel) b·q.
+        q, scaled = fractional.scaled_for(instance)
         for con in extra:
-            value = sum(map(mul, con.coefficients, fractional.shares))
-            if not _RELATIONS[con.relation](value, con.bound):
+            value = sum(map(mul, con.coefficients, scaled))
+            if not _RELATIONS[con.relation](value, con.bound * q):
                 return FeasibilityVerdict(
                     False, None, fractional,
                     "fractional outcome violates a side constraint",
@@ -335,22 +334,18 @@ def lottery_feasible(
             column = tuple(int(j in w.projects) for w in outcomes)
             rows.append(LinearConstraint(column, "=", fractional.shares[j]))
     else:
-        cost_row = tuple(w.cost(instance) for w in outcomes)
-        rows.append(LinearConstraint(cost_row, "=", instance.budget))
+        cost_row = tuple(instance.scaled_total(w.projects) for w in outcomes)
+        rows.append(LinearConstraint(
+            cost_row, "=", instance.scaled_budget, instance.cost_scale
+        ))
         for con in extra:
-            # Each outcome's column is 0/1: sum the coefficients of W, as
-            # integers over the row's common denominator d. The row stays
-            # the same rationals: a multiple of it would weigh its
-            # artificial differently in the simplex's phase one.
-            d = lcm(*(c.denominator for c in con.coefficients))
-            scaled = [c.numerator * (d // c.denominator) for c in con.coefficients]
+            # 0/1 columns: the row's coefficients summed over each W.
             substituted = tuple(
-                Fraction(sum(scaled[j] for j in w.projects), d)
-                for w in outcomes
+                sum(con.coefficients[j] for j in w.projects) for w in outcomes
             )
-            rows.append(
-                LinearConstraint(substituted, con.relation, con.bound)
-            )
+            rows.append(LinearConstraint(
+                substituted, con.relation, con.bound, con.denominator
+            ))
         # Marginals are automatic convex combinations of 0/1 columns, so
         # p in [0,1]^m needs no explicit rows.
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pbbobw.cli
+import pbbobw.oracle
 import pbbobw.rules
 from pbbobw import (
     FractionalOutcome,
@@ -415,6 +416,28 @@ def test_oracle_malformed_constraints_exit_2(capsys, tmp_path, constraints):
     )
     assert (code, out) == (2, "")
     assert "must be an object" in err
+
+
+def test_oracle_joint_with_fractional_exits_2_before_any_work(
+    capsys, monkeypatch
+):
+    """Joint mode decides the marginals itself, so a given p would be
+    ignored: the flag is a usage error, as implementable mode without it
+    is."""
+    data = Path(__file__).resolve().parent / "data" / "reports"
+
+    def refuse(*args):
+        raise AssertionError("outcomes enumerated")
+
+    monkeypatch.setattr(pbbobw.oracle, "enumerate_outcomes", refuse)
+    for mode, fractional in (("joint", ["--fractional"]), ("implementable", [])):
+        argv = ["oracle", "--instance", str(data / "binary.json"),
+                "--mode", mode, "--predicate", "bb1"]
+        if fractional:
+            argv += [*fractional, str(data / "binary-p.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --mode {mode} ") and "--fractional" in err
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -43,8 +44,8 @@ def reference(
     for con in constraints:
         if len(con.coefficients) != num_vars:
             raise ValueError("constraint has wrong arity")
-        coeffs = [Fraction(c) for c in con.coefficients]
-        bound = Fraction(con.bound)
+        coeffs = [Fraction(c, con.denominator) for c in con.coefficients]
+        bound = Fraction(con.bound, con.denominator)
         rel = con.relation
         if bound < 0:
             coeffs = [-c for c in coeffs]
@@ -301,9 +302,21 @@ def test_entries_on_a_lane_boundary_match_the_fraction_simplex(b):
         assert solve_feasibility(rows, num_vars) == reference(rows, num_vars)
 
 
+def _over_multiple(rng: random.Random, con: LinearConstraint) -> LinearConstraint:
+    """The row as integers over a random positive multiple of its least
+    denominator."""
+    entries = [F(c) for c in (*con.coefficients, con.bound)]
+    d = lcm(*(c.denominator for c in entries)) * rng.randint(1, 6)
+    *ints, bound = (int(c * d) for c in entries)
+    return LinearConstraint(tuple(ints), con.relation, bound, d)
+
+
 def test_int_coefficients_match_equal_fraction_rows():
+    """The vertex is the rational rows' vertex however each row is
+    written: ints, Fractions, or ints over any multiple of the row's
+    least denominator, on small int systems and on the rational sweep's."""
     rng = random.Random(3)
-    for _ in range(500):
+    for seed in range(500):
         num_vars = rng.randint(1, 6)
         ints = [
             LinearConstraint(
@@ -325,6 +338,18 @@ def test_int_coefficients_match_equal_fraction_rows():
         assert expected == reference(fractions, num_vars)
         assert solve_feasibility(ints, num_vars) == expected
         assert solve_feasibility(mixed, num_vars) == expected
+        scaled = [_over_multiple(rng, c) for c in ints]
+        assert solve_feasibility(scaled, num_vars) == expected
+        assert reference(scaled, num_vars) == expected
+        rows, num_vars = random_system(random.Random(seed), Counter())
+        expected = reference(rows, num_vars)
+        scaled = [_over_multiple(rng, c) for c in rows]
+        assert solve_feasibility(scaled, num_vars) == expected, f"seed {seed}"
+        assert reference(scaled, num_vars) == expected, f"seed {seed}"
+    for denominator in (0, -1):
+        row = LinearConstraint((1, 2), "<=", 3, denominator)
+        with pytest.raises(ValueError, match="denominator"):
+            solve_feasibility([row], 2)
 
 
 def test_arity_mismatch_raises():

@@ -446,7 +446,8 @@ def test_enumeration_on_the_committed_14_project_instance_makes_pinned_checks(
 
 def test_free_marginal_rows_are_the_substituted_fractions(monkeypatch):
     """Each extra row over p reaches the simplex as the same rationals:
-    the sum of its coefficients over each outcome's projects."""
+    the sum of its coefficients over each outcome's projects, on the row's
+    own bound and denominator."""
     seen = []
 
     def solve(rows, num_vars):
@@ -470,6 +471,7 @@ def test_free_marginal_rows_are_the_substituted_fractions(monkeypatch):
         (rows,) = seen
         for con, row in zip(extra, rows[2:]):
             assert row.relation == con.relation and row.bound == con.bound
+            assert row.denominator == con.denominator
             assert row.coefficients == tuple(
                 sum((con.coefficients[j] for j in w.projects), Fraction(0))
                 for w in outcomes
@@ -561,7 +563,8 @@ def test_gfs_rows_on_binary_utilities_mark_the_union_of_approvals():
             union = set().union(
                 *(inst.approval_set(i) for i in range(inst.n) if mask >> i & 1)
             )
-            assert row.coefficients == tuple(
+            d = row.denominator
+            assert tuple(Fraction(c, d) for c in row.coefficients) == tuple(
                 Fraction(1) if j in union else Fraction(0)
                 for j in range(inst.m)
             )
@@ -581,15 +584,20 @@ BINARY = UNIT14.with_name("binary.json")
 @pytest.mark.parametrize("fixed", [True, False])
 @pytest.mark.parametrize("violated_first", [True, False])
 def test_wrong_arity_is_rejected_before_any_row_is_read(fixed, violated_first):
-    """A wrong-length extra row is a ValidationError in both modes, also
-    when a full-length row before it is violated by the fixed p."""
+    """A wrong-length extra row, or one over a denominator below 1, is a
+    ValidationError in both modes, also when a full-length row before it
+    is violated by the fixed p."""
     inst = parse_instance(BINARY.read_text())
     p = fractional_random_dictator(inst)
     violated = LinearConstraint((Fraction(0),) * inst.m, ">=", Fraction(1))
-    short = LinearConstraint((Fraction(1),) * (inst.m - 1), ">=", Fraction(0))
-    extra = [violated, short] if violated_first else [short, violated]
-    with pytest.raises(ValidationError, match="wrong arity"):
-        lottery_feasible(inst, predicate("bb1"), p if fixed else None, extra)
+    for bad in (
+        LinearConstraint((Fraction(1),) * (inst.m - 1), ">=", Fraction(0)),
+        LinearConstraint((1,) * inst.m, ">=", 2, 0),
+        LinearConstraint((1,) * inst.m, ">=", 2, -1),
+    ):
+        extra = [violated, bad] if violated_first else [bad, violated]
+        with pytest.raises(ValidationError, match="wrong arity or denominator"):
+            lottery_feasible(inst, predicate("bb1"), p if fixed else None, extra)
 
 
 # ---------------------------------------------------------------------------
