@@ -110,6 +110,18 @@ CASES = {
                                         "--mode", "implementable", "--predicate",
                                         "bb1", "--fractional", "binary-p.json",
                                         "--builtin", "ifs"],
+    # Conjunctions of a budget-capped class with bb1 or bfx.
+    "oracle-joint-ejrx-bb1-cost": ["oracle", "--instance", "cost.json", "--mode",
+                                   "joint", "--predicate", "ejrx-cost,bb1"],
+    "oracle-joint-bfx-jr-general": ["oracle", "--instance", "general.json",
+                                    "--mode", "joint", "--predicate",
+                                    "bfx,jr-general", "--builtin", "ifs"],
+    # BW-GCR's p on binary.json: no lottery over the capped FJR ∧ BB1
+    # class implements it.
+    "oracle-implementable-fjr-binary-bb1": ["oracle", "--instance", "binary.json",
+                                            "--mode", "implementable", "--predicate",
+                                            "fjr-binary,bb1", "--fractional",
+                                            "binary-bwgcr-p.json"],
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
     "gen-gfs-jr": ["gen", "--family", "gfs-jr", "--n", "6"],
     "gen-ifs-jr": ["gen", "--family", "ifs-jr", "--n", "4"],
