@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from operator import add, mul, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .limits import ScaleError, exponential_limit
 from .lp import LinearConstraint
@@ -185,25 +185,6 @@ def _doubled(values: Sequence, combine: Callable, zero) -> list:
     return out
 
 
-def _group_rows(
-    instance: PBInstance, limit: Optional[int]
-) -> Iterator[tuple[tuple[int, ...], LinearConstraint]]:
-    """One GFS row per non-empty voter group, in bitmask order: the row of
-    group g, the voters at the set bits of g, comes (g - 1)-th. The rows
-    and the bounds are built by doubling over the voters."""
-    d, share = _group_shares(instance, limit)
-    up = d // instance.utility_scale
-    utilities = [tuple(u * up for u in row) for row in instance.scaled_utilities]
-    tops = _doubled(
-        utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
-    )
-    totals = _doubled(share, add, 0)
-    return (
-        (members(g), LinearConstraint(tops[g], ">=", totals[g], d))
-        for g in range(1, 1 << instance.n)
-    )
-
-
 def _report(
     axiom: str,
     instance: PBInstance,
@@ -297,5 +278,16 @@ def gfs_rows(
 ) -> list[LinearConstraint]:
     """One GFS row per non-empty voter group S, in bitmask order: the row
     of S is number sum_{i in S} 2^i - 1. With 0/1 utilities a row's
-    coefficients are d on the union of the group's approval sets."""
-    return [row for _, row in _group_rows(instance, limit)]
+    coefficients are d on the union of the group's approval sets. The
+    rows and the bounds are built by doubling over the voters."""
+    d, share = _group_shares(instance, limit)
+    up = d // instance.utility_scale
+    utilities = [tuple(u * up for u in row) for row in instance.scaled_utilities]
+    tops = _doubled(
+        utilities, lambda a, b: tuple(map(max, a, b)), (0,) * instance.m
+    )
+    totals = _doubled(share, add, 0)
+    return [
+        LinearConstraint(tops[g], ">=", totals[g], d)
+        for g in range(1, 1 << instance.n)
+    ]

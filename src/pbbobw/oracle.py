@@ -9,6 +9,11 @@ oracle's outcome classes all read them, through the dict at call time.
 are upward-closed, which the outcome enumeration decides on the subset
 lattice (see ``enumerate_outcomes``).
 
+An outcome class is a tuple of ``INTEGRAL_AXIOMS`` names: the outcomes
+that satisfy each of them. The budget cap is the ``within-budget`` entry,
+so ``fjr`` alone is uncapped FJR and ``fjr,bb1`` is FJR ∧ BB1;
+``OUTCOME_CLASSES`` names ``all`` and the capped proportionality classes.
+
 The oracles are reference procedures, exponential in the number of
 projects (and, for group fairness rows, in the number of voters). They
 decide exactly — via rational LP feasibility — whether a fractional
@@ -101,6 +106,12 @@ INTEGRAL_AXIOMS: dict[str, Check] = {
     "ejrx": check_ejrx_cost,
     "bb1": _no_limit(lambda instance, w: Verdict("bb1", is_bb1(instance, w))),
     "bfx": _no_limit(lambda instance, w: Verdict("bfx", is_bfx(instance, w))),
+    "within-budget": _no_limit(
+        lambda instance, w: Verdict(
+            "within-budget",
+            instance.scaled_total(w.projects) <= instance.scaled_budget,
+        )
+    ),
 }
 
 # Adding a project never makes a voter worse off, so an outcome that
@@ -114,68 +125,38 @@ _RELATIONS = {"<=": le, "=": eq, ">=": ge}
 
 
 # ---------------------------------------------------------------------------
-# Outcome predicates
+# Outcome classes
 
 
-@dataclass(frozen=True)
-class OutcomePredicate:
-    """A class of integral outcomes: those that satisfy every
-    ``INTEGRAL_AXIOMS`` entry named in ``axioms``.
-
-    ``budget_capped`` marks classes that only admit within-budget
-    outcomes, which lets the enumerator prune by running cost.
-    """
-
-    budget_capped: bool
-    axioms: tuple[str, ...] = ()
-
-    def evaluate(
-        self,
-        instance: PBInstance,
-        outcome: IntegralOutcome,
-        limit: Optional[int] = None,
-    ) -> bool:
-        if (
-            self.budget_capped
-            and instance.scaled_total(outcome.projects) > instance.scaled_budget
-        ):
-            return False
-        return all(
-            INTEGRAL_AXIOMS[a](instance, outcome, limit).holds
-            for a in self.axioms
-        )
-
-
-# Class name -> (budget_capped, integral axioms). Proportionality classes
-# are read as "fair uses of the budget": the within-budget cap is part of
-# the class, not an extra filter.
-OUTCOME_CLASSES: dict[str, tuple[bool, tuple[str, ...]]] = {
-    "all": (False, ()),
-    "within-budget": (True, ()),
-    "bb1": (False, ("bb1",)),
-    "bfx": (False, ("bfx",)),
-    "jr-binary": (True, ("jr",)),
-    "jr-general": (True, ("jr-general",)),
-    "ejr-binary": (True, ("ejr",)),
-    "fjr-binary": (True, ("fjr",)),
-    "ejrx-cost": (True, ("ejrx",)),
+# Class name -> the integral axioms its outcomes satisfy. Proportionality
+# classes are read as "fair uses of the budget": the within-budget cap is
+# part of the class. Any other conjunction is named by its registry names.
+OUTCOME_CLASSES: dict[str, tuple[str, ...]] = {
+    "all": (),
+    "jr-binary": ("within-budget", "jr"),
+    "jr-general": ("within-budget", "jr-general"),
+    "ejr-binary": ("within-budget", "ejr"),
+    "fjr-binary": ("within-budget", "fjr"),
+    "ejrx-cost": ("within-budget", "ejrx"),
 }
 
 
-def predicate(name: str) -> OutcomePredicate:
-    """Look up a class in ``OUTCOME_CLASSES``; comma-joined names form a
-    conjunction."""
+def predicate(name: str) -> tuple[str, ...]:
+    """The ``INTEGRAL_AXIOMS`` names of a class: comma-joined parts form a
+    conjunction, each part a name in ``OUTCOME_CLASSES`` or else in
+    ``INTEGRAL_AXIOMS``. Names keep their order, without repeats."""
     parts = [p.strip() for p in name.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty predicate name")
+    axioms: list[str] = []
     for part in parts:
-        if part not in OUTCOME_CLASSES:
+        if part in OUTCOME_CLASSES:
+            axioms += OUTCOME_CLASSES[part]
+        elif part in INTEGRAL_AXIOMS:
+            axioms.append(part)
+        else:
             raise ValidationError(f"unknown predicate {part!r}")
-    classes = [OUTCOME_CLASSES[part] for part in parts]
-    return OutcomePredicate(
-        budget_capped=any(capped for capped, _ in classes),
-        axioms=tuple(a for _, axioms in classes for a in axioms),
-    )
+    return tuple(dict.fromkeys(axioms))
 
 
 def _lattice_check(
@@ -190,7 +171,9 @@ def _lattice_check(
       utility and the group's size are as they were.
     Only verdicts of outcomes ``holds`` was called on are read. Each is 0
     when W holds, else the projects j that its witness rules out: T and
-    every project some voter of S approves.
+    every project some voter of S approves. Neither rule reads cost(W),
+    so they hold on uncapped classes too, where every subset of a
+    candidate is itself a candidate.
     """
     approvals = instance.approval_masks
     # size -> {W as a project mask: its verdict}, for W's size and the one
@@ -224,32 +207,34 @@ def _lattice_check(
 
 def enumerate_outcomes(
     instance: PBInstance,
-    pred: OutcomePredicate,
+    axioms: Sequence[str],
     limit: Optional[int] = None,
 ) -> list[IntegralOutcome]:
-    """All outcomes satisfying ``pred``, in lexicographic index order.
+    """All outcomes satisfying every ``INTEGRAL_AXIOMS`` entry named in
+    ``axioms``, in lexicographic index order.
 
     Lexicographic on the sorted index tuple: () < (0,) < (0,1) < (1,).
     The candidates are the empty outcome and ``PBInstance.subsets``,
-    capped at the budget when the predicate is budget-capped; the ones
-    ``pred`` accepts are sorted. ``limit`` caps m and is passed on to the
-    checks of ``pred``'s axioms.
+    capped at the budget when ``within-budget`` is named (so the cap is
+    not checked again); the ones the other axioms accept are sorted.
+    ``limit`` caps m and is passed on to their checks.
 
     The candidates come by size, then lexicographically, and every subset
     of a candidate is one (costs are non-negative), so the immediate
-    subsets of W are decided before W. ``pred``'s ``UPWARD_CLOSED`` axioms
-    are decided from them where they can be (``_lattice_check``), and
-    the checker runs on the rest: the accepted outcomes are the same.
+    subsets of W are decided before W. The ``UPWARD_CLOSED`` axioms are
+    decided from them where they can be (``_lattice_check``), and the
+    checker runs on the rest: the accepted outcomes are the same.
     """
     m = instance.m
     cap = project_limit(limit)
     if m > cap:
         raise ScaleError(f"{m} projects exceeds enumeration limit {cap}")
-    ceiling = instance.budget if pred.budget_capped else None
+    ceiling = instance.budget if "within-budget" in axioms else None
+    checks = [a for a in axioms if a != "within-budget"]
     candidates = chain([()], instance.subsets(range(m), ceiling))
     lattice = {
         a: _lattice_check(instance, a, limit)
-        for a in pred.axioms
+        for a in checks
         if a in UPWARD_CLOSED
     }
 
@@ -261,7 +246,7 @@ def enumerate_outcomes(
     accepted = [
         group
         for group in candidates
-        if all(holds(a, group) for a in pred.axioms)
+        if all(holds(a, group) for a in checks)
     ]
     return [IntegralOutcome(group) for group in sorted(accepted)]
 
@@ -294,12 +279,13 @@ class FeasibilityVerdict:
 
 def lottery_feasible(
     instance: PBInstance,
-    pred: OutcomePredicate,
+    axioms: Sequence[str],
     fractional: Optional[FractionalOutcome] = None,
     extra: Sequence[LinearConstraint] = (),
     limit: Optional[int] = None,
 ) -> FeasibilityVerdict:
-    """Decide existence of a lottery over ``pred`` outcomes.
+    """Decide existence of a lottery over outcomes that satisfy every
+    ``INTEGRAL_AXIOMS`` entry named in ``axioms``.
 
     With ``fractional`` given (fixed-marginal mode) the lottery must
     implement that fractional outcome exactly; ``extra`` rows are then
@@ -316,7 +302,7 @@ def lottery_feasible(
         raise ValidationError("fractional outcome has wrong arity")
     if any(len(con.coefficients) != m or con.denominator < 1 for con in extra):
         raise ValidationError("extra constraint has wrong arity or denominator")
-    outcomes = enumerate_outcomes(instance, pred, limit)
+    outcomes = enumerate_outcomes(instance, axioms, limit)
     if not outcomes:
         return FeasibilityVerdict(False, None, None, "empty outcome class")
     rows = [LinearConstraint((1,) * len(outcomes), "=", 1)]
@@ -358,7 +344,11 @@ def lottery_feasible(
         (lam, w) for w, lam in zip(outcomes, weights) if lam > 0
     )
     lottery = Lottery(entries)
-    if not all(pred.evaluate(instance, w, limit) for _, w in lottery.support):
+    if not all(
+        INTEGRAL_AXIOMS[a](instance, w, limit).holds
+        for _, w in lottery.support
+        for a in axioms
+    ):
         raise InvariantViolation("certified lottery has an outcome outside the class")
     shares = marginals(m, lottery.support)
     fractional = fractional or FractionalOutcome(shares)

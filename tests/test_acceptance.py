@@ -419,6 +419,37 @@ def test_criterion_9_mes_rho_searches_are_bounded(monkeypatch):
             assert len(searches) <= inst.m * (len(chosen) + 1)
 
 
+def test_criteria_8_and_9_exact_lotteries(capsys):
+    """The main theorems decided exactly rather than sampled: BW-GCR's p
+    is a lottery over FJR ∧ BB1 outcomes and BW-MES's p one over
+    EJR ∧ BB1 outcomes. A BB1 outcome may overspend, so the classes are
+    uncapped; the capped classes fail on some instance."""
+    rng = random.Random(8989)
+    queries = {
+        bw_gcr: ("fjr,bb1", "fjr-binary,bb1"),
+        bw_mes: ("ejr,bb1", "ejr-binary,bb1"),
+    }
+    ok = True
+    capped_infeasible = {rule: 0 for rule in queries}
+    for idx in range(200):
+        inst = random_instance(rng, n_max=4, m_max=5, utilities="binary")
+        for rule, (uncapped, capped) in queries.items():
+            p = rule(inst, seed=idx).fractional
+            ok = ok and lottery_feasible(inst, predicate(uncapped), p).feasible
+            if not lottery_feasible(inst, predicate(capped), p).feasible:
+                capped_infeasible[rule] += 1
+    ok = ok and all(capped_infeasible.values())
+    report(
+        capsys,
+        8,
+        "BW-GCR and BW-MES lotteries over FJR/EJR ∧ BB1",
+        ok,
+        f"200 instances, exact; capped classes infeasible on "
+        f"{capped_infeasible[bw_gcr]} (fjr-binary,bb1) and "
+        f"{capped_infeasible[bw_mes]} (ejr-binary,bb1)",
+    )
+
+
 def _timed_bw_mes_deterministic(inst) -> float:
     # CPU time with the collector paused: wall-clock scheduling noise would
     # otherwise dominate sub-millisecond runs.

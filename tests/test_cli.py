@@ -24,6 +24,8 @@ from pbbobw.cli import main
 
 from conftest import two_voter_example
 
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
 
 @pytest.fixture
 def instance_file(tmp_path):
@@ -238,6 +240,27 @@ def test_verify_unknown_axiom_exits_2(capsys, instance_file, tmp_path):
     assert "unknown axiom" in err
 
 
+def test_verify_within_budget_is_an_integral_axiom(capsys, tmp_path):
+    """The budget cap is checked like bb1, and with it in one call."""
+    instance = str(REPORTS / "binary.json")
+    code, out, _ = run_cli(
+        capsys, "verify", "--instance", instance, "--target",
+        str(REPORTS / "binary-a.json"), "--axioms", "within-budget,bb1",
+    )
+    axioms = json.loads(out)["axioms"]
+    assert code == 0
+    assert axioms["within-budget"] == {"axiom": "within-budget", "holds": True}
+    assert axioms["bb1"]["holds"] is True
+    everything = tmp_path / "w.json"
+    everything.write_text(json.dumps(list("abcdefg")))
+    code, out, _ = run_cli(
+        capsys, "verify", "--instance", instance, "--target",
+        str(everything), "--axioms", "within-budget",
+    )
+    assert code == 1
+    assert json.loads(out)["axioms"]["within-budget"]["holds"] is False
+
+
 def test_gen_bfx_writes_instance_and_fractional(capsys, tmp_path):
     out = tmp_path / "bfx.json"
     code, _, _ = run_cli(
@@ -424,20 +447,52 @@ def test_oracle_joint_with_fractional_exits_2_before_any_work(
     """Joint mode decides the marginals itself, so a given p would be
     ignored: the flag is a usage error, as implementable mode without it
     is."""
-    data = Path(__file__).resolve().parent / "data" / "reports"
 
     def refuse(*args):
         raise AssertionError("outcomes enumerated")
 
     monkeypatch.setattr(pbbobw.oracle, "enumerate_outcomes", refuse)
     for mode, fractional in (("joint", ["--fractional"]), ("implementable", [])):
-        argv = ["oracle", "--instance", str(data / "binary.json"),
+        argv = ["oracle", "--instance", str(REPORTS / "binary.json"),
                 "--mode", mode, "--predicate", "bb1"]
         if fractional:
-            argv += [*fractional, str(data / "binary-p.json")]
+            argv += [*fractional, str(REPORTS / "binary-p.json")]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: --mode {mode} ") and "--fractional" in err
+
+
+def test_oracle_class_names_keep_the_budget_cap(capsys, tmp_path):
+    """``jr-general`` is capped, so it cannot implement the outcome that
+    funds every project (cost 7 > B = 3); the uncapped registry name
+    ``jr`` can."""
+    everything = tmp_path / "p.json"
+    everything.write_text(json.dumps({"shares": dict.fromkeys("abcdefg", "1")}))
+    argv = ["oracle", "--instance", str(REPORTS / "binary.json"), "--mode",
+            "implementable", "--fractional", str(everything), "--predicate"]
+    code, out, _ = run_cli(capsys, *argv, "jr-general")
+    assert (code, json.loads(out)["feasible"]) == (1, False)
+    code, out, _ = run_cli(capsys, *argv, "jr")
+    lottery = json.loads(out)["lottery"]
+    assert code == 0
+    assert lottery == [{"probability": "1", "outcome": list("abcdefg")}]
+
+
+def test_oracle_conjunction_with_its_own_class_accepts_the_same_outcomes(
+    capsys,
+):
+    reports = []
+    for name in ("fjr,fjr-binary", "fjr-binary"):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--instance", str(REPORTS / "binary.json"),
+            "--mode", "joint", "--predicate", name, "--builtin", "ifs",
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert report.pop("predicate") == name
+        report.pop("elapsed_seconds", None)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -444,12 +444,17 @@ def test_optimal_fractional_utility_is_the_utility_of_the_optimal_outcome():
 
 
 def test_each_axiom_holds_exactly_when_p_meets_its_rows():
+    def shares(utilitarian, strong):
+        return lambda inst: [
+            row for _, row in exante._share_rows(inst, utilitarian, strong)
+        ]
+
     axioms = (
-        (check_ifs, lambda inst: exante._share_rows(inst, False, False)),
-        (check_strong_ifs, lambda inst: exante._share_rows(inst, False, True)),
-        (check_ufs, lambda inst: exante._share_rows(inst, True, False)),
-        (check_strong_ufs, lambda inst: exante._share_rows(inst, True, True)),
-        (check_gfs, lambda inst: exante._group_rows(inst, None)),
+        (check_ifs, shares(False, False)),
+        (check_strong_ifs, shares(False, True)),
+        (check_ufs, shares(True, False)),
+        (check_strong_ufs, shares(True, True)),
+        (check_gfs, gfs_rows),
     )
     outcomes = {True: 0, False: 0}
     for rng, inst in sweep(85, 120):
@@ -460,9 +465,7 @@ def test_each_axiom_holds_exactly_when_p_meets_its_rows():
             for check, rows in axioms:
                 meets = all(
                     sum(c * x for c, x in zip(coefficients, p.shares)) >= bound
-                    for coefficients, _, bound in values(
-                        row for _, row in rows(inst)
-                    )
+                    for coefficients, _, bound in values(rows(inst))
                 )
                 assert check(inst, p).holds == meets
                 outcomes[meets] += 1

@@ -10,7 +10,6 @@ from pbbobw import (
     FractionalOutcome,
     IntegralOutcome,
     LinearConstraint,
-    OutcomePredicate,
     PBInstance,
     ScaleError,
     SettingError,
@@ -180,7 +179,7 @@ def test_integer_budget_tests_match_fractions():
     every outcome they agree with the same tests over Fractions, with
     zero-cost projects and costs over mixed denominators."""
     rng = random.Random(17)
-    capped = predicate("within-budget")
+    capped = INTEGRAL_AXIOMS["within-budget"]
     seen = {"bb1": 0, "not bb1": 0, "bfx": 0, "not bfx": 0, "zero cost": 0}
     for _ in range(60):
         inst = random_instance(rng, n_max=2, m_max=6)
@@ -193,7 +192,8 @@ def test_integer_budget_tests_match_fractions():
                 bb1, bfx = _bb1_fraction(inst, w), _bfx_fraction(inst, w)
                 assert is_bb1(inst, w) == bb1, (inst, subset)
                 assert is_bfx(inst, w) == bfx, (inst, subset)
-                assert capped.evaluate(inst, w) == (w.cost(inst) <= inst.budget)
+                fits = w.cost(inst) <= inst.budget
+                assert capped(inst, w, None).holds == fits
                 seen["bb1" if bb1 else "not bb1"] += 1
                 seen["bfx" if bfx else "not bfx"] += 1
     assert min(seen.values()) >= 20, seen
@@ -211,21 +211,27 @@ def test_conjunction_predicate():
     for w in enumerate_outcomes(inst, both):
         assert w.cost(inst) <= inst.budget
         assert check_jr_binary(inst, w).holds
-    for a, b in itertools.product(oracle.OUTCOME_CLASSES, repeat=2):
-        cap_a, axioms_a = oracle.OUTCOME_CLASSES[a]
-        cap_b, axioms_b = oracle.OUTCOME_CLASSES[b]
-        assert predicate(f"{a},{b}") == OutcomePredicate(
-            cap_a or cap_b, axioms_a + axioms_b
-        )
+    # A registry name stands for itself unless a class name shadows it.
+    names = {a: (a,) for a in INTEGRAL_AXIOMS} | OUTCOME_CLASSES
+    assert names["jr-general"] == ("within-budget", "jr-general")
+    for a, b in itertools.product(names, repeat=2):
+        expected = tuple(dict.fromkeys(names[a] + names[b]))
+        assert predicate(f"{a},{b}") == expected
+    assert predicate("fjr,bb1") == ("fjr", "bb1")
+    assert predicate("fjr,fjr-binary") == ("fjr", "within-budget")
 
 
-# Each class as a budget cap and a membership test written against the
-# checkers directly, independent of the registry.
+# Each class name and registry name as a budget cap and a membership test
+# written against the checkers directly, independent of the registry.
 _REFERENCE_CLASSES = {
     "all": (False, lambda inst, w: True),
     "within-budget": (True, lambda inst, w: True),
     "bb1": (False, is_bb1),
     "bfx": (False, is_bfx),
+    "jr": (False, lambda inst, w: check_jr_binary(inst, w).holds),
+    "ejr": (False, lambda inst, w: check_ejr_binary(inst, w).holds),
+    "fjr": (False, lambda inst, w: check_fjr_binary(inst, w).holds),
+    "ejrx": (False, lambda inst, w: check_ejrx_cost(inst, w).holds),
     "jr-binary": (True, lambda inst, w: check_jr_binary(inst, w).holds),
     "jr-general": (True, lambda inst, w: check_jr_general(inst, w).holds),
     "ejr-binary": (True, lambda inst, w: check_ejr_binary(inst, w).holds),
@@ -253,16 +259,19 @@ def _brute_force(inst, names):
 
 
 def test_enumerate_every_class_matches_brute_force():
-    assert set(_REFERENCE_CLASSES) == set(OUTCOME_CLASSES)
+    assert set(_REFERENCE_CLASSES) == set(OUTCOME_CLASSES) | set(INTEGRAL_AXIOMS)
     rng = random.Random(61)
     # The conjunctions with bb1 or bfx decide the closed class only on
     # the outcomes the other class accepts.
-    queries = [name for name in OUTCOME_CLASSES] + [
+    queries = list(_REFERENCE_CLASSES) + [
         "within-budget,jr-binary",
         "bb1,ejrx-cost",
         "fjr-binary,bb1",
         "bfx,jr-binary",
         "ejrx-cost,bb1",
+        "fjr,bb1",
+        "ejr,bb1",
+        "jr,bfx",
     ]
     # two_voter_example has outcomes that cost exactly the budget; on
     # ejr_not_fjr the ejr-binary and fjr-binary classes differ.

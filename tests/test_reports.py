@@ -122,6 +122,11 @@ CASES = {
                                             "--mode", "implementable", "--predicate",
                                             "fjr-binary,bb1", "--fractional",
                                             "binary-bwgcr-p.json"],
+    # The main theorem's class, FJR ∧ BB1 without the cap: a lottery exists.
+    "oracle-implementable-fjr-bb1": ["oracle", "--instance", "binary.json",
+                                     "--mode", "implementable", "--predicate",
+                                     "fjr,bb1", "--fractional",
+                                     "binary-bwgcr-p.json"],
     "gen-bfx": ["gen", "--family", "bfx", "--B", "2"],
     "gen-gfs-jr": ["gen", "--family", "gfs-jr", "--n", "6"],
     "gen-ifs-jr": ["gen", "--family", "ifs-jr", "--n", "4"],
