@@ -91,6 +91,11 @@ CASES = {
     "oracle-joint-gfs-general": ["oracle", "--instance", "general.json", "--mode",
                                  "joint", "--predicate", "within-budget",
                                  "--builtin", "gfs"],
+    # A tall LP (63 GFS `>=` rows over BB1 outcomes) on the GFS-vs-JR
+    # family: GFS alone is implementable, so the report pins the vertex.
+    "oracle-joint-gfs-bb1-gfsjr6": ["oracle", "--instance", "gfsjr6.json",
+                                    "--mode", "joint", "--predicate", "bb1",
+                                    "--builtin", "gfs"],
     # 14 unit-cost projects, B = 6: 6,476 within-budget outcomes, most of
     # whose FJR verdicts follow from their immediate subsets.
     "oracle-joint-fjr-unit14": ["oracle", "--instance", "unit14.json", "--mode",
