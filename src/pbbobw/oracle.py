@@ -216,8 +216,11 @@ def enumerate_outcomes(
     Lexicographic on the sorted index tuple: () < (0,) < (0,1) < (1,).
     The candidates are the empty outcome and ``PBInstance.subsets``,
     capped at the budget when ``within-budget`` is named (so the cap is
-    not checked again); the ones the other axioms accept are sorted.
-    ``limit`` caps m and is passed on to their checks.
+    not checked again), else at B + max_j c_j when ``bb1`` or ``bfx`` is:
+    an outcome of either class that overspends fits B once one of its
+    projects is dropped, so no outcome over that ceiling is one. The
+    candidates the named axioms accept are sorted. ``limit`` caps m and
+    is passed on to their checks.
 
     The candidates come by size, then lexicographically, and every subset
     of a candidate is one (costs are non-negative), so the immediate
@@ -229,7 +232,12 @@ def enumerate_outcomes(
     cap = project_limit(limit)
     if m > cap:
         raise ScaleError(f"{m} projects exceeds enumeration limit {cap}")
-    ceiling = instance.budget if "within-budget" in axioms else None
+    if "within-budget" in axioms:
+        ceiling = instance.budget
+    elif "bb1" in axioms or "bfx" in axioms:
+        ceiling = instance.budget + max(instance.cost, default=0)
+    else:
+        ceiling = None
     checks = [a for a in axioms if a != "within-budget"]
     candidates = chain([()], instance.subsets(range(m), ceiling))
     lattice = {

@@ -453,6 +453,24 @@ def test_enumeration_on_the_committed_14_project_instance_makes_pinned_checks(
     assert found["ejr-binary"] == [w for w in fitting if check_ejr_binary(inst, w).holds]
 
 
+def test_bb1_candidates_stop_at_budget_plus_the_largest_cost(monkeypatch):
+    """A machine-independent work guard: on the committed wide13.json
+    (m = 13), the uncapped BB1 class walks the 3,222 non-empty outcomes
+    that cost at most B + max_j c_j, not all 8,191, and accepts 2,905."""
+    inst = parse_instance((UNIT14.parent / "wide13.json").read_text())
+    walked = []
+    subsets = PBInstance.subsets
+
+    def counted(self, pool, ceiling=None):
+        for group in subsets(self, pool, ceiling):
+            walked.append(group)
+            yield group
+
+    monkeypatch.setattr(PBInstance, "subsets", counted)
+    accepted = enumerate_outcomes(inst, predicate("bb1"))
+    assert (len(walked), len(accepted)) == (3222, 2905)
+
+
 def test_free_marginal_rows_are_the_substituted_fractions(monkeypatch):
     """Each extra row over p reaches the simplex as the same rationals:
     the sum of its coefficients over each outcome's projects, on the row's
