@@ -262,6 +262,124 @@ def test_matches_fraction_simplex_on_large_coefficients(monkeypatch):
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 
 
+def tall_system(rng: random.Random, top: int):
+    """20-40 rows over 5-15 variables, mostly `>=`, with coefficients in
+    [1, top] over small denominators, and one `=` row: the sum of the
+    variables. In half of them every row holds at a planted integer
+    point, many of them exactly."""
+    num_vars = rng.randint(5, 15)
+    point = [rng.choice((0, 0, 1, 2)) for _ in range(num_vars)]
+    planted = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(20, 40)):
+        coeffs = tuple(
+            0 if rng.random() < 0.4 else rng.randint(1, top)
+            for _ in range(num_vars)
+        )
+        value = sum(c * x for c, x in zip(coeffs, point))
+        relation = ">=" if rng.random() < 0.85 else "<="
+        slack = rng.choice((0, 0, 1)) if planted else rng.randint(-top, top)
+        bound = value - slack if relation == ">=" else value + slack
+        rows.append(
+            LinearConstraint(coeffs, relation, bound, rng.choice((1, 1, 2, 3)))
+        )
+    total = LinearConstraint((1,) * num_vars, "=", sum(point) or 1)
+    rows.insert(rng.randrange(len(rows) + 1), total)
+    return rows, num_vars
+
+
+def wide_system(rng: random.Random):
+    """6-12 `=` rows over 100-300 random 0/1 columns, as in the oracle's
+    fixed-marginal LPs. Half of them have the marginals of a planted
+    lottery over a few columns, the others random ones."""
+    num_rows, num_vars = rng.randint(6, 12), rng.randint(100, 300)
+    columns = [
+        [int(rng.random() < 0.4) for _ in range(num_rows)]
+        for _ in range(num_vars)
+    ]
+    if rng.random() < 0.5:
+        support = rng.sample(range(num_vars), num_rows)
+        weights = [rng.randint(1, 9) for _ in support]
+        bounds = [
+            F(sum(w for w, j in zip(weights, support) if columns[j][r]),
+              sum(weights))
+            for r in range(num_rows)
+        ]
+    else:
+        bounds = [F(rng.randint(0, 6), 6) for _ in range(num_rows)]
+    rows = [
+        LinearConstraint(tuple(col[r] for col in columns), "=", bounds[r])
+        for r in range(num_rows)
+    ]
+    return rows, num_vars
+
+
+@pytest.mark.parametrize(
+    "shape, count", [("tall", 6), ("wide", 10)]
+)
+def test_matches_fraction_simplex_on_tall_and_wide_systems(shape, count):
+    verdicts: Counter = Counter()
+    for seed in range(count):
+        rng = random.Random(seed)
+        rows, num_vars = (
+            tall_system(rng, 6) if shape == "tall" else wide_system(rng)
+        )
+        expected = reference(rows, num_vars)
+        assert solve_feasibility(rows, num_vars) == expected, f"seed {seed}"
+        verdicts[expected is None] += 1
+    assert verdicts[True] >= 1 and verdicts[False] >= 1, verdicts
+
+
+def test_matches_fraction_simplex_on_tall_systems_that_widen(monkeypatch):
+    """Coefficients up to 10^9: every solve widens its lanes at least once."""
+    widened = []
+
+    def counting(packed, width, lanes):
+        widened.append(width)
+        return widen(packed, width, lanes)
+
+    widen = lp._widen
+    monkeypatch.setattr(lp, "_widen", counting)
+    verdicts: Counter = Counter()
+    for seed in range(4):
+        rows, num_vars = tall_system(random.Random(seed), 10**9)
+        before = len(widened)
+        expected = reference(rows, num_vars)
+        assert solve_feasibility(rows, num_vars) == expected, f"seed {seed}"
+        assert len(widened) > before, f"seed {seed}"
+        verdicts[expected is None] += 1
+    assert verdicts[True] >= 1 and verdicts[False] >= 1, verdicts
+
+
+def test_matches_fraction_simplex_when_only_the_basis_inverse_grows(monkeypatch):
+    """Chains x_i - a·x_{i+1} (rel) b_i with a up to 2^29: a basis of
+    them has determinant 1 and an inverse with entries up to a^(k-1), so
+    the lanes widen for the basis block while the pivots and the rhs
+    stay small."""
+    widened = []
+
+    def counting(packed, width, lanes):
+        widened.append(width)
+        return widen(packed, width, lanes)
+
+    widen = lp._widen
+    monkeypatch.setattr(lp, "_widen", counting)
+    for seed in range(100):
+        rng = random.Random(seed)
+        k = rng.randint(3, 6)
+        a = rng.choice((2**20, 2**25, 2**29, 3**18))
+        rows = [
+            LinearConstraint(
+                tuple(1 if j == i else -a if j == i + 1 else 0 for j in range(k)),
+                rng.choice(RELATIONS),
+                rng.choice((0, 1, 2)),
+            )
+            for i in range(k)
+        ]
+        assert solve_feasibility(rows, k) == reference(rows, k), f"seed {seed}"
+    assert len(widened) >= 20, widened
+
+
 @pytest.mark.parametrize("width", [64, 128, 256])
 def test_lane_fit_test_at_the_boundary(width):
     """Entries fit a lane of width W iff they lie in [-2^(b-1), 2^(b-1))
