@@ -90,11 +90,8 @@ class LinearConstraint:
 def _pack(values: Sequence[int], width: int, signs: int) -> int:
     """sum(v << j*width) over the values. ``signs`` has bit width-1 of
     every lane set; each value must fit in width signed bits."""
-    if width == 64:
-        words = array("q", values)
-        if sys.byteorder == "big":
-            words.byteswap()
-        data = words.tobytes()
+    if width == 64 and sys.byteorder == "little":
+        data = array("q", values).tobytes()
     else:
         size = width // 8
         data = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
@@ -106,11 +103,8 @@ def _unpack(row: int, width: int, lanes: int, signs: int) -> list[int]:
     """The lanes of a packed row, each of which fits in width signed bits."""
     size = width // 8
     data = ((row + signs) ^ signs).to_bytes(size * lanes, "little")
-    if width == 64:
-        words = array("q", data)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words.tolist()
+    if width == 64 and sys.byteorder == "little":
+        return array("q", data).tolist()
     return [
         int.from_bytes(data[k:k + size], "little", signed=True)
         for k in range(0, size * lanes, size)

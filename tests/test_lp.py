@@ -314,9 +314,7 @@ def wide_system(rng: random.Random):
     return rows, num_vars
 
 
-@pytest.mark.parametrize(
-    "shape, count", [("tall", 6), ("wide", 10)]
-)
+@pytest.mark.parametrize("shape, count", [("tall", 6), ("wide", 10)])
 def test_matches_fraction_simplex_on_tall_and_wide_systems(shape, count):
     verdicts: Counter = Counter()
     for seed in range(count):
@@ -330,16 +328,22 @@ def test_matches_fraction_simplex_on_tall_and_wide_systems(shape, count):
     assert verdicts[True] >= 1 and verdicts[False] >= 1, verdicts
 
 
-def test_matches_fraction_simplex_on_tall_systems_that_widen(monkeypatch):
-    """Coefficients up to 10^9: every solve widens its lanes at least once."""
-    widened = []
+@pytest.fixture
+def widened(monkeypatch) -> list[int]:
+    """The widths `lp._widen` is called at, in order."""
+    calls: list[int] = []
+    widen = lp._widen
 
     def counting(packed, width, lanes):
-        widened.append(width)
+        calls.append(width)
         return widen(packed, width, lanes)
 
-    widen = lp._widen
     monkeypatch.setattr(lp, "_widen", counting)
+    return calls
+
+
+def test_matches_fraction_simplex_on_tall_systems_that_widen(widened):
+    """Coefficients up to 10^9: every solve widens its lanes at least once."""
     verdicts: Counter = Counter()
     for seed in range(4):
         rows, num_vars = tall_system(random.Random(seed), 10**9)
@@ -351,19 +355,11 @@ def test_matches_fraction_simplex_on_tall_systems_that_widen(monkeypatch):
     assert verdicts[True] >= 1 and verdicts[False] >= 1, verdicts
 
 
-def test_matches_fraction_simplex_when_only_the_basis_inverse_grows(monkeypatch):
+def test_matches_fraction_simplex_when_only_the_basis_inverse_grows(widened):
     """Chains x_i - a·x_{i+1} (rel) b_i with a up to 2^29: a basis of
     them has determinant 1 and an inverse with entries up to a^(k-1), so
     the lanes widen for the basis block while the pivots and the rhs
     stay small."""
-    widened = []
-
-    def counting(packed, width, lanes):
-        widened.append(width)
-        return widen(packed, width, lanes)
-
-    widen = lp._widen
-    monkeypatch.setattr(lp, "_widen", counting)
     for seed in range(100):
         rng = random.Random(seed)
         k = rng.randint(3, 6)
